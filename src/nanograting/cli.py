@@ -34,7 +34,7 @@ from .diffraction import (
     kirchhoff_pattern,
     wave_number,
 )
-from .domain import de_broglie_wavelength
+from .domain import Grating, de_broglie_wavelength
 from .errors import ConfigurationError, NanogratingError
 from .gravity import fit_velocity, stripe_velocity_profile, synthesize_image
 from .imaging import render_image
@@ -81,6 +81,21 @@ def _simulation_header(config: RunConfig, velocity: float) -> dict[str, Any]:
     }
 
 
+def _band_trace(config: RunConfig, grating: Grating, **options: Any) -> Trace:
+    """band_averaged_trace of ``grating`` over the configured beamline,
+    molecule, velocity distribution and detector."""
+    return band_averaged_trace(
+        grating,
+        config.molecule(),
+        config.velocity_distribution(),
+        config.source(),
+        config.geometry(),
+        config.detector_grid(),
+        coherence_prefactor=config.require("source.coherence_prefactor"),
+        **options,
+    )
+
+
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     grating = config.grating()
     molecule = config.molecule()
@@ -88,17 +103,12 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     source = config.source()
     grid = config.detector_grid()
     window = config.require("simulate.window")
-    phase_step = config.require("simulate.phase_step_rad")
     prefactor = config.require("source.coherence_prefactor")
 
     if config.require("simulate.band"):
         band = config.velocity_distribution()
         center = float(np.average(band.velocities, weights=band.weights))
-        raw = band_averaged_trace(
-            grating, molecule, band, source, geometry, grid,
-            coherence_prefactor=prefactor, phase_step=phase_step,
-            window=window, convolve=False,
-        )
+        raw = _band_trace(config, grating, window=window, convolve=False)
         header = _simulation_header(config, center)
         header["velocity_classes"] = len(band)
         header["velocity_kind"] = band.kind
@@ -109,7 +119,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
         n_slits = config.require("simulate.n_slits") or coh.n_coherent_slits
         raw = kirchhoff_pattern(
             grating, wave_number(molecule, velocity), geometry.L2, n_slits, grid,
-            window=window, phase_step=phase_step,
+            window=window,
         )
         header = _simulation_header(config, velocity)
         header["n_slits"] = n_slits
@@ -146,7 +156,6 @@ def cmd_synth_image(config: RunConfig, args: argparse.Namespace) -> int:
     result = synthesize_image(
         distribution, grating, source, geometry, grid, molecule,
         coherence_prefactor=config.require("source.coherence_prefactor"),
-        phase_step=config.require("simulate.phase_step_rad"),
         window=config.require("simulate.window"),
     )
     out = Path(args.out) if args.out is not None else Path("interferogram.f64")
@@ -191,17 +200,7 @@ def _measured_trace(config: RunConfig, seed: int) -> tuple[Trace, dict[str, Any]
         raise ConfigurationError(
             "fit-seff needs fit.measured_csv or fit.target_s_eff_nm"
         )
-    grating = config.grating()
-    trace = band_averaged_trace(
-        replace(grating, effective_slit_width=target),
-        config.molecule(),
-        config.velocity_distribution(),
-        config.source(),
-        config.geometry(),
-        config.detector_grid(),
-        coherence_prefactor=config.require("source.coherence_prefactor"),
-        phase_step=config.require("simulate.phase_step_rad"),
-    )
+    trace = _band_trace(config, replace(config.grating(), effective_slit_width=target))
     provenance: dict[str, Any] = {"target_effective_slit_width_m": target}
     noise = config.require("fit.noise_fraction")
     if noise > 0.0:
@@ -228,7 +227,6 @@ def cmd_fit_seff(config: RunConfig, args: argparse.Namespace) -> int:
         coarse_step=config.require("fit.coarse_step_nm"),
         tolerance=config.require("fit.tolerance_nm"),
         lower_bound=config.require("fit.lower_bound_nm"),
-        phase_step=config.require("simulate.phase_step_rad"),
     )
     report: dict[str, Any] = {
         "grating": grating.label,
@@ -243,15 +241,8 @@ def cmd_fit_seff(config: RunConfig, args: argparse.Namespace) -> int:
     }
     if args.out is not None:
         out = Path(args.out)
-        best = band_averaged_trace(
-            replace(grating, effective_slit_width=result.effective_slit_width),
-            config.molecule(),
-            config.velocity_distribution(),
-            config.source(),
-            config.geometry(),
-            config.detector_grid(),
-            coherence_prefactor=config.require("source.coherence_prefactor"),
-            phase_step=config.require("simulate.phase_step_rad"),
+        best = _band_trace(
+            config, replace(grating, effective_slit_width=result.effective_slit_width)
         )
         best_path = _sibling(out, "bestfit", ".csv")
         write_trace_csv(best_path, best, report)

@@ -76,7 +76,6 @@ KNOWN_KEYS: dict[str, tuple[str, float]] = {
     "simulate.n_slits": ("int", 1.0),
     "simulate.n_max": ("int", 1.0),
     "simulate.window": ("str", 1.0),
-    "simulate.phase_step_rad": ("float", 1.0),
     "fit.lower_bound_nm": ("float", 1e-9),
     "fit.coarse_step_nm": ("float", 1e-9),
     "fit.tolerance_nm": ("float", 1e-9),
@@ -125,7 +124,6 @@ DEFAULTS: dict[str, str] = {
     "simulate.n_slits": "0",
     "simulate.n_max": "9",
     "simulate.window": "hard",
-    "simulate.phase_step_rad": "0.2",
     "fit.lower_bound_nm": "1",
     "fit.coarse_step_nm": "1",
     "fit.tolerance_nm": "0.1",

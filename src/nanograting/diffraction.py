@@ -36,9 +36,14 @@ __all__ = [
 
 NORMALIZATIONS = ("raw", "max-1", "unit-area")
 
+# largest quadratic phase k*s^2/(8*L2), in rad, dropped across one slit by
+# the per-slit linearization of kirchhoff_pattern
+MAX_SLIT_PHASE = 0.05
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+
+def _frozen_array(values) -> np.ndarray:
+    """Read-only float copy of ``values``."""
+    arr = np.array(values, dtype=float, copy=True)
     arr.flags.writeable = False
     return arr
 
@@ -98,6 +103,8 @@ class Trace:
             raise DomainError("positions and intensities must be 1D arrays of equal length")
         if pos.size < 2:
             raise DomainError("a trace needs at least two samples")
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(inten))):
+            raise DomainError("positions and intensities must be finite")
         if self.normalization not in NORMALIZATIONS:
             raise DomainError(
                 f"unknown normalization {self.normalization!r}; expected one of {NORMALIZATIONS}"
@@ -237,35 +244,36 @@ def kirchhoff_pattern(
     *,
     window: str = "hard",
     gaussian_window_sigma: float | None = None,
-    phase_step: float = 0.2,
-    max_block: int = 4_000_000,
 ) -> Trace:
     """Scalar Kirchhoff diffraction pattern of ``n_slits`` coherently
-    illuminated slits of the grating's *effective* width.
+    illuminated slits of the grating's *effective* width s.
 
-    The per-pixel amplitude is the sum over slits of the open-aperture
-    integral of exp(i k R(x, x')) with R the exact point-to-point distance
-    sqrt(L2^2 + (x - x')^2). Intensity is its squared modulus; the constant
-    phase k*L2 is dropped and the residual path excess is evaluated in the
-    cancellation-free difference form u^2 / (L2 + sqrt(L2^2 + u^2)).
+    The path from slit center c_j to pixel x' is kept exact: with
+    u = c_j - x', the excess over L2 is delta_j = u^2 / (L2 + sqrt(L2^2 + u^2))
+    (the cancellation-free form of sqrt(L2^2 + u^2) - L2; the constant phase
+    k*L2 is dropped). Across one slit the phase is linearized about its center
+    with slope delta'_j = u / sqrt(L2^2 + u^2), so each slit integrates in
+    closed form and the amplitude is
 
-    The slit integrals use a fixed-step midpoint rule with the step chosen so
-    the integrand phase advances at most ``phase_step`` radians per step at
-    the worst-case obliquity. Summation order per pixel is fixed (slit-major,
-    ascending node), so the result does not depend on pixel chunking.
+        s * sum_j a_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)
+
+    with np.sinc(x) = sin(pi x) / (pi x): Fraunhofer within a slit, Fresnel
+    between slits. The dropped quadratic phase is at most k s^2 / (8 L2) at
+    the slit edges; above ``MAX_SLIT_PHASE`` radians the linearization is
+    refused with a ResolutionError. Intensity is the squared modulus. Each
+    pixel sums its slits in one fixed order (a row reduction, not a BLAS
+    product), so results repeat bit for bit from run to run.
 
     window:
-        "hard" illuminates all slits equally; "gaussian" applies an amplitude
-        taper exp(-c^2 / (2 sigma_w^2)) over slit centers c, with sigma_w =
-        ``gaussian_window_sigma`` (default: one quarter of the illuminated
-        span).
+        "hard" illuminates all slits equally (a_j = 1); "gaussian" applies an
+        amplitude taper a_j = exp(-c_j^2 / (2 sigma_w^2)) over slit centers,
+        with sigma_w = ``gaussian_window_sigma`` (default: one quarter of the
+        illuminated span).
     """
     if k <= 0.0 or L2 <= 0.0:
         raise DomainError("wave number and L2 must be positive")
     if n_slits < 1:
         raise DomainError(f"need at least one slit, got {n_slits!r}")
-    if phase_step <= 0.0:
-        raise DomainError(f"phase step must be positive, got {phase_step!r}")
     if window not in ("hard", "gaussian"):
         raise DomainError(f"unknown window {window!r}; expected 'hard' or 'gaussian'")
 
@@ -280,17 +288,15 @@ def kirchhoff_pattern(
             f"pixel pitch {grid.pixel_pitch:.3e} m cannot resolve the "
             f"{feature:.3e} m fringe period; need pitch <= {feature / 2.0:.3e} m"
         )
+    slit_phase = k * s * s / (8.0 * L2)
+    if slit_phase > MAX_SLIT_PHASE:
+        raise ResolutionError(
+            f"quadratic phase across one slit k*s^2/(8*L2) = {slit_phase:.3e} rad "
+            f"exceeds {MAX_SLIT_PHASE} rad; the per-slit far-field form does not hold"
+        )
 
     positions = grid.positions
     centers = _slit_centers(n_slits, d)
-
-    # worst-case |x - x'| fixes the integration step via the local phase rate
-    u_max = float(np.abs(positions).max()) + float(np.abs(centers).max(initial=0.0)) + s / 2.0
-    rate = k * u_max / math.hypot(L2, u_max)
-    step_limit = phase_step / rate if rate > 0.0 else s
-    n_sub = max(4, int(math.ceil(s / step_limit)))
-    h = s / n_sub
-    base = -s / 2.0 + (np.arange(n_sub) + 0.5) * h
 
     if window == "gaussian":
         sigma_w = gaussian_window_sigma
@@ -302,19 +308,11 @@ def kirchhoff_pattern(
     else:
         slit_amps = np.ones_like(centers)
 
-    nodes = (centers[:, None] + base[None, :]).ravel()
-    node_amps = np.repeat(slit_amps, n_sub)
-
-    amplitude = np.empty(positions.size, dtype=complex)
-    chunk = max(1, max_block // nodes.size)
-    for start in range(0, positions.size, chunk):
-        xp = positions[start : start + chunk]
-        u = nodes[None, :] - xp[:, None]
-        # path excess sqrt(L2^2+u^2) - L2 without catastrophic cancellation
-        delta = u * u / (L2 + np.sqrt(L2 * L2 + u * u))
-        amplitude[start : start + chunk] = (np.exp(1j * k * delta) * node_amps).sum(axis=1)
-    amplitude *= h
-
+    u = centers[None, :] - positions[:, None]
+    r = np.sqrt(L2 * L2 + u * u)
+    delta = u * u / (L2 + r)
+    envelope = slit_amps * np.sinc((k * s / (2.0 * math.pi)) * (u / r))
+    amplitude = s * (np.exp(1j * k * delta) * envelope).sum(axis=1)
     return Trace(positions, np.abs(amplitude) ** 2, "raw")
 
 

@@ -15,20 +15,20 @@ Inverting this relation for v is exactly the velocity fit used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .diffraction import (
     DetectorGrid,
-    Trace,
+    _frozen_array,
     coherence,
     gaussian_kernel,
     kirchhoff_pattern,
     symmetric_convolve,
-    wave_number,
 )
-from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, PhysicalConstants, SourceModel
+from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, SourceModel
 from .domain import de_broglie_wavelength
 from .errors import DomainError, GeometryError
 
@@ -83,12 +83,8 @@ class VelocityDistribution:
         total = float(w.sum())
         if total <= 0.0:
             raise DomainError("at least one weight must be positive")
-        v_arr = np.array(v, copy=True)
-        w_arr = np.array(w / total, copy=True)
-        v_arr.flags.writeable = False
-        w_arr.flags.writeable = False
-        object.__setattr__(self, "velocities", v_arr)
-        object.__setattr__(self, "weights", w_arr)
+        object.__setattr__(self, "velocities", _frozen_array(v))
+        object.__setattr__(self, "weights", _frozen_array(w / total))
 
     def __len__(self) -> int:
         return int(self.velocities.size)
@@ -202,11 +198,11 @@ class Interferogram:
             raise DomainError("pixel pitches must be positive")
         if self.orientation != "up-positive":
             raise DomainError(f"unsupported orientation {self.orientation!r}")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("interferogram intensities must be finite")
         if np.any(arr < 0.0):
             raise DomainError("interferogram intensities must be non-negative")
-        frozen = np.array(arr, copy=True)
-        frozen.flags.writeable = False
-        object.__setattr__(self, "values", frozen)
+        object.__setattr__(self, "values", _frozen_array(arr))
 
     @property
     def ny(self) -> int:
@@ -287,6 +283,30 @@ def _blur_2d(values: np.ndarray, sigma_x_px: float, sigma_y_px: float) -> np.nda
     return out
 
 
+def _class_rows(
+    distribution: VelocityDistribution,
+    grating: Grating,
+    molecule: Molecule,
+    source: SourceModel,
+    geometry: BeamlineGeometry,
+    grid: DetectorGrid,
+    coherence_prefactor: float,
+    window: str,
+) -> Iterator[tuple[float, float, np.ndarray]]:
+    """(velocity, weight, row) for each positive-weight class, where row is
+    the class's Kirchhoff pattern on ``grid`` normalized to unit pixel sum."""
+    for v, w in zip(distribution.velocities, distribution.weights):
+        if w == 0.0:
+            continue
+        wavelength = de_broglie_wavelength(molecule, float(v))
+        coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
+        trace = kirchhoff_pattern(
+            grating, 2.0 * math.pi / wavelength, geometry.L2, coh.n_coherent_slits, grid,
+            window=window,
+        )
+        yield float(v), float(w), trace.intensities / trace.intensities.sum()
+
+
 def synthesize_image(
     distribution: VelocityDistribution,
     grating: Grating,
@@ -296,9 +316,7 @@ def synthesize_image(
     molecule: Molecule,
     *,
     coherence_prefactor: float = 1.5,
-    phase_step: float = 0.2,
     window: str = "hard",
-    constants: PhysicalConstants = CONSTANTS,
 ) -> SynthesisResult:
     """Incoherent sum of per-velocity-class diffraction rows under gravity.
 
@@ -316,24 +334,15 @@ def synthesize_image(
             f"synthesis range {VELOCITY_SUPPORT}"
         )
 
-    x_grid = grid.detector_grid()
     values = np.zeros((grid.ny, grid.nx))
     clipped_v: list[float] = []
     clipped_w = 0.0
 
-    for v, w in zip(distribution.velocities, distribution.weights):
-        if w == 0.0:
-            continue
-        wavelength = de_broglie_wavelength(molecule, float(v), constants)
-        k = 2.0 * math.pi / wavelength
-        coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
-        trace = kirchhoff_pattern(
-            grating, k, geometry.L2, coh.n_coherent_slits, x_grid,
-            window=window, phase_step=phase_step,
-        )
-        row = trace.intensities / trace.intensities.sum()
-
-        y2 = fall_position(float(v), geometry)
+    for v, w, row in _class_rows(
+        distribution, grating, molecule, source, geometry, grid.detector_grid(),
+        coherence_prefactor, window,
+    ):
+        y2 = fall_position(v, geometry)
         f = (y2 - grid.y_min) / grid.pixel_pitch_y
         i0 = math.floor(f)
         frac = f - i0
@@ -345,7 +354,7 @@ def synthesize_image(
                 values[idx] += w * share * row
                 placed += share
         if placed < 1.0 - 1e-12:
-            clipped_v.append(float(v))
+            clipped_v.append(v)
             clipped_w += w * (1.0 - placed)
 
     values = _blur_2d(
@@ -414,7 +423,6 @@ def stripe_velocity_profile(
     min_peak_fraction: float = 0.02,
     min_stripe_signal: float = 1e-3,
     psf_sigma: float = 3.5e-6,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> StripeProfile:
     """Velocity vs height from the first-order fringe spacing of horizontal
     stripes, followed by a global fall-curve fit.
@@ -469,7 +477,7 @@ def stripe_velocity_profile(
         if wavelength <= 0.0:
             skipped.append(idx)
             continue
-        velocity = constants.h / (molecule.mass * wavelength)
+        velocity = CONSTANTS.h / (molecule.mass * wavelength)
         y_center = float(y_rows[lo : hi].mean())
         raw.append((y_center, velocity))
 

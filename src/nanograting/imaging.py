@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffraction import Trace
+from .diffraction import Trace, _frozen_array
 from .errors import DomainError
 from .gravity import Interferogram
 
@@ -134,12 +134,6 @@ _HOT_ROWS = (
 )
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class HotColormap:
     """Signal-to-RGB lookup over the 100-row heat control table.
@@ -149,8 +143,8 @@ class HotColormap:
     monotone non-decreasing in the signal.
     """
 
-    table: np.ndarray = field(default_factory=lambda: _frozen(np.array(_HOT_ROWS)))
-    signals: np.ndarray = field(default_factory=lambda: _frozen(np.arange(100) / 100.0))
+    table: np.ndarray = field(default_factory=lambda: _frozen_array(_HOT_ROWS))
+    signals: np.ndarray = field(default_factory=lambda: _frozen_array(np.arange(100) / 100.0))
 
     def __post_init__(self) -> None:
         t = np.asarray(self.table, dtype=float)
@@ -163,8 +157,8 @@ class HotColormap:
             raise DomainError("colormap channels must be monotone non-decreasing")
         if np.any(np.diff(s) <= 0.0):
             raise DomainError("colormap signal grid must be strictly increasing")
-        object.__setattr__(self, "table", _frozen(t))
-        object.__setattr__(self, "signals", _frozen(s))
+        object.__setattr__(self, "table", _frozen_array(t))
+        object.__setattr__(self, "signals", _frozen_array(s))
 
     def rgb(self, values: np.ndarray) -> np.ndarray:
         """Vectorized lookup: values of any shape -> RGB array shaped

@@ -10,6 +10,7 @@ timestamps or environment data are recorded.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -32,6 +33,28 @@ __all__ = [
 
 _TRACE_MAGIC = "nanograting trace v1"
 _IMAGE_MAGIC = "nanograting interferogram v1"
+_IMAGE_DTYPE = "<f8"
+
+
+def _is_count(value: Any) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _is_number(value: Any) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# every key a sidecar must hold besides "format": (what it must be, test)
+_SIDECAR_KEYS = {
+    "nx": ("a positive integer", _is_count),
+    "ny": ("a positive integer", _is_count),
+    "pixel_pitch_x_m": ("a finite number", _is_number),
+    "pixel_pitch_y_m": ("a finite number", _is_number),
+    "x_min_m": ("a finite number", _is_number),
+    "y_min_m": ("a finite number", _is_number),
+    "orientation": ("a string", lambda value: isinstance(value, str)),
+    "dtype": (repr(_IMAGE_DTYPE), lambda value: value == _IMAGE_DTYPE),
+}
 
 
 def format_value(value: Any) -> str:
@@ -98,7 +121,7 @@ def write_interferogram(path: str | Path, image: Interferogram) -> None:
     and a JSON sidecar ``path + '.json'`` holding dimensions, pitches,
     origin, and orientation."""
     target = Path(path)
-    target.write_bytes(np.ascontiguousarray(image.values, dtype="<f8").tobytes())
+    target.write_bytes(np.ascontiguousarray(image.values, dtype=_IMAGE_DTYPE).tobytes())
     sidecar = {
         "format": _IMAGE_MAGIC,
         "nx": image.nx,
@@ -108,10 +131,26 @@ def write_interferogram(path: str | Path, image: Interferogram) -> None:
         "x_min_m": image.x_min,
         "y_min_m": image.y_min,
         "orientation": image.orientation,
-        "dtype": "<f8",
+        "dtype": _IMAGE_DTYPE,
     }
     text = json.dumps(sidecar, sort_keys=True, indent=2)
     target.with_name(target.name + ".json").write_text(text + "\n", encoding="ascii")
+
+
+def _check_sidecar(meta: Any, sidecar_path: Path) -> None:
+    if not isinstance(meta, dict):
+        raise ConfigurationError(f"sidecar {sidecar_path} must hold a JSON object")
+    if meta.get("format") != _IMAGE_MAGIC:
+        raise ConfigurationError(
+            f"{sidecar_path} does not describe a nanograting interferogram"
+        )
+    for key, (expected, valid) in _SIDECAR_KEYS.items():
+        if key not in meta:
+            raise ConfigurationError(f"sidecar {sidecar_path} lacks the key {key!r}")
+        if not valid(meta[key]):
+            raise ConfigurationError(
+                f"sidecar {sidecar_path}: {key!r} must be {expected}, got {meta[key]!r}"
+            )
 
 
 def read_interferogram(path: str | Path) -> Interferogram:
@@ -126,12 +165,9 @@ def read_interferogram(path: str | Path) -> Interferogram:
         meta = json.loads(sidecar_path.read_text(encoding="ascii"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"malformed sidecar {sidecar_path}: {exc}") from exc
-    if meta.get("format") != _IMAGE_MAGIC:
-        raise ConfigurationError(
-            f"{sidecar_path} does not describe a nanograting interferogram"
-        )
-    ny, nx = int(meta["ny"]), int(meta["nx"])
-    raw = np.frombuffer(target.read_bytes(), dtype=meta.get("dtype", "<f8"))
+    _check_sidecar(meta, sidecar_path)
+    ny, nx = meta["ny"], meta["nx"]
+    raw = np.frombuffer(target.read_bytes(), dtype=_IMAGE_DTYPE)
     if raw.size != nx * ny:
         raise ConfigurationError(
             f"interferogram payload holds {raw.size} values, expected {nx * ny}"
@@ -142,7 +178,7 @@ def read_interferogram(path: str | Path) -> Interferogram:
         float(meta["pixel_pitch_y_m"]),
         float(meta["x_min_m"]),
         float(meta["y_min_m"]),
-        str(meta.get("orientation", "up-positive")),
+        meta["orientation"],
     )
 
 

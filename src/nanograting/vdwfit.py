@@ -18,19 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffraction import (
-    DetectorGrid,
-    Trace,
-    coherence,
-    detector_convolve,
-    far_field_orders,
-    kirchhoff_pattern,
-    wave_number,
-)
-from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, PhysicalConstants, SourceModel
-from .domain import de_broglie_wavelength
+from .diffraction import DetectorGrid, Trace, detector_convolve, far_field_orders
+from .domain import BeamlineGeometry, Grating, Molecule, SourceModel
 from .errors import DomainError, FitError
-from .gravity import VelocityDistribution
+from .gravity import VelocityDistribution, _class_rows, _local_maxima, _parabolic_peak
 
 __all__ = [
     "OrderPopulation",
@@ -63,10 +54,8 @@ def band_averaged_trace(
     grid: DetectorGrid,
     *,
     coherence_prefactor: float = 1.5,
-    phase_step: float = 0.2,
     window: str = "hard",
     convolve: bool = True,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> Trace:
     """Incoherent velocity-band average of convolved diffraction patterns.
 
@@ -76,17 +65,10 @@ def band_averaged_trace(
     Gaussian of the grid (skipped when ``convolve`` is False).
     """
     acc = np.zeros(grid.n_pixels)
-    for v, w in zip(velocity_band.velocities, velocity_band.weights):
-        if w == 0.0:
-            continue
-        wavelength = de_broglie_wavelength(molecule, float(v), constants)
-        k = wave_number(molecule, float(v), constants)
-        coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
-        tr = kirchhoff_pattern(
-            grating, k, geometry.L2, coh.n_coherent_slits, grid,
-            window=window, phase_step=phase_step,
-        )
-        acc += w * tr.intensities / tr.intensities.sum()
+    for _, w, row in _class_rows(
+        velocity_band, grating, molecule, source, geometry, grid, coherence_prefactor, window
+    ):
+        acc += w * row
     raw = Trace(grid.positions, acc)
     if not convolve:
         return raw
@@ -110,17 +92,6 @@ class OrderPopulation:
     found: bool
 
 
-def _refine_peak(positions: np.ndarray, values: np.ndarray, i: int, pitch: float) -> float:
-    if i <= 0 or i >= values.size - 1:
-        return float(positions[i])
-    denom = values[i - 1] - 2.0 * values[i] + values[i + 1]
-    if denom >= 0.0:
-        return float(positions[i])
-    shift = 0.5 * (values[i - 1] - values[i + 1]) / denom
-    shift = max(-0.5, min(0.5, shift))
-    return float(positions[i] + shift * pitch)
-
-
 def _window_peak(
     trace: Trace, center: float, half_width: float
 ) -> tuple[float, float, bool]:
@@ -135,16 +106,14 @@ def _window_peak(
         return center, 0.0, False
     j = int(np.argmax(y[idx]))
     i = int(idx[j])
-    interior = 0 < i < y.size - 1
     found = (
-        interior
+        0 < i < y.size - 1
         and 0 < j < idx.size - 1
         and y[i] >= y[i - 1]
         and y[i] >= y[i + 1]
         and y[i] > 0.0
     )
-    position = _refine_peak(x, y, i, trace.pixel_pitch) if interior else float(x[i])
-    return position, float(y[i]), found
+    return _parabolic_peak(x, y, i), float(y[i]), found
 
 
 def order_population(
@@ -226,8 +195,6 @@ def fit_effective_slit(
     coarse_step: float = 1e-9,
     tolerance: float = 1e-10,
     lower_bound: float = 1e-9,
-    phase_step: float = 0.2,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> SlitFitResult:
     """Fit the effective slit width that best reproduces ``measured``.
 
@@ -241,8 +208,8 @@ def fit_effective_slit(
     y = measured.intensities
     if y.max() <= 0.0 or y.max() == y.min():
         raise FitError("measured trace is flat; there is nothing to fit")
-    interior = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:]) & (y[1:-1] > 0.0)
-    if not bool(interior.any()):
+    # intensities are non-negative, so a local maximum is also positive
+    if _local_maxima(y).size == 0:
         raise FitError("measured trace has no interior peak; there is nothing to fit")
 
     lo = max(lower_bound, tolerance)
@@ -277,8 +244,6 @@ def fit_effective_slit(
             geometry,
             grid,
             coherence_prefactor=coherence_prefactor,
-            phase_step=phase_step,
-            constants=constants,
         )
         evaluations += 1
         value = _registered_rms(y, candidate.intensities)

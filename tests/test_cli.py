@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: exit codes, report echoes,
 file outputs, and byte determinism."""
 
+import json
 import subprocess
 import sys
 
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 
 from nanograting.cli import main
-from nanograting.io import read_interferogram, read_trace_csv, write_trace_csv
+from nanograting.gravity import Interferogram
+from nanograting.io import (
+    read_interferogram,
+    read_trace_csv,
+    write_interferogram,
+    write_trace_csv,
+)
 from nanograting.diffraction import DetectorGrid, Trace
 
 
@@ -156,6 +163,23 @@ class TestSynthImageAndRender:
             "--set", f"render.image_path={tmp_path / 'absent.f64'}",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command, key", [
+        ("render", "render.image_path"),
+        ("fit-velocity", "profile.image_path"),
+    ])
+    def test_sidecar_missing_key_exits_2(self, capsys, tmp_path, command, key):
+        image_path = tmp_path / "img.f64"
+        write_interferogram(image_path, Interferogram(np.ones((4, 3)), 1e-6, 2e-6, 0.0, 0.0))
+        sidecar = tmp_path / "img.f64.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["ny"]
+        sidecar.write_text(json.dumps(meta))
+        code, _, stderr = run_cli(
+            capsys, command, "--preset", "sinx", "--set", f"{key}={image_path}"
+        )
+        assert code == 2
+        assert "'ny'" in stderr
 
     def test_byte_determinism(self, capsys, tmp_path):
         blobs = []

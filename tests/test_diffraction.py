@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from nanograting import (
     far_field_orders,
     fraunhofer_multislit,
     gaussian_kernel,
+    grating_preset,
+    grating_preset_names,
     kirchhoff_pattern,
+    molecule_preset,
     symmetric_convolve,
     wave_number,
 )
@@ -237,3 +241,89 @@ def test_kirchhoff_runtime_is_bounded():
     start = time.perf_counter()
     kirchhoff_pattern(g, wave_number(M85, 220.0), 0.586, 10, grid)
     assert time.perf_counter() - start < 10.0
+
+
+def test_trace_rejects_non_finite_data():
+    x = np.arange(3.0)
+    with pytest.raises(DomainError):
+        Trace(x, np.array([1.0, np.nan, np.inf]))
+    with pytest.raises(DomainError):
+        Trace(x, np.array([1.0, 2.0, np.inf]))
+    with pytest.raises(DomainError):
+        Trace(np.array([0.0, 1.0, np.nan]), np.ones(3))
+
+
+PCH2 = molecule_preset("pch2")
+SOURCE = SourceModel(source_width=1.5e-6, most_probable_velocity=180.0)
+
+
+def _midpoint_reference(grating, k, L2, n_slits, grid, slit_amps, node_phase=0.02):
+    """Reference intensity: the Kirchhoff slit integrals by the midpoint rule,
+    with nodes fine enough that the exact path phase advances at most
+    ``node_phase`` rad per node over each block of pixels."""
+    s = grating.effective_slit_width
+    x = grid.positions
+    centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * grating.period
+    amplitude = np.empty(x.size, dtype=complex)
+    block = 25
+    for start in range(0, x.size, block):
+        xp = x[start : start + block]
+        u_max = np.abs(xp).max() + np.abs(centers).max() + s / 2.0
+        n_sub = max(4, math.ceil(s * k * u_max / math.hypot(L2, u_max) / node_phase))
+        h = s / n_sub
+        nodes = (centers[:, None] - s / 2.0 + (np.arange(n_sub) + 0.5) * h).ravel()
+        u = nodes[None, :] - xp[:, None]
+        # path excess sqrt(L2^2 + u^2) - L2, free of cancellation
+        delta = u * u / (L2 + np.sqrt(L2 * L2 + u * u))
+        amplitude[start : start + block] = np.exp(1j * k * delta) @ np.repeat(slit_amps * h, n_sub)
+    return np.abs(amplitude) ** 2
+
+
+def _oracle_cases():
+    for name in grating_preset_names():
+        for velocity in (60.0, 220.0, 540.0):
+            yield pytest.param(name, velocity, "hard", id=f"{name}-{velocity:g}")
+    yield pytest.param("sinx", 220.0, "gaussian", id="sinx-220-gaussian")
+
+
+@pytest.mark.parametrize("preset, velocity, window", list(_oracle_cases()))
+def test_kirchhoff_matches_midpoint_quadrature(preset, velocity, window):
+    grating = grating_preset(preset)
+    wavelength = de_broglie_wavelength(PCH2, velocity)
+    k = wave_number(PCH2, velocity)
+    n_slits = coherence(SOURCE, GEO, wavelength, grating.period).n_coherent_slits
+    grid = DetectorGrid.symmetric(100e-6, 0.5e-6)
+    centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * grating.period
+    if window == "gaussian":
+        sigma_w = max(n_slits * grating.period / 4.0, grating.period)
+        slit_amps = np.exp(-0.5 * (centers / sigma_w) ** 2)
+    else:
+        slit_amps = np.ones(n_slits)
+    engine = kirchhoff_pattern(grating, k, GEO.L2, n_slits, grid, window=window).intensities
+    reference = _midpoint_reference(grating, k, GEO.L2, n_slits, grid, slit_amps)
+    rms = float(np.sqrt(np.mean((engine - reference) ** 2))) / reference.max()
+    assert rms < 1e-5
+
+
+def test_kirchhoff_refuses_wide_slit_phase():
+    # k s^2 / (8 L2) = 1.77e12 * (50 nm)^2 / (8 * 5 mm) = 0.111 rad > 0.05 rad
+    g = _grating(s_eff=50e-9)
+    k = wave_number(M85, 220.0)
+    L2 = 0.005
+    grid = DetectorGrid.symmetric(2e-6, 0.05e-6)
+    with pytest.raises(ResolutionError) as excinfo:
+        kirchhoff_pattern(g, k, L2, 5, grid)
+    assert f"{k * 50e-9 ** 2 / (8 * L2):.3e}" in str(excinfo.value)
+
+
+def test_no_preset_trips_the_slit_phase_gate():
+    # the gate is widest open at the geometric width and the fastest class
+    grid = DetectorGrid.symmetric(20e-6, 0.5e-6)
+    for name in grating_preset_names():
+        preset = grating_preset(name)
+        grating = replace(preset, effective_slit_width=preset.slit_width)
+        for velocity in (50.0, 1000.0):
+            wavelength = de_broglie_wavelength(PCH2, velocity)
+            n_slits = coherence(SOURCE, GEO, wavelength, grating.period).n_coherent_slits
+            trace = kirchhoff_pattern(grating, wave_number(PCH2, velocity), GEO.L2, n_slits, grid)
+            assert trace.intensities.max() > 0.0

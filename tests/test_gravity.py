@@ -203,6 +203,12 @@ class TestInterferogram:
         with pytest.raises(DomainError):
             Interferogram(np.ones((2, 2)), 1e-6, 1e-6, 0.0, 0.0, orientation="down")
 
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(DomainError):
+            Interferogram([[np.nan, 1.0]], 1e-6, 1e-6, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            Interferogram([[np.inf, 1.0]], 1e-6, 1e-6, 0.0, 0.0)
+
 
 SOURCE = SourceModel(source_width=1.5e-6, most_probable_velocity=180.0)
 SINX = grating_preset("sinx")

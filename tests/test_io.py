@@ -114,6 +114,43 @@ def test_interferogram_read_validation(tmp_path):
         read_interferogram(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("ny", None),
+        ("nx", "3"),
+        ("ny", 2.0),
+        ("nx", 0),
+        ("pixel_pitch_x_m", None),
+        ("pixel_pitch_y_m", "2e-6"),
+        ("x_min_m", True),
+        ("y_min_m", float("nan")),
+        ("orientation", None),
+        ("dtype", ">f8"),
+    ],
+)
+def test_interferogram_sidecar_schema(tmp_path, key, value):
+    path = tmp_path / "img.f64"
+    write_interferogram(path, Interferogram(np.ones((2, 3)), 1e-6, 2e-6, 0.0, 0.0))
+    sidecar = tmp_path / "img.f64.json"
+    meta = json.loads(sidecar.read_text())
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ConfigurationError, match=key):
+        read_interferogram(path)
+
+
+def test_interferogram_sidecar_must_be_an_object(tmp_path):
+    path = tmp_path / "img.f64"
+    write_interferogram(path, Interferogram(np.ones((2, 3)), 1e-6, 2e-6, 0.0, 0.0))
+    (tmp_path / "img.f64.json").write_text("[1, 2]")
+    with pytest.raises(ConfigurationError):
+        read_interferogram(path)
+
+
 def test_write_pixmap_requires_p6(tmp_path):
     with pytest.raises(ConfigurationError):
         write_pixmap(tmp_path / "x.ppm", b"P5\n1 1\n255\n\x00")
