@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, PhysicalConstants, SourceModel
 from .domain import de_broglie_wavelength
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, ResolutionError, WorkBudgetError
 
 __all__ = [
     "CoherenceResult",
@@ -39,6 +39,10 @@ NORMALIZATIONS = ("raw", "max-1", "unit-area")
 # largest quadratic phase k*s^2/(8*L2), in rad, dropped across one slit by
 # the per-slit linearization of kirchhoff_pattern
 MAX_SLIT_PHASE = 0.05
+
+# largest pixel x slit product one pattern may build; its arrays peak at about
+# 56 bytes per term, 0.22 GB at the limit
+MAX_PIXEL_SLITS = 4_000_000
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -235,6 +239,95 @@ def _slit_centers(n_slits: int, period: float) -> np.ndarray:
     return (np.arange(n_slits) - (n_slits - 1) / 2.0) * period
 
 
+@dataclass(frozen=True)
+class _SlitTerms:
+    """The s-independent part of ``kirchhoff_pattern`` for one wave number:
+    per pixel (rows) and slit (columns) the path phasor exp(i k delta) and
+    the path slope delta' = u / r, plus the slit amplitudes a_j."""
+
+    k: float
+    L2: float
+    n_slits: int
+    period: float
+    pixel_pitch: float
+    phasor: np.ndarray
+    slope: np.ndarray
+    amps: np.ndarray
+
+
+def _slit_terms(
+    k: float,
+    L2: float,
+    n_slits: int,
+    period: float,
+    grid: DetectorGrid,
+    window: str,
+    gaussian_window_sigma: float | None = None,
+) -> _SlitTerms:
+    """Build the slit-width-independent terms of ``kirchhoff_pattern``.
+
+    Refuses with a ResolutionError, before allocating, a pattern of more than
+    ``MAX_PIXEL_SLITS`` pixel x slit terms.
+    """
+    if k <= 0.0 or L2 <= 0.0:
+        raise DomainError("wave number and L2 must be positive")
+    if n_slits < 1:
+        raise DomainError(f"need at least one slit, got {n_slits!r}")
+    if window not in ("hard", "gaussian"):
+        raise DomainError(f"unknown window {window!r}; expected 'hard' or 'gaussian'")
+    work = grid.n_pixels * n_slits
+    if work > MAX_PIXEL_SLITS:
+        raise WorkBudgetError(
+            f"{grid.n_pixels} pixels x {n_slits} coherent slits = {work:.3e} "
+            f"pixel x slit terms exceeds the budget of {MAX_PIXEL_SLITS:.0e}"
+        )
+
+    positions = grid.positions
+    centers = _slit_centers(n_slits, period)
+
+    if window == "gaussian":
+        sigma_w = gaussian_window_sigma
+        if sigma_w is None:
+            sigma_w = max(n_slits * period / 4.0, period)
+        if sigma_w <= 0.0:
+            raise DomainError(f"gaussian window sigma must be positive, got {sigma_w!r}")
+        slit_amps = np.exp(-0.5 * (centers / sigma_w) ** 2)
+    else:
+        slit_amps = np.ones_like(centers)
+
+    u = centers[None, :] - positions[:, None]
+    r = np.sqrt(L2 * L2 + u * u)
+    delta = u * u / (L2 + r)
+    return _SlitTerms(
+        k, L2, n_slits, period, grid.pixel_pitch, np.exp(1j * k * delta), u / r, slit_amps
+    )
+
+
+def _slit_envelope(terms: _SlitTerms, s: float) -> np.ndarray:
+    """Intensity |s * sum_j a_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)|^2
+    of slits of width s, with the resolution checks that depend on s."""
+    k, L2, d = terms.k, terms.L2, terms.period
+    wavelength = 2.0 * math.pi / k
+
+    # the finest transverse feature the pattern can contain
+    feature = wavelength * L2 / d if terms.n_slits > 1 else wavelength * L2 / s
+    if terms.pixel_pitch > feature / 2.0:
+        raise ResolutionError(
+            f"pixel pitch {terms.pixel_pitch:.3e} m cannot resolve the "
+            f"{feature:.3e} m fringe period; need pitch <= {feature / 2.0:.3e} m"
+        )
+    slit_phase = k * s * s / (8.0 * L2)
+    if slit_phase > MAX_SLIT_PHASE:
+        raise ResolutionError(
+            f"quadratic phase across one slit k*s^2/(8*L2) = {slit_phase:.3e} rad "
+            f"exceeds {MAX_SLIT_PHASE} rad; the per-slit far-field form does not hold"
+        )
+
+    envelope = terms.amps * np.sinc((k * s / (2.0 * math.pi)) * terms.slope)
+    amplitude = s * (terms.phasor * envelope).sum(axis=1)
+    return np.abs(amplitude) ** 2
+
+
 def kirchhoff_pattern(
     grating: Grating,
     k: float,
@@ -258,11 +351,21 @@ def kirchhoff_pattern(
         s * sum_j a_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)
 
     with np.sinc(x) = sin(pi x) / (pi x): Fraunhofer within a slit, Fresnel
-    between slits. The dropped quadratic phase is at most k s^2 / (8 L2) at
-    the slit edges; above ``MAX_SLIT_PHASE`` radians the linearization is
-    refused with a ResolutionError. Intensity is the squared modulus. Each
-    pixel sums its slits in one fixed order (a row reduction, not a BLAS
-    product), so results repeat bit for bit from run to run.
+    between slits. Intensity is the squared modulus.
+
+    Only the sinc depends on s. The pattern is therefore the composition of
+    two steps: ``_slit_terms`` builds the pixels x slits phasors
+    exp(i k delta_j), the slopes delta'_j and the amplitudes a_j from
+    (k, L2, n_slits, period, grid, window), and ``_slit_envelope`` applies
+    the sinc for one s and sums. ``fit_effective_slit`` builds the terms once
+    per velocity class and reuses them for every trial s.
+
+    Refusals, each a ResolutionError: more than ``MAX_PIXEL_SLITS`` pixel x
+    slit terms (checked before any array is built); a pixel pitch that cannot
+    resolve the finest fringe; a dropped quadratic phase k s^2 / (8 L2) at
+    the slit edges above ``MAX_SLIT_PHASE`` radians. Each pixel sums its
+    slits in one fixed order (a row reduction, not a BLAS product), so
+    results repeat bit for bit from run to run.
 
     window:
         "hard" illuminates all slits equally (a_j = 1); "gaussian" applies an
@@ -270,50 +373,8 @@ def kirchhoff_pattern(
         with sigma_w = ``gaussian_window_sigma`` (default: one quarter of the
         illuminated span).
     """
-    if k <= 0.0 or L2 <= 0.0:
-        raise DomainError("wave number and L2 must be positive")
-    if n_slits < 1:
-        raise DomainError(f"need at least one slit, got {n_slits!r}")
-    if window not in ("hard", "gaussian"):
-        raise DomainError(f"unknown window {window!r}; expected 'hard' or 'gaussian'")
-
-    s = grating.effective_slit_width
-    d = grating.period
-    wavelength = 2.0 * math.pi / k
-
-    # the finest transverse feature the pattern can contain
-    feature = wavelength * L2 / d if n_slits > 1 else wavelength * L2 / s
-    if grid.pixel_pitch > feature / 2.0:
-        raise ResolutionError(
-            f"pixel pitch {grid.pixel_pitch:.3e} m cannot resolve the "
-            f"{feature:.3e} m fringe period; need pitch <= {feature / 2.0:.3e} m"
-        )
-    slit_phase = k * s * s / (8.0 * L2)
-    if slit_phase > MAX_SLIT_PHASE:
-        raise ResolutionError(
-            f"quadratic phase across one slit k*s^2/(8*L2) = {slit_phase:.3e} rad "
-            f"exceeds {MAX_SLIT_PHASE} rad; the per-slit far-field form does not hold"
-        )
-
-    positions = grid.positions
-    centers = _slit_centers(n_slits, d)
-
-    if window == "gaussian":
-        sigma_w = gaussian_window_sigma
-        if sigma_w is None:
-            sigma_w = max(n_slits * d / 4.0, d)
-        if sigma_w <= 0.0:
-            raise DomainError(f"gaussian window sigma must be positive, got {sigma_w!r}")
-        slit_amps = np.exp(-0.5 * (centers / sigma_w) ** 2)
-    else:
-        slit_amps = np.ones_like(centers)
-
-    u = centers[None, :] - positions[:, None]
-    r = np.sqrt(L2 * L2 + u * u)
-    delta = u * u / (L2 + r)
-    envelope = slit_amps * np.sinc((k * s / (2.0 * math.pi)) * (u / r))
-    amplitude = s * (np.exp(1j * k * delta) * envelope).sum(axis=1)
-    return Trace(positions, np.abs(amplitude) ** 2, "raw")
+    terms = _slit_terms(k, L2, n_slits, grating.period, grid, window, gaussian_window_sigma)
+    return Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width), "raw")
 
 
 def fraunhofer_multislit(

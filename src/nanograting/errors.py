@@ -23,6 +23,11 @@ class ResolutionError(NanogratingError):
     """A detector grid is too coarse to resolve the requested structure."""
 
 
+class WorkBudgetError(ResolutionError, ConfigurationError):
+    """A computation would exceed its fixed work budget. It is refused before
+    it starts; the size comes from the configuration, so the CLI exits 2."""
+
+
 class GeometryError(NanogratingError):
     """Degenerate beamline geometry (e.g. free-fall inversion with a
     non-negative denominator)."""

@@ -26,7 +26,6 @@ from .diffraction import (
     coherence,
     gaussian_kernel,
     kirchhoff_pattern,
-    symmetric_convolve,
 )
 from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, SourceModel
 from .domain import de_broglie_wavelength
@@ -269,42 +268,49 @@ class SynthesisResult:
     n_classes: int
 
 
+def _convolve_rows(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``symmetric_convolve`` of every row of a 2D array: one edge-mirrored
+    pad, then the tap-weighted sum of shifted column slices (the kernel is
+    symmetric, so no flip is needed)."""
+    radius = kernel.size // 2
+    padded = np.pad(values, ((0, 0), (radius, radius)), mode="symmetric")
+    n = values.shape[1]
+    out = kernel[0] * padded[:, :n]
+    for j in range(1, kernel.size):
+        out += kernel[j] * padded[:, j : j + n]
+    return out
+
+
 def _blur_2d(values: np.ndarray, sigma_x_px: float, sigma_y_px: float) -> np.ndarray:
     # separable Gaussian with edge-mirrored boundaries: conserves total mass
     out = values
     if sigma_x_px > 0.0:
         kx = gaussian_kernel(sigma_x_px, 1.0)
         if kx.size > 1:
-            out = np.apply_along_axis(symmetric_convolve, 1, out, kx)
+            out = _convolve_rows(out, kx)
     if sigma_y_px > 0.0:
         ky = gaussian_kernel(sigma_y_px, 1.0)
         if ky.size > 1:
-            out = np.apply_along_axis(symmetric_convolve, 0, out, ky)
+            out = _convolve_rows(out.T, ky).T
     return out
 
 
-def _class_rows(
+def _velocity_classes(
     distribution: VelocityDistribution,
-    grating: Grating,
     molecule: Molecule,
     source: SourceModel,
     geometry: BeamlineGeometry,
-    grid: DetectorGrid,
+    period: float,
     coherence_prefactor: float,
-    window: str,
-) -> Iterator[tuple[float, float, np.ndarray]]:
-    """(velocity, weight, row) for each positive-weight class, where row is
-    the class's Kirchhoff pattern on ``grid`` normalized to unit pixel sum."""
+) -> Iterator[tuple[float, float, float, int]]:
+    """(velocity, weight, wave number, coherent slit count) for each
+    positive-weight class."""
     for v, w in zip(distribution.velocities, distribution.weights):
         if w == 0.0:
             continue
         wavelength = de_broglie_wavelength(molecule, float(v))
-        coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
-        trace = kirchhoff_pattern(
-            grating, 2.0 * math.pi / wavelength, geometry.L2, coh.n_coherent_slits, grid,
-            window=window,
-        )
-        yield float(v), float(w), trace.intensities / trace.intensities.sum()
+        coh = coherence(source, geometry, wavelength, period, coherence_prefactor)
+        yield float(v), float(w), 2.0 * math.pi / wavelength, coh.n_coherent_slits
 
 
 def synthesize_image(
@@ -323,7 +329,8 @@ def synthesize_image(
     Each class contributes its Kirchhoff pattern (normalized to unit pixel
     sum, then scaled by the class weight) at the fall height of its velocity,
     split linearly between the two adjacent pixel rows. Classes whose rows
-    fall outside the grid are clipped and reported. The accumulated image is
+    fall outside the grid are clipped and reported; the pattern of a class
+    with no row on the grid is never computed. The accumulated image is
     finally blurred with the detection Gaussian along both axes.
     """
     v_lo = float(distribution.velocities.min())
@@ -338,21 +345,26 @@ def synthesize_image(
     clipped_v: list[float] = []
     clipped_w = 0.0
 
-    for v, w, row in _class_rows(
-        distribution, grating, molecule, source, geometry, grid.detector_grid(),
-        coherence_prefactor, window,
+    detector = grid.detector_grid()
+    for v, w, k, n_slits in _velocity_classes(
+        distribution, molecule, source, geometry, grating.period, coherence_prefactor
     ):
         y2 = fall_position(v, geometry)
         f = (y2 - grid.y_min) / grid.pixel_pitch_y
         i0 = math.floor(f)
         frac = f - i0
-        placed = 0.0
-        for idx, share in ((i0, 1.0 - frac), (i0 + 1, frac)):
-            if share <= 0.0:
-                continue
-            if 0 <= idx < grid.ny:
+        rows = [
+            (idx, share)
+            for idx, share in ((i0, 1.0 - frac), (i0 + 1, frac))
+            if share > 0.0 and 0 <= idx < grid.ny
+        ]
+        # a class that lands entirely off the grid needs no pattern
+        if rows:
+            trace = kirchhoff_pattern(grating, k, geometry.L2, n_slits, detector, window=window)
+            row = trace.intensities / trace.intensities.sum()
+            for idx, share in rows:
                 values[idx] += w * share * row
-                placed += share
+        placed = sum(share for _, share in rows)
         if placed < 1.0 - 1e-12:
             clipped_v.append(v)
             clipped_w += w * (1.0 - placed)

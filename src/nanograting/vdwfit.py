@@ -14,14 +14,23 @@ across a diffraction order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .diffraction import DetectorGrid, Trace, detector_convolve, far_field_orders
+from .diffraction import (
+    DetectorGrid,
+    Trace,
+    _slit_envelope,
+    _slit_terms,
+    _SlitTerms,
+    detector_convolve,
+    far_field_orders,
+)
 from .domain import BeamlineGeometry, Grating, Molecule, SourceModel
 from .errors import DomainError, FitError
-from .gravity import VelocityDistribution, _class_rows, _local_maxima, _parabolic_peak
+from .gravity import VelocityDistribution, _local_maxima, _parabolic_peak, _velocity_classes
 
 __all__ = [
     "OrderPopulation",
@@ -45,6 +54,39 @@ def suppression_ratio(slit_width: float, effective_slit_width: float) -> float:
     return slit_width / effective_slit_width
 
 
+def _class_terms(
+    velocity_band: VelocityDistribution,
+    grating: Grating,
+    molecule: Molecule,
+    source: SourceModel,
+    geometry: BeamlineGeometry,
+    grid: DetectorGrid,
+    coherence_prefactor: float,
+    window: str,
+) -> Iterator[tuple[float, _SlitTerms]]:
+    """(weight, slit-width-independent pattern terms) per positive-weight
+    class, built one class at a time."""
+    for _, w, k, n_slits in _velocity_classes(
+        velocity_band, molecule, source, geometry, grating.period, coherence_prefactor
+    ):
+        yield w, _slit_terms(k, geometry.L2, n_slits, grating.period, grid, window)
+
+
+def _band_sum(
+    classes: Iterable[tuple[float, _SlitTerms]], s: float, grid: DetectorGrid, convolve: bool
+) -> Trace:
+    """Weighted sum of the classes' unit-sum patterns at slit width ``s``,
+    convolved with the grid's detector Gaussian when ``convolve`` is set."""
+    acc = np.zeros(grid.n_pixels)
+    for w, terms in classes:
+        intensities = _slit_envelope(terms, s)
+        acc += w * (intensities / intensities.sum())
+    raw = Trace(grid.positions, acc)
+    if not convolve:
+        return raw
+    return detector_convolve(raw, grid.psf_sigma)
+
+
 def band_averaged_trace(
     grating: Grating,
     molecule: Molecule,
@@ -64,15 +106,10 @@ def band_averaged_trace(
     ensemble weight), accumulated, and finally convolved with the detector
     Gaussian of the grid (skipped when ``convolve`` is False).
     """
-    acc = np.zeros(grid.n_pixels)
-    for _, w, row in _class_rows(
+    classes = _class_terms(
         velocity_band, grating, molecule, source, geometry, grid, coherence_prefactor, window
-    ):
-        acc += w * row
-    raw = Trace(grid.positions, acc)
-    if not convolve:
-        return raw
-    return detector_convolve(raw, grid.psf_sigma)
+    )
+    return _band_sum(classes, grating.effective_slit_width, grid, convolve)
 
 
 @dataclass(frozen=True)
@@ -199,8 +236,11 @@ def fit_effective_slit(
     """Fit the effective slit width that best reproduces ``measured``.
 
     The forward model is the velocity-band-averaged, detector-convolved
-    multi-slit pattern on the measured trace's own grid; the residual is the
-    RMS difference after max-normalization and principal-peak registration.
+    multi-slit pattern on the measured trace's own grid, the same as
+    ``band_averaged_trace`` bit for bit. Each class's slit-width-independent
+    terms are built once per call and reused by every evaluation. The
+    residual is the RMS difference after max-normalization and
+    principal-peak registration.
     A coarse scan at ``coarse_step`` over [lower_bound, slit width] brackets
     the global minimum, then golden-section search refines it to
     ``tolerance`` (0.1 nm by default).
@@ -228,6 +268,12 @@ def fit_effective_slit(
     if grid.n_pixels != len(measured):
         raise DomainError("measured trace grid is not reconstructible; cannot fit")
 
+    # everything but the sinc is independent of s_eff: build it once per class
+    classes = list(
+        _class_terms(
+            velocity_band, grating, molecule, source, geometry, grid, coherence_prefactor, "hard"
+        )
+    )
     evaluations = 0
     cache: dict[int, float] = {}
 
@@ -236,15 +282,7 @@ def fit_effective_slit(
         key = int(round(s_eff * 1e13))
         if key in cache:
             return cache[key]
-        candidate = band_averaged_trace(
-            replace(grating, effective_slit_width=s_eff),
-            molecule,
-            velocity_band,
-            source,
-            geometry,
-            grid,
-            coherence_prefactor=coherence_prefactor,
-        )
+        candidate = _band_sum(classes, s_eff, grid, convolve=True)
         evaluations += 1
         value = _registered_rms(y, candidate.intensities)
         cache[key] = value

@@ -2,8 +2,10 @@
 file outputs, and byte determinism."""
 
 import json
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from nanograting.io import (
     write_interferogram,
     write_trace_csv,
 )
-from nanograting.diffraction import DetectorGrid, Trace
+from nanograting.diffraction import MAX_PIXEL_SLITS, DetectorGrid, Trace
 
 
 def run_cli(capsys, *args):
@@ -101,6 +103,25 @@ class TestSimulate:
         )
         assert code == 3
         assert "error:" in stderr
+
+    def test_runaway_slit_count_exits_2_before_allocating(self, capsys):
+        # a 1 nm source makes ~78,000 coherent slits per class, several GB of
+        # pixel x slit arrays; the budget refuses it first
+        tracemalloc.start()
+        try:
+            code, _, stderr = run_cli(
+                capsys, "simulate",
+                "--set", "grating.preset=sinx",
+                "--set", "source.width_um=0.001",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        estimate = re.search(r"= (\S+) pixel x slit terms", stderr)
+        assert estimate is not None, stderr
+        assert float(estimate.group(1)) > MAX_PIXEL_SLITS
+        assert peak < 32 * 2**20
 
 
 class TestSynthImageAndRender:

@@ -26,6 +26,9 @@ from nanograting import (
     symmetric_convolve,
     wave_number,
 )
+from nanograting.config import load_run_config
+from nanograting.diffraction import MAX_PIXEL_SLITS, _slit_envelope, _slit_terms
+from nanograting.gravity import VELOCITY_SUPPORT
 
 M85 = Molecule("test", 8.5e-25)
 GEO = BeamlineGeometry.from_segments(L1=1.554, L2=0.586)
@@ -327,3 +330,37 @@ def test_no_preset_trips_the_slit_phase_gate():
             n_slits = coherence(SOURCE, GEO, wavelength, grating.period).n_coherent_slits
             trace = kirchhoff_pattern(grating, wave_number(PCH2, velocity), GEO.L2, n_slits, grid)
             assert trace.intensities.max() > 0.0
+
+
+@pytest.mark.parametrize("window", ["hard", "gaussian"])
+def test_kirchhoff_is_the_envelope_of_the_slit_terms(window):
+    g = _grating()
+    grid = DetectorGrid.symmetric(40e-6, 0.5e-6)
+    k = wave_number(M85, 220.0)
+    terms = _slit_terms(k, 0.586, 20, g.period, grid, window)
+    composed = _slit_envelope(terms, g.effective_slit_width)
+    direct = kirchhoff_pattern(g, k, 0.586, 20, grid, window=window).intensities
+    assert np.array_equal(composed, direct)
+
+
+def test_kirchhoff_refuses_work_over_budget():
+    grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
+    n_slits = MAX_PIXEL_SLITS // grid.n_pixels + 1
+    with pytest.raises(ResolutionError) as excinfo:
+        kirchhoff_pattern(_grating(), wave_number(M85, 220.0), 0.586, n_slits, grid)
+    message = str(excinfo.value)
+    assert f"{grid.n_pixels * n_slits:.3e}" in message
+    assert f"{MAX_PIXEL_SLITS:.0e}" in message
+
+
+def test_presets_stay_ten_times_under_the_work_budget():
+    # the slowest validated class has the most coherent slits
+    for name in grating_preset_names():
+        config = load_run_config(preset=name)
+        grating = config.grating()
+        wavelength = de_broglie_wavelength(config.molecule(), VELOCITY_SUPPORT[0])
+        n_slits = coherence(
+            config.source(), config.geometry(), wavelength, grating.period,
+            config.require("source.coherence_prefactor"),
+        ).n_coherent_slits
+        assert 10 * config.detector_grid().n_pixels * n_slits <= MAX_PIXEL_SLITS

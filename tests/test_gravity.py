@@ -19,6 +19,8 @@ from nanograting import (
     stripe_velocity_profile,
     synthesize_image,
 )
+from nanograting import gravity
+from nanograting.diffraction import gaussian_kernel, symmetric_convolve, wave_number
 from nanograting.domain import CONSTANTS
 from nanograting.presets import grating_preset
 
@@ -244,6 +246,22 @@ class TestSynthesizeImage:
         assert result.clipped_velocities == ()
         assert result.image.total == pytest.approx(1.0, rel=1e-9)
 
+    def test_patterns_are_built_for_on_grid_classes_only(self, monkeypatch):
+        built = []
+        pattern = gravity.kirchhoff_pattern
+
+        def counting(grating, k, *args, **kwargs):
+            built.append(k)
+            return pattern(grating, k, *args, **kwargs)
+
+        monkeypatch.setattr(gravity, "kirchhoff_pattern", counting)
+        # 180 m/s falls below the grid floor; 220 and 260 m/s land on it
+        dist = VelocityDistribution.discrete([180.0, 220.0, 260.0])
+        result = synthesize_image(dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
+        assert built == [wave_number(PCH2, 220.0), wave_number(PCH2, 260.0)]
+        assert result.clipped_velocities == (180.0,)
+        assert result.clipped_weight == pytest.approx(1.0 / 3.0, rel=1e-12)
+
     def test_velocity_support_enforced(self):
         for v in (40.0, 1100.0):
             with pytest.raises(DomainError):
@@ -319,3 +337,14 @@ class TestStripeVelocityProfile:
             stripe_velocity_profile(image, GEOMETRY, SINX.period, PCH2, n_stripes=0)
         with pytest.raises(DomainError):
             stripe_velocity_profile(image, GEOMETRY, SINX.period, PCH2, n_stripes=50)
+
+
+def test_blur_matches_per_row_convolution_and_conserves_mass():
+    values = np.random.default_rng(7).random((23, 61))
+    blurred = gravity._blur_2d(values, 3.0, 1.5)
+    kx = gaussian_kernel(3.0, 1.0)
+    ky = gaussian_kernel(1.5, 1.0)
+    reference = np.array([symmetric_convolve(row, kx) for row in values])
+    reference = np.array([symmetric_convolve(col, ky) for col in reference.T]).T
+    assert np.max(np.abs(blurred - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert blurred.sum() == pytest.approx(values.sum(), rel=1e-12)

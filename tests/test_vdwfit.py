@@ -12,6 +12,7 @@ from nanograting import (
     DomainError,
     FitError,
     Molecule,
+    ResolutionError,
     SourceModel,
     Trace,
     VelocityDistribution,
@@ -23,6 +24,7 @@ from nanograting import (
 from nanograting.diffraction import coherence, kirchhoff_pattern, wave_number
 from nanograting.domain import de_broglie_wavelength
 from nanograting.presets import grating_preset
+from nanograting import vdwfit
 
 GEOMETRY = BeamlineGeometry.from_segments(L1=1.554, L2=0.586, g=9.81)
 PCH2 = Molecule(name="pch2", mass=8.5e-25)
@@ -184,3 +186,48 @@ class TestFitEffectiveSlit:
                 measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE,
                 lower_bound=SINX.slit_width * 2.0,
             )
+
+    def test_each_evaluation_equals_the_band_averaged_trace(self, monkeypatch):
+        calls = []
+        band_sum = vdwfit._band_sum
+
+        def recording(classes, s, grid, convolve):
+            trace = band_sum(classes, s, grid, convolve)
+            calls.append((s, grid, trace))
+            return trace
+
+        monkeypatch.setattr(vdwfit, "_band_sum", recording)
+        measured = band_averaged_trace(
+            replace(SINX, effective_slit_width=20e-9), PCH2, self.BAND, SOURCE, GEOMETRY,
+            self.GRID,
+        )
+        calls.clear()
+        result = fit_effective_slit(
+            measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE, coarse_step=2e-9,
+        )
+        assert len(calls) == result.evaluations
+        for s, grid, trace in (calls[0], calls[len(calls) // 2], calls[-1]):
+            expected = band_averaged_trace(
+                replace(SINX, effective_slit_width=s), PCH2, self.BAND, SOURCE, GEOMETRY, grid
+            )
+            assert np.array_equal(trace.intensities, expected.intensities)
+
+    def test_wide_slit_raises_the_pattern_resolution_error(self):
+        # k s^2 / (8 L2) at s = 45 nm and L2 = 5 mm is 0.09 rad > MAX_SLIT_PHASE
+        geometry = BeamlineGeometry.from_segments(L1=1.554, L2=0.005, g=9.81)
+        band = VelocityDistribution.discrete([220.0])
+        grid = DetectorGrid.symmetric(2e-6, 0.05e-6)
+        x = grid.positions
+        measured = Trace(x, np.exp(-0.5 * (x / 0.5e-6) ** 2))
+        wavelength = de_broglie_wavelength(PCH2, 220.0)
+        n_slits = coherence(SOURCE, geometry, wavelength, SINX.period, 1.5).n_coherent_slits
+        with pytest.raises(ResolutionError) as expected:
+            kirchhoff_pattern(
+                replace(SINX, effective_slit_width=45e-9), wave_number(PCH2, 220.0),
+                geometry.L2, n_slits, grid,
+            )
+        with pytest.raises(ResolutionError) as raised:
+            fit_effective_slit(
+                measured, SINX, PCH2, band, geometry, SOURCE, lower_bound=45e-9,
+            )
+        assert str(raised.value) == str(expected.value)
