@@ -214,13 +214,11 @@ class SourceModel:
             )
 
 
-def de_broglie_wavelength(
-    molecule: Molecule, velocity: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def de_broglie_wavelength(molecule: Molecule, velocity: float) -> float:
     """Matter wavelength h/(m v) in m for a molecule at forward speed v."""
     if not (velocity > 0.0 and math.isfinite(velocity)):
         raise DomainError(f"velocity must be positive and finite, got {velocity!r}")
-    return constants.h / (molecule.mass * velocity)
+    return CONSTANTS.h / (molecule.mass * velocity)
 
 
 def opening_fraction(grating: Grating) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import CONSTANTS, PhysicalConstants
+from .domain import CONSTANTS
 from .errors import DomainError
 
 __all__ = [
@@ -44,24 +44,20 @@ NANOTUBE_YOUNGS_MODULUS = 1.0e12
 DEFAULT_MOLECULE_FOOTPRINT = 1.7e-18
 
 
-def diffraction_momentum_spread(
-    slit_width: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def diffraction_momentum_spread(slit_width: float) -> float:
     """FWHM transverse momentum spread imprinted by a slit of the given
     width: 0.89 h / s (kg m/s)."""
     if slit_width <= 0.0:
         raise DomainError(f"slit width must be positive, got {slit_width!r}")
-    return CENTRAL_LOBE_FRACTION * constants.h / slit_width
+    return CENTRAL_LOBE_FRACTION * CONSTANTS.h / slit_width
 
 
-def grating_momentum_uncertainty(
-    position_sigma: float, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def grating_momentum_uncertainty(position_sigma: float) -> float:
     """Minimum momentum uncertainty of a grating localized to
     ``position_sigma``: hbar / (2 sigma)."""
     if position_sigma <= 0.0:
         raise DomainError(f"position sigma must be positive, got {position_sigma!r}")
-    return constants.hbar / (2.0 * position_sigma)
+    return CONSTANTS.hbar / (2.0 * position_sigma)
 
 
 def thermal_scroll_amplitude(
@@ -69,7 +65,6 @@ def thermal_scroll_amplitude(
     diameter: float,
     temperature: float,
     youngs_modulus: float = NANOTUBE_YOUNGS_MODULUS,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> float:
     """RMS thermal displacement of a doubly clamped beam of circular
     cross-section: sqrt(k_B T L^3 / (192 Y I)) with I = pi d^4 / 64."""
@@ -83,7 +78,7 @@ def thermal_scroll_amplitude(
         return 0.0
     moment = math.pi * diameter**4 / 64.0
     return math.sqrt(
-        constants.k_B * temperature * length**3 / (192.0 * youngs_modulus * moment)
+        CONSTANTS.k_B * temperature * length**3 / (192.0 * youngs_modulus * moment)
     )
 
 
@@ -96,9 +91,7 @@ def min_coherent_slit(position_sigma: float) -> float:
     return MIN_SLIT_PREFACTOR * math.pi * position_sigma
 
 
-def coherence_check(
-    position_sigma: float, slit_width: float, constants: PhysicalConstants = CONSTANTS
-) -> tuple[bool, float]:
+def coherence_check(position_sigma: float, slit_width: float) -> tuple[bool, float]:
     """Whether diffraction at the slit stays coherent against which-way
     momentum kicks, and by what margin.
 
@@ -179,7 +172,6 @@ def limits_report(
     period: float | None = None,
     max_order: int = 0,
     lambda_ref: float = CONSTANTS.lambda_ref,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> LimitsReport:
     """Assemble the full coherence-limit report for one slit/sigma pair.
 
@@ -193,15 +185,15 @@ def limits_report(
         coherent, margin = True, math.inf
         dp_grating = math.inf
     else:
-        coherent, margin = coherence_check(position_sigma, slit_width, constants)
-        dp_grating = grating_momentum_uncertainty(position_sigma, constants)
+        coherent, margin = coherence_check(position_sigma, slit_width)
+        dp_grating = grating_momentum_uncertainty(position_sigma)
     transfer = 0.0
     if period is not None:
         transfer = momentum_transfer_hk(period, max_order, lambda_ref)
     return LimitsReport(
         slit_width=slit_width,
         sigma_thermal=position_sigma,
-        dp_diff=diffraction_momentum_spread(slit_width, constants),
+        dp_diff=diffraction_momentum_spread(slit_width),
         dp_grating=dp_grating,
         s_min=min_coherent_slit(position_sigma),
         coherent=coherent,

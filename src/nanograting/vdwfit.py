@@ -25,8 +25,9 @@ from .diffraction import (
     _slit_envelope,
     _slit_terms,
     _SlitTerms,
-    detector_convolve,
     far_field_orders,
+    gaussian_kernel,
+    symmetric_convolve,
 )
 from .domain import BeamlineGeometry, Grating, Molecule, SourceModel
 from .errors import DomainError, FitError
@@ -81,10 +82,9 @@ def _band_sum(
     for w, terms in classes:
         intensities = _slit_envelope(terms, s)
         acc += w * (intensities / intensities.sum())
-    raw = Trace(grid.positions, acc)
-    if not convolve:
-        return raw
-    return detector_convolve(raw, grid.psf_sigma)
+    if convolve:
+        acc = symmetric_convolve(acc, gaussian_kernel(grid.psf_sigma, grid.pixel_pitch))
+    return Trace(grid.positions, acc)
 
 
 def band_averaged_trace(
@@ -238,7 +238,8 @@ def fit_effective_slit(
     The forward model is the velocity-band-averaged, detector-convolved
     multi-slit pattern on the measured trace's own grid, the same as
     ``band_averaged_trace`` bit for bit. Each class's slit-width-independent
-    terms are built once per call and reused by every evaluation. The
+    terms (pixels x envelope nodes, see ``diffraction._slit_terms``) are
+    built once per call and reused by every evaluation. The
     residual is the RMS difference after max-normalization and
     principal-peak registration.
     A coarse scan at ``coarse_step`` over [lower_bound, slit width] brackets

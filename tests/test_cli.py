@@ -2,6 +2,7 @@
 file outputs, and byte determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nanograting
 from nanograting.cli import main
 from nanograting.gravity import Interferogram
 from nanograting.io import (
@@ -292,6 +294,38 @@ class TestFitSeff:
         )
         assert code == 3
         assert "error:" in stderr
+
+
+@pytest.mark.parametrize(
+    "args, outputs",
+    [
+        # a 50-70 m/s band: up to 229 slits per class on the 921-pixel grid
+        (
+            ("simulate", "--preset", "sinx", "--set", "velocity.center_m_s=60",
+             "--set", "simulate.window=gaussian", "--out", "trace.csv"),
+            ("trace.csv", "trace.raw.csv"),
+        ),
+        (("fit-seff", *FIT_ARGS, "--seed", "7", "--out", "fit.txt"), ("fit.txt", "fit.bestfit.csv")),
+    ],
+    ids=["simulate", "fit-seff"],
+)
+def test_fresh_processes_write_identical_bytes(tmp_path, args, outputs):
+    # the slit terms contract slits onto envelope nodes; a threaded BLAS
+    # product would change its summation order with the thread count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nanograting.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    single = dict(env, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    blobs = []
+    for name, run_env in (("a", single), ("b", env)):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "nanograting", *args],
+            cwd=workdir, env=run_env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs.append([(workdir / out).read_bytes() for out in outputs])
+    assert blobs[0] == blobs[1]
 
 
 class TestFitVelocity:

@@ -27,7 +27,7 @@ from nanograting import (
     wave_number,
 )
 from nanograting.config import load_run_config
-from nanograting.diffraction import MAX_PIXEL_SLITS, _slit_envelope, _slit_terms
+from nanograting.diffraction import MAX_PIXEL_SLITS, MAX_SLIT_PHASE, _slit_envelope, _slit_terms
 from nanograting.gravity import VELOCITY_SUPPORT
 
 M85 = Molecule("test", 8.5e-25)
@@ -364,3 +364,52 @@ def test_presets_stay_ten_times_under_the_work_budget():
             config.require("source.coherence_prefactor"),
         ).n_coherent_slits
         assert 10 * config.detector_grid().n_pixels * n_slits <= MAX_PIXEL_SLITS
+
+
+def _per_slit_reference(k, L2, n_slits, period, grid, slit_amps, s):
+    """Exact per-slit sum of the closed-form kernel: the sinc envelope of
+    every slit, s * sum_j a_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)."""
+    centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * period
+    u = centers[None, :] - grid.positions[:, None]
+    r = np.sqrt(L2 * L2 + u * u)
+    delta = u * u / (L2 + r)
+    envelope = slit_amps * np.sinc((k * s / (2.0 * math.pi)) * (u / r))
+    return np.abs(s * (np.exp(1j * k * delta) * envelope).sum(axis=1)) ** 2
+
+
+def _node_cases():
+    readme_grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
+    for name in grating_preset_names():
+        for velocity in (50.0, 1000.0):
+            yield pytest.param(name, velocity, GEO.L2, readme_grid, id=f"{name}-{velocity:g}")
+    # short L2: the widest z = h sqrt(2 k MAX_SLIT_PHASE / L2), the most nodes
+    short_grid = DetectorGrid.symmetric(2e-6, 0.01e-6)
+    for velocity in (50.0, 220.0, 1000.0):
+        yield pytest.param("sinx", velocity, 0.005, short_grid, id=f"sinx-{velocity:g}-L2-5mm")
+
+
+@pytest.mark.parametrize("preset, velocity, L2, grid", list(_node_cases()))
+def test_node_envelope_matches_the_per_slit_sum(preset, velocity, L2, grid):
+    grating = grating_preset(preset)
+    k = wave_number(PCH2, velocity)
+    wavelength = de_broglie_wavelength(PCH2, velocity)
+    geometry = BeamlineGeometry.from_segments(L1=GEO.L1, L2=L2)
+    n_slits = coherence(SOURCE, geometry, wavelength, grating.period).n_coherent_slits
+    centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * grating.period
+    # the node bound is tightest at the widest width the slit-phase gate accepts
+    s_limit = math.sqrt(8.0 * L2 * MAX_SLIT_PHASE / k) * (1.0 - 1e-9)
+    widths = [s for s in (grating.effective_slit_width, grating.slit_width) if s < s_limit]
+    for window in ("hard", "gaussian"):
+        if window == "gaussian":
+            sigma_w = max(n_slits * grating.period / 4.0, grating.period)
+            slit_amps = np.exp(-0.5 * (centers / sigma_w) ** 2)
+        else:
+            slit_amps = np.ones(n_slits)
+        terms = _slit_terms(k, L2, n_slits, grating.period, grid, window)
+        if velocity == 50.0:
+            assert terms.weights.shape[1] < n_slits
+        for s in widths + [s_limit]:
+            engine = _slit_envelope(terms, s)
+            reference = _per_slit_reference(k, L2, n_slits, grating.period, grid, slit_amps, s)
+            error = np.abs(engine - reference).max() / reference.max()
+            assert error <= 1e-12, (window, s, error)

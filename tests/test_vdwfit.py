@@ -1,6 +1,7 @@
 """Tests for band-averaged traces, order population, and the slit-width fit."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from nanograting import (
     order_population,
     suppression_ratio,
 )
+from nanograting.config import load_run_config
 from nanograting.diffraction import coherence, kirchhoff_pattern, wave_number
 from nanograting.domain import de_broglie_wavelength
 from nanograting.presets import grating_preset
@@ -231,3 +233,19 @@ class TestFitEffectiveSlit:
                 measured, SINX, PCH2, band, geometry, SOURCE, lower_bound=45e-9,
             )
         assert str(raised.value) == str(expected.value)
+
+    def test_terms_held_for_a_maxwell_band_stay_small(self):
+        # the fit keeps every class's terms for its whole run: 200 Maxwell
+        # classes (60-540 m/s) on the 921-pixel README grid
+        grid = load_run_config(preset="sinx").detector_grid()
+        band = VelocityDistribution.maxwell_beam(180.0, n_classes=200)
+        tracemalloc.start()
+        try:
+            classes = list(
+                vdwfit._class_terms(band, SINX, PCH2, SOURCE, GEOMETRY, grid, 1.5, "hard")
+            )
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(classes) == 200
+        assert held < 100 * 2**20
