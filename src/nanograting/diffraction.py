@@ -271,7 +271,7 @@ def _node_count(k: float, L2: float, half_span: float, n_slits: int) -> int:
 
 
 def _node_basis(centers: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope nodes and the Lagrange basis ell[j, m] of node m at slit
+    """Envelope nodes and the Lagrange basis ell[m, j] of node m at slit
     centre j. With as many nodes as slits the nodes are the centres and ell
     is the identity; otherwise they are Chebyshev points of the first kind
     across the centres, and ell is the barycentric form, exact at a centre
@@ -280,13 +280,13 @@ def _node_basis(centers: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarr
         return centers, np.eye(centers.size)
     theta = (2.0 * np.arange(n_nodes) + 1.0) * math.pi / (2.0 * n_nodes)
     nodes = centers[-1] * np.cos(theta)
-    diff = centers[:, None] - nodes[None, :]
+    diff = centers[None, :] - nodes[:, None]
     hit = diff == 0.0
     diff[hit] = 1.0
-    ratio = (-1.0) ** np.arange(n_nodes) * np.sin(theta) / diff
-    basis = ratio / ratio.sum(axis=1, keepdims=True)
-    on_node = hit.any(axis=1)
-    basis[on_node] = hit[on_node]
+    ratio = ((-1.0) ** np.arange(n_nodes) * np.sin(theta))[:, None] / diff
+    basis = ratio / ratio.sum(axis=0)
+    on_node = hit.any(axis=0)
+    basis[:, on_node] = hit[:, on_node]
     return nodes, basis
 
 
@@ -306,9 +306,10 @@ def _slit_terms(
     c^_m spanning them instead of at every centre:
 
         s * sum_j a_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)
-          = s * sum_m W_m sinc(k s delta^'_m / 2 pi),   W = (a exp(i k delta)) @ ell
+          = s * sum_m W_m sinc(k s delta^'_m / 2 pi),
+        W_m = sum_j ell[m, j] a_j exp(i k delta_j)
 
-    where ell[j, m] is the Lagrange basis of node m at centre j and
+    where ell[m, j] is the Lagrange basis of node m at centre j and
     delta^'_m = (c^_m - x') / sqrt(L2^2 + (c^_m - x')^2). M is the smallest
     m with 2 (z/2)^m / (m! (m+1)) <= ``NODE_TOLERANCE``, z = h sqrt(2 k
     ``MAX_SLIT_PHASE`` / L2) and h the half-span of the centres: the
@@ -349,12 +350,19 @@ def _slit_terms(
     else:
         slit_amps = np.ones_like(centers)
 
-    u = centers[None, :] - positions[:, None]
-    phase = k * (u * u / (L2 + np.sqrt(L2 * L2 + u * u)))
+    # phase k delta = k u^2 / (L2 + sqrt(L2^2 + u^2)) with u = c_j - x', built
+    # in place: each pixels x slits temporary is a pass over fresh memory
+    u2 = centers[None, :] - positions[:, None]
+    u2 *= u2
+    phase = L2 * L2 + u2
+    np.sqrt(phase, out=phase)
+    phase += L2
+    np.divide(u2, phase, out=phase)
+    phase *= k
     nodes, basis = _node_basis(centers, _node_count(k, L2, centers[-1], n_slits))
-    # W = (a exp(i k delta)) @ ell; einsum (never BLAS) sums the slits in one
-    # fixed order whatever the thread count, so results repeat bit for bit
-    taper = (slit_amps[:, None] * basis).T
+    # einsum (never BLAS) sums each W_m over the slits in one fixed order
+    # whatever the thread count, so results repeat bit for bit
+    taper = basis * slit_amps
     weights = np.einsum("mj,pj->pm", taper, np.cos(phase)) + 1j * np.einsum(
         "mj,pj->pm", taper, np.sin(phase)
     )
