@@ -41,7 +41,7 @@ NORMALIZATIONS = ("raw", "max-1", "unit-area")
 MAX_SLIT_PHASE = 0.05
 
 # largest pixel x slit product one pattern may build; its arrays peak at about
-# 56 bytes per term, 0.22 GB at the limit
+# 26 bytes per term, 0.1 GB at the limit
 MAX_PIXEL_SLITS = 4_000_000
 
 # interpolation error of the slit envelope across the slit centres, relative
