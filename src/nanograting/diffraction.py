@@ -111,24 +111,28 @@ class Trace:
             raise DomainError("positions and intensities must be 1D arrays of equal length")
         if pos.size < 2:
             raise DomainError("a trace needs at least two samples")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(inten))):
+        if not (np.isfinite(pos).all() and np.isfinite(inten).all()):
             raise DomainError("positions and intensities must be finite")
         if self.normalization not in NORMALIZATIONS:
             raise DomainError(
                 f"unknown normalization {self.normalization!r}; expected one of {NORMALIZATIONS}"
             )
         steps = np.diff(pos)
-        if np.any(steps <= 0.0):
+        if (steps <= 0.0).any():
             raise DomainError("positions must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-6, atol=0.0):
+        # the predicate of np.allclose(steps, steps[0], rtol=1e-6, atol=0)
+        # for finite steps, in one pass
+        if not (np.abs(steps - steps[0]) <= 1e-6 * abs(steps[0])).all():
             raise DomainError("positions must form a uniform grid")
         # clamp float fuzz, reject genuinely negative data
         floor = -1e-12 * max(float(inten.max(initial=0.0)), 1.0)
-        if np.any(inten < floor):
+        if (inten < floor).any():
             raise DomainError("intensities must be non-negative")
+        # np.maximum returns a fresh array: freeze it without another copy
         inten = np.maximum(inten, 0.0)
+        inten.flags.writeable = False
         object.__setattr__(self, "positions", _frozen_array(pos))
-        object.__setattr__(self, "intensities", _frozen_array(inten))
+        object.__setattr__(self, "intensities", inten)
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -246,23 +250,32 @@ def _slit_centers(n_slits: int, period: float) -> np.ndarray:
 @dataclass(frozen=True)
 class _SlitTerms:
     """The s-independent part of ``kirchhoff_pattern`` for one wave number:
-    per pixel (rows) and envelope node (columns) the node weight W_m and the
-    path slope at the node, plus k/L2/n_slits/period/pitch for the checks."""
+    per pixel (rows) and envelope node (columns) the sine weight V_m and the
+    sine rate rho_m, per pixel the on-node weight W0, plus
+    k/L2/n_slits/period/pitch and the widest width the nodes serve, for the
+    checks."""
 
     k: float
     L2: float
     n_slits: int
     period: float
     pixel_pitch: float
+    max_width: float
     weights: np.ndarray
-    slope: np.ndarray
+    rate: np.ndarray
+    on_node: np.ndarray
 
 
-def _node_count(k: float, L2: float, half_span: float, n_slits: int) -> int:
+def _node_count(
+    k: float, L2: float, half_span: float, n_slits: int, max_width: float | None = None
+) -> int:
     """Fewest Chebyshev nodes that interpolate the slit envelope across the
-    slit centres to ``NODE_TOLERANCE`` for every width the ``MAX_SLIT_PHASE``
-    gate accepts, capped at ``n_slits``."""
+    slit centres to ``NODE_TOLERANCE`` for every width up to ``max_width``
+    (None: every width the ``MAX_SLIT_PHASE`` gate accepts), capped at
+    ``n_slits``."""
     z = half_span * math.sqrt(2.0 * k * MAX_SLIT_PHASE / L2)
+    if max_width is not None:
+        z = min(z, half_span * k * max_width / (2.0 * L2))
     m, power = 1, z / 2.0  # power = (z/2)^m / m!
     while m < n_slits and 2.0 * power / (m + 1) > NODE_TOLERANCE:
         m += 1
@@ -298,6 +311,7 @@ def _slit_terms(
     grid: DetectorGrid,
     window: str,
     gaussian_window_sigma: float | None = None,
+    max_width: float | None = None,
 ) -> _SlitTerms:
     """Build the slit-width-independent terms of ``kirchhoff_pattern``.
 
@@ -310,16 +324,31 @@ def _slit_terms(
         W_m = sum_j ell[m, j] a_j exp(i k delta_j)
 
     where ell[m, j] is the Lagrange basis of node m at centre j and
-    delta^'_m = (c^_m - x') / sqrt(L2^2 + (c^_m - x')^2). M is the smallest
-    m with 2 (z/2)^m / (m! (m+1)) <= ``NODE_TOLERANCE``, z = h sqrt(2 k
-    ``MAX_SLIT_PHASE`` / L2) and h the half-span of the centres: the
-    Chebyshev interpolation bound on the envelope, relative to the peak
-    amplitude, for every width the slit-phase gate accepts (delta' taken as
-    linear in c, which holds to O((c - x')^2 / L2^2)). When M reaches
-    n_slits the nodes are the centres and ell is the identity. The README
-    presets at 60-540 m/s need 13-19 nodes against 19-228 slits; a class
-    then holds pixels x M complex weights and float slopes, 24 B per pixel
-    and node (0.42 MB for 921 pixels and 19 nodes).
+    delta^'_m = (c^_m - x') / sqrt(L2^2 + (c^_m - x')^2). The sinc is then
+    written as a sine, exactly:
+
+        s * sum_m W_m sinc(k s delta^'_m / 2 pi)
+          = sum_m V_m sin(s rho_m) + s W0,
+        rho_m = k delta^'_m / 2,  V_m = W_m / rho_m (0 where rho_m = 0),
+        W0 = sum of W_m over the nodes with rho_m = 0
+
+    so the terms hold V (``weights``), rho (``rate``) and W0 (``on_node``,
+    zero unless a pixel sits exactly on a node).
+
+    M is the smallest m with 2 (z/2)^m / (m! (m+1)) <= ``NODE_TOLERANCE``,
+    z = h k w / (2 L2) with h the half-span of the centres and w the widest
+    slit width the terms serve: the Chebyshev interpolation bound on the
+    envelope, relative to the peak amplitude (delta' taken as linear in c,
+    which holds to O((c - x')^2 / L2^2)). w is ``max_width`` capped at the
+    widest width the ``MAX_SLIT_PHASE`` gate accepts, sqrt(8 L2
+    ``MAX_SLIT_PHASE`` / k), which is also the width used when
+    ``max_width`` is None; ``_slit_envelope`` refuses a width above
+    ``max_width``. When M reaches n_slits the nodes are the centres and ell
+    is the identity. With w the geometric slit width, as band traces and
+    fits use, the README presets at 50-1000 m/s need 9-10 nodes (10-20 at
+    the gate width) against 10-274 slits; a class then holds pixels x M
+    complex V and float rho, 24 B per pixel and node (0.22 MB for 921
+    pixels and 10 nodes).
 
     Refuses with a ResolutionError, before allocating, a pattern of more than
     ``MAX_PIXEL_SLITS`` pixel x slit terms.
@@ -359,7 +388,7 @@ def _slit_terms(
     phase += L2
     np.divide(u2, phase, out=phase)
     phase *= k
-    nodes, basis = _node_basis(centers, _node_count(k, L2, centers[-1], n_slits))
+    nodes, basis = _node_basis(centers, _node_count(k, L2, centers[-1], n_slits, max_width))
     # einsum (never BLAS) sums each W_m over the slits in one fixed order
     # whatever the thread count, so results repeat bit for bit
     taper = basis * slit_amps
@@ -367,13 +396,20 @@ def _slit_terms(
         "mj,pj->pm", taper, np.sin(phase)
     )
     v = nodes[None, :] - positions[:, None]
-    slope = v / np.sqrt(L2 * L2 + v * v)
-    return _SlitTerms(k, L2, n_slits, period, grid.pixel_pitch, weights, slope)
+    rate = v / np.sqrt(L2 * L2 + v * v)
+    rate *= 0.5 * k
+    on = rate == 0.0
+    on_node = np.where(on, weights, 0.0).sum(axis=1)
+    np.divide(weights, rate, out=weights, where=~on)
+    weights[on] = 0.0
+    width = math.inf if max_width is None else max_width
+    return _SlitTerms(k, L2, n_slits, period, grid.pixel_pitch, width, weights, rate, on_node)
 
 
 def _slit_envelope(terms: _SlitTerms, s: float) -> np.ndarray:
-    """Intensity |s * sum_m W_m sinc(k s delta^'_m / 2 pi)|^2 of slits of
-    width s, with the resolution checks that depend on s."""
+    """Intensity |sum_m V_m sin(s rho_m) + s W0|^2 of slits of width s, with
+    the resolution checks that depend on s; a width above the terms'
+    ``max_width`` raises a DomainError."""
     k, L2, d = terms.k, terms.L2, terms.period
     wavelength = 2.0 * math.pi / k
 
@@ -390,10 +426,20 @@ def _slit_envelope(terms: _SlitTerms, s: float) -> np.ndarray:
             f"quadratic phase across one slit k*s^2/(8*L2) = {slit_phase:.3e} rad "
             f"exceeds {MAX_SLIT_PHASE} rad; the per-slit far-field form does not hold"
         )
+    if s > terms.max_width:
+        raise DomainError(
+            f"slit width {s!r} m exceeds the width {terms.max_width!r} m the "
+            "envelope nodes were sized for"
+        )
 
-    envelope = np.sinc((k * s / (2.0 * math.pi)) * terms.slope)
-    amplitude = s * (terms.weights * envelope).sum(axis=1)
-    return np.abs(amplitude) ** 2
+    x = terms.rate * s
+    np.sin(x, out=x)
+    # einsum (never BLAS) keeps one summation order whatever the thread count
+    re = np.einsum("pm,pm->p", terms.weights.real, x)
+    im = np.einsum("pm,pm->p", terms.weights.imag, x)
+    re += s * terms.on_node.real
+    im += s * terms.on_node.imag
+    return re * re + im * im
 
 
 def kirchhoff_pattern(
@@ -424,14 +470,17 @@ def kirchhoff_pattern(
     Only the sinc depends on s, and across the slit array it varies slowly.
     The pattern is therefore the composition of two steps: ``_slit_terms``
     samples the sinc at M Chebyshev nodes across the slit centres instead of
-    at every centre and contracts the phasors a_j exp(i k delta_j) onto those
-    nodes once, from (k, L2, n_slits, period, grid, window); ``_slit_envelope``
-    applies the sinc at the M nodes for one s and sums. M is set from the
-    inputs so that the interpolated envelope stays within 1e-15 of the
-    per-slit sum, relative to the peak amplitude, for every s the slit-phase
-    gate accepts: 13-19 nodes for the README presets at 60-540 m/s, against
-    19-228 slits. ``fit_effective_slit`` builds the terms once per velocity
-    class and reuses them for every trial s.
+    at every centre, contracts the phasors a_j exp(i k delta_j) onto those
+    nodes once, from (k, L2, n_slits, period, grid, window), and divides each
+    node weight by its sine rate k delta^'_m / 2; ``_slit_envelope`` takes
+    the M sines sin(s k delta^'_m / 2) for one s and sums, which equals the
+    sinc form exactly. Here M is set so that the interpolated envelope stays
+    within 1e-15 of the per-slit sum, relative to the peak amplitude, for
+    every s the slit-phase gate accepts: 10-20 nodes for the README presets
+    at 50-1000 m/s, against 10-274 slits. Band traces and
+    ``fit_effective_slit`` size the nodes for the grating's geometric width
+    instead (9-10 nodes), build the terms once per velocity class and reuse
+    them for every trial s.
 
     Refusals, each a ResolutionError: more than ``MAX_PIXEL_SLITS`` pixel x
     slit terms (checked before any array is built); a pixel pitch that cannot

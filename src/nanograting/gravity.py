@@ -281,18 +281,16 @@ def _convolve_rows(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blur_2d(values: np.ndarray, sigma_x_px: float, sigma_y_px: float) -> np.ndarray:
-    # separable Gaussian with edge-mirrored boundaries: conserves total mass
-    out = values
-    if sigma_x_px > 0.0:
-        kx = gaussian_kernel(sigma_x_px, 1.0)
-        if kx.size > 1:
-            out = _convolve_rows(out, kx)
-    if sigma_y_px > 0.0:
-        ky = gaussian_kernel(sigma_y_px, 1.0)
-        if ky.size > 1:
-            out = _convolve_rows(out.T, ky).T
-    return out
+def _blurred_image(
+    placements: np.ndarray, rows: np.ndarray, sigma_x_px: float, sigma_y_px: float
+) -> np.ndarray:
+    """Image sum_c placements[c] (x) rows[c], blurred with a separable
+    edge-mirrored Gaussian (conserves total mass). Blurring each class's row
+    (x kernel) and placement column (y kernel) before the outer product equals
+    blurring the image's rows and columns, at the cost of the classes only."""
+    rows = _convolve_rows(rows, gaussian_kernel(sigma_x_px, 1.0))
+    placements = _convolve_rows(placements, gaussian_kernel(sigma_y_px, 1.0))
+    return np.einsum("cy,cx->yx", placements, rows)
 
 
 def _velocity_classes(
@@ -330,8 +328,9 @@ def synthesize_image(
     sum, then scaled by the class weight) at the fall height of its velocity,
     split linearly between the two adjacent pixel rows. Classes whose rows
     fall outside the grid are clipped and reported; the pattern of a class
-    with no row on the grid is never computed. The accumulated image is
-    finally blurred with the detection Gaussian along both axes.
+    with no row on the grid is never computed. The image is blurred with the
+    detection Gaussian along both axes; the blur is applied to each class's
+    row and two-row placement before they are summed into the image.
     """
     v_lo = float(distribution.velocities.min())
     v_hi = float(distribution.velocities.max())
@@ -341,7 +340,8 @@ def synthesize_image(
             f"synthesis range {VELOCITY_SUPPORT}"
         )
 
-    values = np.zeros((grid.ny, grid.nx))
+    placements: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
     clipped_v: list[float] = []
     clipped_w = 0.0
 
@@ -353,24 +353,27 @@ def synthesize_image(
         f = (y2 - grid.y_min) / grid.pixel_pitch_y
         i0 = math.floor(f)
         frac = f - i0
-        rows = [
+        on_grid = [
             (idx, share)
             for idx, share in ((i0, 1.0 - frac), (i0 + 1, frac))
             if share > 0.0 and 0 <= idx < grid.ny
         ]
         # a class that lands entirely off the grid needs no pattern
-        if rows:
+        if on_grid:
             trace = kirchhoff_pattern(grating, k, geometry.L2, n_slits, detector, window=window)
-            row = trace.intensities / trace.intensities.sum()
-            for idx, share in rows:
-                values[idx] += w * share * row
-        placed = sum(share for _, share in rows)
+            rows.append(trace.intensities / trace.intensities.sum())
+            placement = np.zeros(grid.ny)
+            for idx, share in on_grid:
+                placement[idx] = w * share
+            placements.append(placement)
+        placed = sum(share for _, share in on_grid)
         if placed < 1.0 - 1e-12:
             clipped_v.append(v)
             clipped_w += w * (1.0 - placed)
 
-    values = _blur_2d(
-        values,
+    values = _blurred_image(
+        np.array(placements).reshape(-1, grid.ny),
+        np.array(rows).reshape(-1, grid.nx),
         grid.psf_sigma / grid.pixel_pitch_x,
         grid.psf_sigma / grid.pixel_pitch_y,
     )

@@ -66,11 +66,15 @@ def _class_terms(
     window: str,
 ) -> Iterator[tuple[float, _SlitTerms]]:
     """(weight, slit-width-independent pattern terms) per positive-weight
-    class, built one class at a time."""
+    class, built one class at a time. The envelope nodes are sized for the
+    geometric slit width, the widest s_eff the grating admits."""
     for _, w, k, n_slits in _velocity_classes(
         velocity_band, molecule, source, geometry, grating.period, coherence_prefactor
     ):
-        yield w, _slit_terms(k, geometry.L2, n_slits, grating.period, grid, window)
+        yield w, _slit_terms(
+            k, geometry.L2, n_slits, grating.period, grid, window,
+            max_width=grating.slit_width,
+        )
 
 
 def _band_sum(

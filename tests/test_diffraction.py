@@ -82,6 +82,17 @@ def test_far_field_orders_evanescent():
     assert orders.evanescent == (4, 5)
 
 
+def test_trace_uniform_grid_tolerance_is_one_part_in_a_million():
+    # one step off by 2e-6 relative is not uniform; 5e-7 is
+    x = np.arange(10.0)
+    x[5:] += 2e-6
+    with pytest.raises(DomainError, match="uniform grid"):
+        Trace(x, np.ones(10))
+    x = np.arange(10.0)
+    x[5:] += 5e-7
+    assert len(Trace(x, np.ones(10))) == 10
+
+
 def test_detector_grid_symmetric():
     grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
     assert grid.n_pixels == 921
@@ -413,3 +424,75 @@ def test_node_envelope_matches_the_per_slit_sum(preset, velocity, L2, grid):
             reference = _per_slit_reference(k, L2, n_slits, grating.period, grid, slit_amps, s)
             error = np.abs(engine - reference).max() / reference.max()
             assert error <= 1e-12, (window, s, error)
+
+
+def _geometric_node_cases():
+    readme_grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
+    short_grid = DetectorGrid.symmetric(2e-6, 0.01e-6)
+    for name in grating_preset_names():
+        for velocity in (50.0, 220.0, 1000.0):
+            yield pytest.param(name, velocity, GEO.L2, readme_grid, id=f"{name}-{velocity:g}")
+            yield pytest.param(name, velocity, 0.005, short_grid, id=f"{name}-{velocity:g}-L2-5mm")
+
+
+@pytest.mark.parametrize("preset, velocity, L2, grid", list(_geometric_node_cases()))
+def test_nodes_sized_for_the_geometric_width_match_the_per_slit_sum(preset, velocity, L2, grid):
+    # band traces and fits size the nodes for the grating's geometric width
+    grating = grating_preset(preset)
+    k = wave_number(PCH2, velocity)
+    wavelength = de_broglie_wavelength(PCH2, velocity)
+    geometry = BeamlineGeometry.from_segments(L1=GEO.L1, L2=L2)
+    n_slits = coherence(SOURCE, geometry, wavelength, grating.period).n_coherent_slits
+    centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * grating.period
+    s_limit = math.sqrt(8.0 * L2 * MAX_SLIT_PHASE / k) * (1.0 - 1e-9)
+    widths = {min(s, s_limit) for s in (grating.effective_slit_width, grating.slit_width)}
+    for window in ("hard", "gaussian"):
+        if window == "gaussian":
+            sigma_w = max(n_slits * grating.period / 4.0, grating.period)
+            slit_amps = np.exp(-0.5 * (centers / sigma_w) ** 2)
+        else:
+            slit_amps = np.ones(n_slits)
+        terms = _slit_terms(
+            k, L2, n_slits, grating.period, grid, window, max_width=grating.slit_width
+        )
+        if L2 == GEO.L2:
+            assert terms.weights.shape[1] <= 10
+        for s in sorted(widths):
+            engine = _slit_envelope(terms, s)
+            reference = _per_slit_reference(k, L2, n_slits, grating.period, grid, slit_amps, s)
+            error = np.abs(engine - reference).max() / reference.max()
+            assert error <= 1e-12, (window, s, error)
+
+
+@pytest.mark.parametrize("n_slits", [1, 3])
+def test_pixel_on_a_node_takes_the_on_node_term(n_slits):
+    # x = 0 is a pixel of this grid and the centre slit's node: the sine
+    # rate is exactly 0 there and the envelope is s W0 instead of V sin(s rho)
+    grid = DetectorGrid(-(2.0**-16), 2.0**-16, 2.0**-24)
+    centre = grid.n_pixels // 2
+    assert grid.positions[centre] == 0.0
+    grating = grating_preset("sinx")
+    k = wave_number(PCH2, 220.0)
+    terms = _slit_terms(k, GEO.L2, n_slits, grating.period, grid, "hard")
+    assert terms.weights.shape[1] == n_slits  # the nodes are the centres
+    assert terms.rate[centre, n_slits // 2] == 0.0
+    for s in (grating.effective_slit_width, grating.slit_width):
+        engine = _slit_envelope(terms, s)
+        reference = _per_slit_reference(
+            k, GEO.L2, n_slits, grating.period, grid, np.ones(n_slits), s
+        )
+        assert np.isfinite(engine).all()
+        assert np.abs(engine - reference).max() <= 1e-12 * reference.max()
+
+
+def test_width_above_the_node_sizing_is_refused():
+    grating = grating_preset("sinx")
+    grid = DetectorGrid.symmetric(40e-6, 0.5e-6)
+    k = wave_number(PCH2, 220.0)
+    terms = _slit_terms(k, GEO.L2, 20, grating.period, grid, "hard", max_width=grating.slit_width)
+    s = 1.01 * grating.slit_width
+    with pytest.raises(DomainError) as excinfo:
+        _slit_envelope(terms, s)
+    message = str(excinfo.value)
+    assert repr(s) in message
+    assert repr(grating.slit_width) in message

@@ -340,8 +340,11 @@ class TestStripeVelocityProfile:
 
 
 def test_blur_matches_per_row_convolution_and_conserves_mass():
-    values = np.random.default_rng(7).random((23, 61))
-    blurred = gravity._blur_2d(values, 3.0, 1.5)
+    # four classes: placement columns over 23 image rows, rows over 61 pixels
+    rng = np.random.default_rng(7)
+    placements, rows = rng.random((4, 23)), rng.random((4, 61))
+    values = np.einsum("cy,cx->yx", placements, rows)
+    blurred = gravity._blurred_image(placements, rows, 3.0, 1.5)
     kx = gaussian_kernel(3.0, 1.0)
     ky = gaussian_kernel(1.5, 1.0)
     reference = np.array([symmetric_convolve(row, kx) for row in values])
