@@ -41,7 +41,7 @@ NORMALIZATIONS = ("raw", "max-1", "unit-area")
 MAX_SLIT_PHASE = 0.05
 
 # largest pixel x slit product one pattern may build; its arrays peak at about
-# 26 bytes per term, 0.1 GB at the limit
+# 3 B per term with few nodes, up to 140 B (0.56 GB) where M reaches n_slits
 MAX_PIXEL_SLITS = 4_000_000
 
 # interpolation error of the slit envelope across the slit centres, relative
@@ -267,15 +267,12 @@ class _SlitTerms:
 
 
 def _node_count(
-    k: float, L2: float, half_span: float, n_slits: int, max_width: float | None = None
+    k: float, L2: float, half_span: float, n_slits: int, max_width: float, reach: float
 ) -> int:
-    """Fewest Chebyshev nodes that interpolate the slit envelope across the
-    slit centres to ``NODE_TOLERANCE`` for every width up to ``max_width``
-    (None: every width the ``MAX_SLIT_PHASE`` gate accepts), capped at
-    ``n_slits``."""
-    z = half_span * math.sqrt(2.0 * k * MAX_SLIT_PHASE / L2)
-    if max_width is not None:
-        z = min(z, half_span * k * max_width / (2.0 * L2))
+    """Fewest Chebyshev nodes, at most ``n_slits``, that interpolate the slit
+    envelope (widths up to ``max_width``) and the Fresnel remainder (|c - x'|
+    up to ``reach``) across the slit centres to ``NODE_TOLERANCE``."""
+    z = float(half_span * k * (max_width + reach**3 / (L2 * L2)) / (2.0 * L2))
     m, power = 1, z / 2.0  # power = (z/2)^m / m!
     while m < n_slits and 2.0 * power / (m + 1) > NODE_TOLERANCE:
         m += 1
@@ -303,6 +300,17 @@ def _node_basis(centers: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarr
     return nodes, basis
 
 
+def _chirp(beta: float, n: np.ndarray) -> np.ndarray:
+    """exp(i beta n^2 / 2) at the integers n (n[-1] the largest), the phase
+    reduced mod 2 pi exactly: beta / 4 pi splits so that high * n^2 is exact."""
+    n2 = np.square(n, dtype=float)
+    turns = beta / (4.0 * math.pi)
+    q = 53 - math.frexp(turns * float(n2[-1]))[1]
+    high = math.ldexp(math.floor(math.ldexp(turns, q)), -q)
+    t = high * n2
+    return np.exp(2j * math.pi * (t - np.floor(t) + (turns - high) * n2))
+
+
 def _slit_terms(
     k: float,
     L2: float,
@@ -311,44 +319,58 @@ def _slit_terms(
     grid: DetectorGrid,
     window: str,
     gaussian_window_sigma: float | None = None,
-    max_width: float | None = None,
+    *,
+    max_width: float,
 ) -> _SlitTerms:
-    """Build the slit-width-independent terms of ``kirchhoff_pattern``.
+    """Build the slit-width-independent terms of ``kirchhoff_pattern``: the
+    one full account of how the engine sums over slits.
 
-    The single-slit envelope sinc(k s delta'(c - x') / 2 pi) varies slowly
-    across the slit centres c_j, so it is sampled at M Chebyshev nodes
-    c^_m spanning them instead of at every centre:
+    Fresnel split. With u = c_j - x' and r = sqrt(L2^2 + u^2), exactly
+    k delta(u) = k u^2 / (2 L2) + k R(u) with R(u) = -u^4 / (2 L2 (L2 + r)^2),
+    and |k R'(u)| <= k |u|^3 / (2 L2^3): R is smooth across the slits.
 
-        s * sum_j a_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)
-          = s * sum_m W_m sinc(k s delta^'_m / 2 pi),
-        W_m = sum_j ell[m, j] a_j exp(i k delta_j)
+    Nodes. The envelope sinc(k s delta'(u) / 2 pi) and exp(i k R(u)) are
+    sampled at M Chebyshev nodes c^_m across the centres c_j (Lagrange basis
+    ell[m, j]) instead of at every centre:
 
-    where ell[m, j] is the Lagrange basis of node m at centre j and
-    delta^'_m = (c^_m - x') / sqrt(L2^2 + (c^_m - x')^2). The sinc is then
-    written as a sine, exactly:
+        s sum_j a_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)
+          = s sum_m W_m sinc(k s delta^'_m / 2 pi),
+        W_m = exp(i k R(c^_m - x')) sum_j ell[m, j] a_j exp(i k u_j^2 / 2 L2)
 
-        s * sum_m W_m sinc(k s delta^'_m / 2 pi)
-          = sum_m V_m sin(s rho_m) + s W0,
-        rho_m = k delta^'_m / 2,  V_m = W_m / rho_m (0 where rho_m = 0),
-        W0 = sum of W_m over the nodes with rho_m = 0
+    M is the least m <= n_slits with 2 (z/2)^m / (m! (m+1)) <=
+    ``NODE_TOLERANCE``, z = h k w / (2 L2) + h k u_max^3 / (2 L2^3): the
+    Chebyshev bound, relative to the peak amplitude, for the bandwidths of
+    the envelope (delta' taken as linear in c) and of the remainder, with h
+    the half-span of the centres, u_max = max|x'| + h and w = ``max_width``
+    (callers pass the geometric width, which bounds s_eff; ``_slit_envelope``
+    refuses a wider s). The README presets at 50-1000 m/s take 9-10 nodes
+    for 10-274 slits; far off axis M reaches n_slits (nodes at the centres).
 
-    so the terms hold V (``weights``), rho (``rate``) and W0 (``on_node``,
-    zero unless a pixel sits exactly on a node).
+    Chirp-z sum. For x_p = x_0 + p pitch and c_j = c_0 + j d, Bluestein's
+    jp = (j^2 + p^2 - (p - j)^2) / 2 with beta = k d pitch / L2 gives
+    k u_jp^2 / (2 L2) = k c_j (c_j / 2 - x_0) / L2 - beta j^2 / 2
+    + beta (p - j)^2 / 2 + (terms in p alone). Those last are a unit phasor
+    per pixel, common to every node, and |amplitude|^2 drops them. The slit
+    factors fold into q[m, j] = ell[m, j] a_j exp(i k c_j (c_j / 2 - x_0) / L2
+    - i beta j^2 / 2), and F_m(p) = sum_j q[m, j] exp(i beta (p - j)^2 / 2)
+    for all M rows is one FFT convolution over a power of two >= P + N - 1
+    points: the chirp-z transform (Rabiner, Schafer and Rader, 1969) on
+    numpy's single-threaded FFT. ``_chirp`` reduces the chirp phases (up to
+    about 5e4 rad) mod 2 pi exactly. R and delta' are evaluated at the P x M
+    (pixel, node) points only; no pixels x slits array is built.
 
-    M is the smallest m with 2 (z/2)^m / (m! (m+1)) <= ``NODE_TOLERANCE``,
-    z = h k w / (2 L2) with h the half-span of the centres and w the widest
-    slit width the terms serve: the Chebyshev interpolation bound on the
-    envelope, relative to the peak amplitude (delta' taken as linear in c,
-    which holds to O((c - x')^2 / L2^2)). w is ``max_width`` capped at the
-    widest width the ``MAX_SLIT_PHASE`` gate accepts, sqrt(8 L2
-    ``MAX_SLIT_PHASE`` / k), which is also the width used when
-    ``max_width`` is None; ``_slit_envelope`` refuses a width above
-    ``max_width``. When M reaches n_slits the nodes are the centres and ell
-    is the identity. With w the geometric slit width, as band traces and
-    fits use, the README presets at 50-1000 m/s need 9-10 nodes (10-20 at
-    the gate width) against 10-274 slits; a class then holds pixels x M
-    complex V and float rho, 24 B per pixel and node (0.22 MB for 921
-    pixels and 10 nodes).
+    Sines. With rho_m = k delta^'_m / 2 the envelope sum equals
+    sum_m V_m sin(s rho_m) + s W0 exactly, where V_m = W_m / rho_m (0 where
+    rho_m = 0) and W0 sums W_m over the nodes with rho_m = 0. The terms hold
+    V (``weights``), rho (``rate``) and W0 (``on_node``): 24 B per pixel and
+    node, 0.22 MB for 921 pixels and 10 nodes.
+
+    Error, against the per-slit sum with its phase in long double: at most
+    3.7e-13 of the in-window peak on the README presets at 50 and 1000 m/s
+    and at L2 = 5 mm (1.3e-12 for a float64 pixels x slits phase), and 4e-14
+    of the global peak (s sum_j a_j)^2 over 400 random cases the gates
+    accept, off axis included; the tests bound it at 1e-12. Without the
+    exact reduction the chirp reads 2.6e-12 at L2 = 5 mm.
 
     Refuses with a ResolutionError, before allocating, a pattern of more than
     ``MAX_PIXEL_SLITS`` pixel x slit terms.
@@ -359,10 +381,11 @@ def _slit_terms(
         raise DomainError(f"need at least one slit, got {n_slits!r}")
     if window not in ("hard", "gaussian"):
         raise DomainError(f"unknown window {window!r}; expected 'hard' or 'gaussian'")
-    work = grid.n_pixels * n_slits
+    n_pixels = grid.n_pixels
+    work = n_pixels * n_slits
     if work > MAX_PIXEL_SLITS:
         raise WorkBudgetError(
-            f"{grid.n_pixels} pixels x {n_slits} coherent slits = {work:.3e} "
+            f"{n_pixels} pixels x {n_slits} coherent slits = {work:.3e} "
             f"pixel x slit terms exceeds the budget of {MAX_PIXEL_SLITS:.0e}"
         )
 
@@ -379,31 +402,32 @@ def _slit_terms(
     else:
         slit_amps = np.ones_like(centers)
 
-    # phase k delta = k u^2 / (L2 + sqrt(L2^2 + u^2)) with u = c_j - x', built
-    # in place: each pixels x slits temporary is a pass over fresh memory
-    u2 = centers[None, :] - positions[:, None]
-    u2 *= u2
-    phase = L2 * L2 + u2
-    np.sqrt(phase, out=phase)
-    phase += L2
-    np.divide(u2, phase, out=phase)
-    phase *= k
-    nodes, basis = _node_basis(centers, _node_count(k, L2, centers[-1], n_slits, max_width))
-    # einsum (never BLAS) sums each W_m over the slits in one fixed order
-    # whatever the thread count, so results repeat bit for bit
-    taper = basis * slit_amps
-    weights = np.einsum("mj,pj->pm", taper, np.cos(phase)) + 1j * np.einsum(
-        "mj,pj->pm", taper, np.sin(phase)
-    )
-    v = nodes[None, :] - positions[:, None]
-    rate = v / np.sqrt(L2 * L2 + v * v)
-    rate *= 0.5 * k
+    reach = float(max(-positions[0], positions[-1])) + centers[-1]
+    nodes, basis = _node_basis(centers, _node_count(k, L2, centers[-1], n_slits, max_width, reach))
+    # the chirp-z sum over the slits of the basis times the slit factors
+    chirp = _chirp(k * period * grid.pixel_pitch / L2, np.arange(max(n_pixels, n_slits)))
+    slits = slit_amps * np.exp((1j * k / L2) * centers * (centers / 2.0 - positions[0]))
+    slits *= chirp[:n_slits].conj()
+    size = 1 << (n_pixels + n_slits - 2).bit_length()
+    gap = np.zeros(size - n_pixels - n_slits + 1)
+    kernel = np.concatenate([chirp[:n_pixels], gap, chirp[n_slits - 1 : 0 : -1]])
+    sums = np.fft.fft(basis * slits, size)
+    sums *= np.fft.fft(kernel)
+    sums = np.fft.ifft(sums)[:, :n_pixels]
+    # the Fresnel remainder k R(u) and the sine rate at the nodes, u = c^_m - x'
+    u = nodes[None, :] - positions[:, None]
+    r = np.sqrt(L2 * L2 + u * u)
+    rate = (0.5 * k) * u / r
+    remainder = (-0.5 * k / L2) * (u * u / (L2 + r)) ** 2
+    weights = np.empty(u.shape, dtype=complex)
+    np.cos(remainder, out=weights.real)
+    np.sin(remainder, out=weights.imag)
+    weights *= sums.T
     on = rate == 0.0
     on_node = np.where(on, weights, 0.0).sum(axis=1)
     np.divide(weights, rate, out=weights, where=~on)
     weights[on] = 0.0
-    width = math.inf if max_width is None else max_width
-    return _SlitTerms(k, L2, n_slits, period, grid.pixel_pitch, width, weights, rate, on_node)
+    return _SlitTerms(k, L2, n_slits, period, grid.pixel_pitch, max_width, weights, rate, on_node)
 
 
 def _slit_envelope(terms: _SlitTerms, s: float) -> np.ndarray:
@@ -467,27 +491,19 @@ def kirchhoff_pattern(
     with np.sinc(x) = sin(pi x) / (pi x): Fraunhofer within a slit, Fresnel
     between slits. Intensity is the squared modulus.
 
-    Only the sinc depends on s, and across the slit array it varies slowly.
-    The pattern is therefore the composition of two steps: ``_slit_terms``
-    samples the sinc at M Chebyshev nodes across the slit centres instead of
-    at every centre, contracts the phasors a_j exp(i k delta_j) onto those
-    nodes once, from (k, L2, n_slits, period, grid, window), and divides each
-    node weight by its sine rate k delta^'_m / 2; ``_slit_envelope`` takes
-    the M sines sin(s k delta^'_m / 2) for one s and sums, which equals the
-    sinc form exactly. Here M is set so that the interpolated envelope stays
-    within 1e-15 of the per-slit sum, relative to the peak amplitude, for
-    every s the slit-phase gate accepts: 10-20 nodes for the README presets
-    at 50-1000 m/s, against 10-274 slits. Band traces and
-    ``fit_effective_slit`` size the nodes for the grating's geometric width
-    instead (9-10 nodes), build the terms once per velocity class and reuse
-    them for every trial s.
+    Only the sinc depends on s. ``_slit_terms`` builds everything else once
+    per (k, L2, n_slits, period, grid, window), with the envelope sampled at
+    a few nodes and the slit sum taken as a chirp-z transform; its docstring
+    is the full account, with the error bound. ``_slit_envelope`` then
+    evaluates the pattern for one s. Band traces and ``fit_effective_slit``
+    reuse one class's terms for every trial s.
 
     Refusals, each a ResolutionError: more than ``MAX_PIXEL_SLITS`` pixel x
     slit terms (checked before any array is built); a pixel pitch that cannot
     resolve the finest fringe; a dropped quadratic phase k s^2 / (8 L2) at
     the slit edges above ``MAX_SLIT_PHASE`` radians. Every sum runs in one
-    fixed order (element-wise reductions and einsum, no threaded BLAS
-    product), so results repeat bit for bit from run to run.
+    fixed order (element-wise reductions, einsum and numpy's single-threaded
+    FFT, no threaded BLAS product), so results repeat bit for bit.
 
     window:
         "hard" illuminates all slits equally (a_j = 1); "gaussian" applies an
@@ -495,7 +511,8 @@ def kirchhoff_pattern(
         with sigma_w = ``gaussian_window_sigma`` (default: one quarter of the
         illuminated span).
     """
-    terms = _slit_terms(k, L2, n_slits, grating.period, grid, window, gaussian_window_sigma)
+    terms = _slit_terms(k, L2, n_slits, grating.period, grid, window, gaussian_window_sigma,
+                        max_width=grating.slit_width)
     return Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width), "raw")
 
 

@@ -78,16 +78,17 @@ def _class_terms(
 
 
 def _band_sum(
-    classes: Iterable[tuple[float, _SlitTerms]], s: float, grid: DetectorGrid, convolve: bool
+    classes: Iterable[tuple[float, _SlitTerms]], s: float, grid: DetectorGrid,
+    kernel: np.ndarray | None,
 ) -> Trace:
     """Weighted sum of the classes' unit-sum patterns at slit width ``s``,
-    convolved with the grid's detector Gaussian when ``convolve`` is set."""
+    convolved with ``kernel`` (the detector Gaussian) unless it is None."""
     acc = np.zeros(grid.n_pixels)
     for w, terms in classes:
         intensities = _slit_envelope(terms, s)
         acc += w * (intensities / intensities.sum())
-    if convolve:
-        acc = symmetric_convolve(acc, gaussian_kernel(grid.psf_sigma, grid.pixel_pitch))
+    if kernel is not None:
+        acc = symmetric_convolve(acc, kernel)
     return Trace(grid.positions, acc)
 
 
@@ -113,7 +114,8 @@ def band_averaged_trace(
     classes = _class_terms(
         velocity_band, grating, molecule, source, geometry, grid, coherence_prefactor, window
     )
-    return _band_sum(classes, grating.effective_slit_width, grid, convolve)
+    kernel = gaussian_kernel(grid.psf_sigma, grid.pixel_pitch) if convolve else None
+    return _band_sum(classes, grating.effective_slit_width, grid, kernel)
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,8 @@ def fit_effective_slit(
     if grid.n_pixels != len(measured):
         raise DomainError("measured trace grid is not reconstructible; cannot fit")
 
-    # everything but the sinc is independent of s_eff: build it once per class
+    # everything but the sinc is independent of s_eff: build it once per fit
+    kernel = gaussian_kernel(psf_sigma, grid.pixel_pitch)
     classes = list(
         _class_terms(
             velocity_band, grating, molecule, source, geometry, grid, coherence_prefactor, "hard"
@@ -287,7 +290,7 @@ def fit_effective_slit(
         key = int(round(s_eff * 1e13))
         if key in cache:
             return cache[key]
-        candidate = _band_sum(classes, s_eff, grid, convolve=True)
+        candidate = _band_sum(classes, s_eff, grid, kernel)
         evaluations += 1
         value = _registered_rms(y, candidate.intensities)
         cache[key] = value

@@ -306,12 +306,18 @@ class TestFitSeff:
             ("trace.csv", "trace.raw.csv"),
         ),
         (("fit-seff", *FIT_ARGS, "--seed", "7", "--out", "fit.txt"), ("fit.txt", "fit.bestfit.csv")),
+        # 21 classes on the 921-pixel grid, each pattern's slit sum an FFT
+        (
+            ("synth-image", "--preset", "sinx", "--out", "image.npy"),
+            ("image.npy", "image.npy.json", "image.npy.ppm"),
+        ),
     ],
-    ids=["simulate", "fit-seff"],
+    ids=["simulate", "fit-seff", "synth-image"],
 )
 def test_fresh_processes_write_identical_bytes(tmp_path, args, outputs):
     # the slit terms contract slits onto envelope nodes; a threaded BLAS
-    # product would change its summation order with the thread count
+    # product would change its summation order with the thread count, and
+    # the slit sum runs on numpy's single-threaded FFT
     src = os.path.dirname(os.path.dirname(os.path.abspath(nanograting.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     single = dict(env, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")

@@ -1,8 +1,11 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanograting import (
     BeamlineGeometry,
@@ -348,7 +351,7 @@ def test_kirchhoff_is_the_envelope_of_the_slit_terms(window):
     g = _grating()
     grid = DetectorGrid.symmetric(40e-6, 0.5e-6)
     k = wave_number(M85, 220.0)
-    terms = _slit_terms(k, 0.586, 20, g.period, grid, window)
+    terms = _slit_terms(k, 0.586, 20, g.period, grid, window, max_width=g.slit_width)
     composed = _slit_envelope(terms, g.effective_slit_width)
     direct = kirchhoff_pattern(g, k, 0.586, 20, grid, window=window).intensities
     assert np.array_equal(composed, direct)
@@ -377,15 +380,33 @@ def test_presets_stay_ten_times_under_the_work_budget():
         assert 10 * config.detector_grid().n_pixels * n_slits <= MAX_PIXEL_SLITS
 
 
+# the per-slit oracle forms its path phase in long double
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18,
+    reason="numpy's long double here is no more precise than 1e-18 (eps "
+    f"{np.finfo(np.longdouble).eps:.1e}), too coarse for the per-slit oracle's phase",
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _per_slit_phasors(k, L2, n_slits, period, grid):
+    """exp(i k delta_j) and delta'_j per pixel and slit. u = c_j - x',
+    delta and k delta are formed in long double and k delta is reduced mod
+    2 pi there, so the float64 rounding of u never reaches the phase."""
+    ld = np.longdouble
+    centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * period
+    u = centers.astype(ld)[None, :] - grid.positions.astype(ld)[:, None]
+    r = np.sqrt(ld(L2) * ld(L2) + u * u)
+    phase = np.fmod(ld(k) * (u * u / (ld(L2) + r)), 2 * np.arccos(ld(-1)))
+    return np.exp(1j * phase.astype(float)), (u / r).astype(float)
+
+
 def _per_slit_reference(k, L2, n_slits, period, grid, slit_amps, s):
     """Exact per-slit sum of the closed-form kernel: the sinc envelope of
     every slit, s * sum_j a_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)."""
-    centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * period
-    u = centers[None, :] - grid.positions[:, None]
-    r = np.sqrt(L2 * L2 + u * u)
-    delta = u * u / (L2 + r)
-    envelope = slit_amps * np.sinc((k * s / (2.0 * math.pi)) * (u / r))
-    return np.abs(s * (np.exp(1j * k * delta) * envelope).sum(axis=1)) ** 2
+    phasor, slope = _per_slit_phasors(k, L2, n_slits, period, grid)
+    envelope = slit_amps * np.sinc((k * s / (2.0 * math.pi)) * slope)
+    return np.abs(s * (phasor * envelope).sum(axis=1)) ** 2
 
 
 def _node_cases():
@@ -399,6 +420,7 @@ def _node_cases():
         yield pytest.param("sinx", velocity, 0.005, short_grid, id=f"sinx-{velocity:g}-L2-5mm")
 
 
+@needs_long_double
 @pytest.mark.parametrize("preset, velocity, L2, grid", list(_node_cases()))
 def test_node_envelope_matches_the_per_slit_sum(preset, velocity, L2, grid):
     grating = grating_preset(preset)
@@ -416,7 +438,7 @@ def test_node_envelope_matches_the_per_slit_sum(preset, velocity, L2, grid):
             slit_amps = np.exp(-0.5 * (centers / sigma_w) ** 2)
         else:
             slit_amps = np.ones(n_slits)
-        terms = _slit_terms(k, L2, n_slits, grating.period, grid, window)
+        terms = _slit_terms(k, L2, n_slits, grating.period, grid, window, max_width=s_limit)
         if velocity == 50.0:
             assert terms.weights.shape[1] < n_slits
         for s in widths + [s_limit]:
@@ -435,6 +457,7 @@ def _geometric_node_cases():
             yield pytest.param(name, velocity, 0.005, short_grid, id=f"{name}-{velocity:g}-L2-5mm")
 
 
+@needs_long_double
 @pytest.mark.parametrize("preset, velocity, L2, grid", list(_geometric_node_cases()))
 def test_nodes_sized_for_the_geometric_width_match_the_per_slit_sum(preset, velocity, L2, grid):
     # band traces and fits size the nodes for the grating's geometric width
@@ -464,6 +487,7 @@ def test_nodes_sized_for_the_geometric_width_match_the_per_slit_sum(preset, velo
             assert error <= 1e-12, (window, s, error)
 
 
+@needs_long_double
 @pytest.mark.parametrize("n_slits", [1, 3])
 def test_pixel_on_a_node_takes_the_on_node_term(n_slits):
     # x = 0 is a pixel of this grid and the centre slit's node: the sine
@@ -473,7 +497,9 @@ def test_pixel_on_a_node_takes_the_on_node_term(n_slits):
     assert grid.positions[centre] == 0.0
     grating = grating_preset("sinx")
     k = wave_number(PCH2, 220.0)
-    terms = _slit_terms(k, GEO.L2, n_slits, grating.period, grid, "hard")
+    terms = _slit_terms(
+        k, GEO.L2, n_slits, grating.period, grid, "hard", max_width=grating.slit_width
+    )
     assert terms.weights.shape[1] == n_slits  # the nodes are the centres
     assert terms.rate[centre, n_slits // 2] == 0.0
     for s in (grating.effective_slit_width, grating.slit_width):
@@ -496,3 +522,84 @@ def test_width_above_the_node_sizing_is_refused():
     message = str(excinfo.value)
     assert repr(s) in message
     assert repr(grating.slit_width) in message
+
+
+def _slit_amps(n_slits, period, window):
+    centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * period
+    if window == "hard":
+        return np.ones(n_slits)
+    sigma_w = max(n_slits * period / 4.0, period)
+    return np.exp(-0.5 * (centers / sigma_w) ** 2)
+
+
+def _assert_terms_match_the_per_slit_sum(k, L2, n_slits, period, grid, window, widths):
+    # bound relative to the global peak (s sum_j a_j)^2: an off-axis window's
+    # own maximum can sit many orders of magnitude below it
+    slit_amps = _slit_amps(n_slits, period, window)
+    terms = _slit_terms(k, L2, n_slits, period, grid, window, max_width=max(widths))
+    for s in widths:
+        engine = _slit_envelope(terms, s)
+        reference = _per_slit_reference(k, L2, n_slits, period, grid, slit_amps, s)
+        peak = (s * slit_amps.sum()) ** 2
+        assert np.abs(engine - reference).max() <= 1e-12 * peak, (s, n_slits)
+    return terms
+
+
+def _builder_domain_cases():
+    readme_grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
+    # 0.1 m off the axis at L2 = 2 m the Fresnel remainder needs a node per slit
+    yield pytest.param("sinx", 220.0, 2.0, DetectorGrid(0.1, 0.1001, 0.5e-6), None, "hard",
+                       id="off-axis")
+    yield pytest.param("sinx", 50.0, GEO.L2, DetectorGrid.symmetric(25e-6, 0.5e-6), None, "hard",
+                       id="fewer-pixels-than-slits")
+    yield pytest.param("sinx", 220.0, GEO.L2, readme_grid, 1, "hard", id="one-slit")
+    yield pytest.param("slg", 540.0, GEO.L2, DetectorGrid(-30e-6, 47e-6, 0.5e-6), None, "hard",
+                       id="odd-pixel-count")
+    yield pytest.param("scroll", 100.0, GEO.L2, readme_grid, None, "gaussian", id="gaussian")
+
+
+@needs_long_double
+@pytest.mark.parametrize("preset, velocity, L2, grid, n_slits, window",
+                         list(_builder_domain_cases()))
+def test_chirp_z_terms_match_the_per_slit_sum(preset, velocity, L2, grid, n_slits, window):
+    grating = grating_preset(preset)
+    if n_slits is None:
+        wavelength = de_broglie_wavelength(PCH2, velocity)
+        n_slits = coherence(SOURCE, GEO, wavelength, grating.period).n_coherent_slits
+    widths = [grating.effective_slit_width, grating.slit_width]
+    k = wave_number(PCH2, velocity)
+    terms = _assert_terms_match_the_per_slit_sum(
+        k, L2, n_slits, grating.period, grid, window, widths
+    )
+    if grid.x_min >= 0.1:
+        assert terms.weights.shape[1] == n_slits
+
+
+@needs_long_double
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    preset=st.sampled_from(grating_preset_names()),
+    velocity=st.floats(50.0, 1000.0),
+    L2=st.floats(1e-3, 2.0),
+    n_slits=st.integers(1, 400),
+    n_pixels=st.integers(2, 300),
+    pitch_share=st.floats(0.05, 1.0),
+    angle=st.floats(-0.1, 0.1),
+    window=st.sampled_from(["hard", "gaussian"]),
+    width_share=st.floats(0.01, 1.0),
+)
+def test_terms_match_the_per_slit_sum_over_the_gated_domain(
+    preset, velocity, L2, n_slits, n_pixels, pitch_share, angle, window, width_share
+):
+    # every width up to the node sizing that the slit-phase gate accepts, on
+    # any window the pixel check accepts, centred up to 0.1 rad off the axis
+    grating = grating_preset(preset)
+    k = wave_number(PCH2, velocity)
+    s_max = min(grating.slit_width, math.sqrt(8.0 * L2 * MAX_SLIT_PHASE / k) * (1.0 - 1e-9))
+    # the pixel check's own arithmetic, so that pitch_share = 1 sits on its limit
+    pitch = pitch_share * (2.0 * math.pi / k * L2 / grating.period / 2.0)
+    x_min = angle * L2 - 0.5 * n_pixels * pitch
+    grid = DetectorGrid(x_min, x_min + (n_pixels - 1) * pitch, pitch)
+    _assert_terms_match_the_per_slit_sum(
+        k, L2, n_slits, grating.period, grid, window, [width_share * s_max, s_max]
+    )
