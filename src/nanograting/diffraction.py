@@ -272,7 +272,8 @@ def _node_count(
     """Fewest Chebyshev nodes, at most ``n_slits``, that interpolate the slit
     envelope (widths up to ``max_width``) and the Fresnel remainder (|c - x'|
     up to ``reach``) across the slit centres to ``NODE_TOLERANCE``."""
-    z = float(half_span * k * (max_width + reach**3 / (L2 * L2)) / (2.0 * L2))
+    # Python floats: a far off-axis window overflows z to inf, without a warning
+    z = half_span * k * (max_width + reach * reach * reach / (L2 * L2)) / (2.0 * L2)
     m, power = 1, z / 2.0  # power = (z/2)^m / m!
     while m < n_slits and 2.0 * power / (m + 1) > NODE_TOLERANCE:
         m += 1
@@ -301,8 +302,7 @@ def _node_basis(centers: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _chirp(beta: float, n: np.ndarray) -> np.ndarray:
-    """exp(i beta n^2 / 2) at the integers n (n[-1] the largest), the phase
-    reduced mod 2 pi exactly: beta / 4 pi splits so that high * n^2 is exact."""
+    """exp(i beta n^2 / 2) at the integers n (largest last), reduced mod 2 pi exactly."""
     n2 = np.square(n, dtype=float)
     turns = beta / (4.0 * math.pi)
     q = 53 - math.frexp(turns * float(n2[-1]))[1]
@@ -357,7 +357,7 @@ def _slit_terms(
     points: the chirp-z transform (Rabiner, Schafer and Rader, 1969) on
     numpy's single-threaded FFT. ``_chirp`` reduces the chirp phases (up to
     about 5e4 rad) mod 2 pi exactly. R and delta' are evaluated at the P x M
-    (pixel, node) points only; no pixels x slits array is built.
+    (pixel, node) points only, so the work scales with pixels x nodes.
 
     Sines. With rho_m = k delta^'_m / 2 the envelope sum equals
     sum_m V_m sin(s rho_m) + s W0 exactly, where V_m = W_m / rho_m (0 where
@@ -402,9 +402,9 @@ def _slit_terms(
     else:
         slit_amps = np.ones_like(centers)
 
-    reach = float(max(-positions[0], positions[-1])) + centers[-1]
-    nodes, basis = _node_basis(centers, _node_count(k, L2, centers[-1], n_slits, max_width, reach))
-    # the chirp-z sum over the slits of the basis times the slit factors
+    half_span = float(centers[-1])
+    reach = float(max(-positions[0], positions[-1])) + half_span
+    nodes, basis = _node_basis(centers, _node_count(k, L2, half_span, n_slits, max_width, reach))
     chirp = _chirp(k * period * grid.pixel_pitch / L2, np.arange(max(n_pixels, n_slits)))
     slits = slit_amps * np.exp((1j * k / L2) * centers * (centers / 2.0 - positions[0]))
     slits *= chirp[:n_slits].conj()
