@@ -10,9 +10,9 @@ limits        coherence / uncertainty-principle budget for a grating
 render        interferogram file to a false-color binary pixmap
 
 All commands share ``--config``, ``--preset``, ``--set KEY=VALUE``,
-``--out``, and ``--seed``. Exit codes: 0 success, 2 configuration error,
-3 any other domain/fit/geometry error. Outputs carry no timestamps and are
-byte-identical across reruns of the same configuration.
+``--out``, and ``--seed``. Exit codes: 0 success, 2 configuration or
+input-file error, 3 any other domain/fit/geometry error. Outputs carry no
+timestamps and are byte-identical across reruns of the same configuration.
 """
 
 from __future__ import annotations
@@ -200,9 +200,11 @@ def _measured_trace(config: RunConfig, seed: int) -> tuple[Trace, dict[str, Any]
         raise ConfigurationError(
             "fit-seff needs fit.measured_csv or fit.target_s_eff_nm"
         )
+    noise = config.require("fit.noise_fraction")
+    if noise < 0.0:
+        raise ConfigurationError(f"fit.noise_fraction must be non-negative, got {noise!r}")
     trace = _band_trace(config, replace(config.grating(), effective_slit_width=target))
     provenance: dict[str, Any] = {"target_effective_slit_width_m": target}
-    noise = config.require("fit.noise_fraction")
     if noise > 0.0:
         rng = np.random.default_rng(seed)
         values = trace.intensities * (1.0 + noise * rng.standard_normal(len(trace)))

@@ -280,10 +280,7 @@ class RunConfig:
         )
 
     def source(self) -> SourceModel:
-        return SourceModel(
-            source_width=self.require("source.width_um"),
-            most_probable_velocity=self.require("source.most_probable_velocity_m_s"),
-        )
+        return SourceModel(source_width=self.require("source.width_um"))
 
     def detector_grid(self) -> DetectorGrid:
         return DetectorGrid(

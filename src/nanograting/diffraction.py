@@ -318,7 +318,6 @@ def _slit_terms(
     period: float,
     grid: DetectorGrid,
     window: str,
-    gaussian_window_sigma: float | None = None,
     *,
     max_width: float,
 ) -> _SlitTerms:
@@ -393,11 +392,7 @@ def _slit_terms(
     centers = _slit_centers(n_slits, period)
 
     if window == "gaussian":
-        sigma_w = gaussian_window_sigma
-        if sigma_w is None:
-            sigma_w = max(n_slits * period / 4.0, period)
-        if sigma_w <= 0.0:
-            raise DomainError(f"gaussian window sigma must be positive, got {sigma_w!r}")
+        sigma_w = max(n_slits * period / 4.0, period)
         slit_amps = np.exp(-0.5 * (centers / sigma_w) ** 2)
     else:
         slit_amps = np.ones_like(centers)
@@ -474,7 +469,6 @@ def kirchhoff_pattern(
     grid: DetectorGrid,
     *,
     window: str = "hard",
-    gaussian_window_sigma: float | None = None,
 ) -> Trace:
     """Scalar Kirchhoff diffraction pattern of ``n_slits`` coherently
     illuminated slits of the grating's *effective* width s.
@@ -508,11 +502,9 @@ def kirchhoff_pattern(
     window:
         "hard" illuminates all slits equally (a_j = 1); "gaussian" applies an
         amplitude taper a_j = exp(-c_j^2 / (2 sigma_w^2)) over slit centers,
-        with sigma_w = ``gaussian_window_sigma`` (default: one quarter of the
-        illuminated span).
+        with sigma_w one quarter of the illuminated span (at least one period).
     """
-    terms = _slit_terms(k, L2, n_slits, grating.period, grid, window, gaussian_window_sigma,
-                        max_width=grating.slit_width)
+    terms = _slit_terms(k, L2, n_slits, grating.period, grid, window, max_width=grating.slit_width)
     return Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width), "raw")
 
 

@@ -26,6 +26,8 @@ __all__ = [
 
 ATOMIC_MASS_KG = 1.66053906660e-27
 
+BAR_WIDTH_TOLERANCE = 0.25  # largest relative deviation of a given bar width from d - s
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -57,26 +59,14 @@ class Molecule:
         Free-form label.
     mass:
         Mass in kg, strictly positive.
-    polarizability:
-        Optional principal static polarizability values in cubic angstroms.
-        Metadata only: no operation consumes it, it travels with the molecule
-        for reporting.
     """
 
     name: str
     mass: float
-    polarizability: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise DomainError(f"molecule mass must be positive, got {self.mass!r}")
-        if self.polarizability is not None:
-            pol = tuple(float(a) for a in self.polarizability)
-            if len(pol) != 3 or any(a < 0.0 for a in pol):
-                raise DomainError(
-                    "polarizability must be three non-negative principal values"
-                )
-            object.__setattr__(self, "polarizability", pol)
 
 
 @dataclass(frozen=True)
@@ -95,7 +85,7 @@ class Grating:
     bar_length, bar_width:
         Physical extent of one grating bar in m. If ``bar_width`` is omitted
         it defaults to d - s. A provided value must agree with d - s within
-        ``bar_width_tolerance`` (relative), since bars and slits tile the
+        ``BAR_WIDTH_TOLERANCE`` (relative), since bars and slits tile the
         period.
     ribbon_width:
         Width of membrane material wound into one bar, for bars that are
@@ -118,7 +108,6 @@ class Grating:
     layers: int = 1
     areal_density: float | None = None
     label: str = ""
-    bar_width_tolerance: float = 0.25
 
     def __post_init__(self) -> None:
         d, s, s_eff = self.period, self.slit_width, self.effective_slit_width
@@ -144,11 +133,11 @@ class Grating:
             if self.bar_width < 0.0:
                 raise DomainError(f"bar width must be non-negative, got {self.bar_width!r}")
             rel = abs(self.bar_width - expected) / expected
-            if rel > self.bar_width_tolerance:
+            if rel > BAR_WIDTH_TOLERANCE:
                 raise DomainError(
                     f"bar width {self.bar_width!r} inconsistent with period - slit "
                     f"= {expected!r} (relative deviation {rel:.3f} exceeds "
-                    f"{self.bar_width_tolerance})"
+                    f"{BAR_WIDTH_TOLERANCE})"
                 )
         if self.ribbon_width is None:
             object.__setattr__(self, "ribbon_width", self.bar_width)
@@ -193,25 +182,14 @@ class BeamlineGeometry:
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Beam source: emitting spot size and velocity scale.
-
-    ``most_probable_velocity`` is the scale parameter v_p of the effusive-beam
-    weighting w(v) ~ v^3 exp(-v^2/v_p^2); the mode of that weight sits at
-    sqrt(3/2) * v_p. ``velocity_spread`` is an optional spread parameter for
-    alternative weightings and is carried as metadata.
-    """
+    """Beam source: the emitting spot size in m, which sets the transverse
+    coherence at the grating."""
 
     source_width: float
-    most_probable_velocity: float
-    velocity_spread: float | None = None
 
     def __post_init__(self) -> None:
         if self.source_width <= 0.0:
             raise DomainError(f"source width must be positive, got {self.source_width!r}")
-        if self.most_probable_velocity <= 0.0:
-            raise DomainError(
-                f"most probable velocity must be positive, got {self.most_probable_velocity!r}"
-            )
 
 
 def de_broglie_wavelength(molecule: Molecule, velocity: float) -> float:

@@ -16,7 +16,8 @@ class DomainError(NanogratingError, ValueError):
 
 
 class ConfigurationError(NanogratingError):
-    """Missing or invalid configuration: unknown preset, bad key, absent density."""
+    """Missing or invalid configuration or input file: unknown preset, bad key,
+    absent density, a trace or interferogram file with bad values."""
 
 
 class ResolutionError(NanogratingError):

@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .diffraction import (
     DetectorGrid,
     _frozen_array,
+    _slit_envelope,
+    _slit_terms,
+    _SlitTerms,
     coherence,
     gaussian_kernel,
-    kirchhoff_pattern,
 )
 from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, SourceModel
 from .domain import de_broglie_wavelength
@@ -48,6 +50,11 @@ DISTRIBUTION_KINDS = ("maxwell-boltzmann-beam", "uniform-band", "discrete")
 
 # velocity range over which image synthesis is validated
 VELOCITY_SUPPORT = (50.0, 1000.0)
+
+ORIENTATION = "up-positive"  # the one row order of an interferogram: index rises with height
+
+MIN_STRIPE_SIGNAL = 1e-3  # least stripe peak, relative to the image peak
+MIN_PEAK_FRACTION = 0.02  # least first-order peak, relative to its stripe's zeroth order
 
 
 def _ballistic_coefficient(geometry: BeamlineGeometry) -> float:
@@ -178,16 +185,14 @@ class ImageGrid:
 
 @dataclass(frozen=True)
 class Interferogram:
-    """A 2D intensity image. Row index increases with height: values[iy, ix]
-    sits at (x_min + ix * pitch_x, y_min + iy * pitch_y); the orientation tag
-    records this up-positive convention."""
+    """A 2D intensity image. Row index increases with height (``ORIENTATION``):
+    values[iy, ix] sits at (x_min + ix * pitch_x, y_min + iy * pitch_y)."""
 
     values: np.ndarray
     pixel_pitch_x: float
     pixel_pitch_y: float
     x_min: float
     y_min: float
-    orientation: str = "up-positive"
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -195,8 +200,6 @@ class Interferogram:
             raise DomainError("interferogram values must be a non-empty 2D array")
         if self.pixel_pitch_x <= 0.0 or self.pixel_pitch_y <= 0.0:
             raise DomainError("pixel pitches must be positive")
-        if self.orientation != "up-positive":
-            raise DomainError(f"unsupported orientation {self.orientation!r}")
         if not np.all(np.isfinite(arr)):
             raise DomainError("interferogram intensities must be finite")
         if np.any(arr < 0.0):
@@ -293,22 +296,29 @@ def _blurred_image(
     return np.einsum("cy,cx->yx", placements, rows)
 
 
-def _velocity_classes(
-    distribution: VelocityDistribution,
-    molecule: Molecule,
-    source: SourceModel,
-    geometry: BeamlineGeometry,
-    period: float,
-    coherence_prefactor: float,
-) -> Iterator[tuple[float, float, float, int]]:
-    """(velocity, weight, wave number, coherent slit count) for each
-    positive-weight class."""
-    for v, w in zip(distribution.velocities, distribution.weights):
+def _class_terms(
+    classes: Iterable[tuple[float, float]], grating: Grating, molecule: Molecule,
+    source: SourceModel, geometry: BeamlineGeometry, grid: DetectorGrid,
+    coherence_prefactor: float, window: str,
+) -> Iterator[tuple[float, _SlitTerms]]:
+    """(weight, slit-width-independent terms) per positive-weight (velocity,
+    weight) class, one class at a time, with its own wave number and coherent
+    slit count and the nodes sized for the geometric width, the widest s_eff."""
+    for v, w in classes:
         if w == 0.0:
             continue
         wavelength = de_broglie_wavelength(molecule, float(v))
-        coh = coherence(source, geometry, wavelength, period, coherence_prefactor)
-        yield float(v), float(w), 2.0 * math.pi / wavelength, coh.n_coherent_slits
+        coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
+        yield float(w), _slit_terms(
+            2.0 * math.pi / wavelength, geometry.L2, coh.n_coherent_slits, grating.period,
+            grid, window, max_width=grating.slit_width,
+        )
+
+
+def _class_row(terms: _SlitTerms, s: float) -> np.ndarray:
+    """One class's pattern at slit width ``s``, normalized to unit pixel sum."""
+    intensities = _slit_envelope(terms, s)
+    return intensities / intensities.sum()
 
 
 def synthesize_image(
@@ -341,16 +351,14 @@ def synthesize_image(
         )
 
     placements: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
+    on_grid_classes: list[tuple[float, float]] = []
     clipped_v: list[float] = []
     clipped_w = 0.0
 
-    detector = grid.detector_grid()
-    for v, w, k, n_slits in _velocity_classes(
-        distribution, molecule, source, geometry, grating.period, coherence_prefactor
-    ):
-        y2 = fall_position(v, geometry)
-        f = (y2 - grid.y_min) / grid.pixel_pitch_y
+    for v, w in zip(distribution.velocities.tolist(), distribution.weights.tolist()):
+        if w == 0.0:
+            continue
+        f = (fall_position(v, geometry) - grid.y_min) / grid.pixel_pitch_y
         i0 = math.floor(f)
         frac = f - i0
         on_grid = [
@@ -360,8 +368,7 @@ def synthesize_image(
         ]
         # a class that lands entirely off the grid needs no pattern
         if on_grid:
-            trace = kirchhoff_pattern(grating, k, geometry.L2, n_slits, detector, window=window)
-            rows.append(trace.intensities / trace.intensities.sum())
+            on_grid_classes.append((v, w))
             placement = np.zeros(grid.ny)
             for idx, share in on_grid:
                 placement[idx] = w * share
@@ -371,6 +378,11 @@ def synthesize_image(
             clipped_v.append(v)
             clipped_w += w * (1.0 - placed)
 
+    classes = _class_terms(
+        on_grid_classes, grating, molecule, source, geometry, grid.detector_grid(),
+        coherence_prefactor, window,
+    )
+    rows = [_class_row(terms, grating.effective_slit_width) for _, terms in classes]
     values = _blurred_image(
         np.array(placements).reshape(-1, grid.ny),
         np.array(rows).reshape(-1, grid.nx),
@@ -435,8 +447,6 @@ def stripe_velocity_profile(
     molecule: Molecule,
     *,
     n_stripes: int = 20,
-    min_peak_fraction: float = 0.02,
-    min_stripe_signal: float = 1e-3,
     psf_sigma: float = 3.5e-6,
 ) -> StripeProfile:
     """Velocity vs height from the first-order fringe spacing of horizontal
@@ -447,8 +457,8 @@ def stripe_velocity_profile(
     first-order peak the strongest local maximum beyond the zeroth-order
     exclusion zone (2.5 detection sigmas, at least 3 pixels). The offset
     x1 - x0 gives the diffraction angle, hence the wavelength and velocity.
-    Stripes with too little signal or no detectable first-order peak are
-    skipped and reported.
+    Stripes with too little signal (``MIN_STRIPE_SIGNAL``) or no detectable
+    first-order peak (``MIN_PEAK_FRACTION``) are skipped and reported.
     """
     if period <= 0.0:
         raise DomainError(f"period must be positive, got {period!r}")
@@ -474,14 +484,14 @@ def stripe_velocity_profile(
             skipped.append(idx)
             continue
         profile = image.values[lo:hi].sum(axis=0)
-        if profile.max() <= min_stripe_signal * image_peak or profile.max() <= 0.0:
+        if profile.max() <= MIN_STRIPE_SIGNAL * image_peak or profile.max() <= 0.0:
             skipped.append(idx)
             continue
         i0 = int(np.argmax(profile))
         x0 = _parabolic_peak(x, profile, i0)
         peaks = _local_maxima(profile)
         peaks = peaks[(x[peaks] > x0 + exclusion)]
-        peaks = peaks[profile[peaks] >= min_peak_fraction * profile[i0]]
+        peaks = peaks[profile[peaks] >= MIN_PEAK_FRACTION * profile[i0]]
         if peaks.size == 0:
             skipped.append(idx)
             continue

@@ -204,8 +204,7 @@ def subtract_background(image: Interferogram, background: Interferogram) -> Inte
         )
     diff = np.maximum(image.values - background.values, 0.0)
     return Interferogram(
-        diff, image.pixel_pitch_x, image.pixel_pitch_y, image.x_min, image.y_min,
-        image.orientation,
+        diff, image.pixel_pitch_x, image.pixel_pitch_y, image.x_min, image.y_min
     )
 
 

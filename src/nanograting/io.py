@@ -17,8 +17,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from .diffraction import Trace
-from .errors import ConfigurationError
-from .gravity import Interferogram
+from .errors import ConfigurationError, DomainError
+from .gravity import ORIENTATION, Interferogram
 
 __all__ = [
     "format_report",
@@ -52,7 +52,7 @@ _SIDECAR_KEYS = {
     "pixel_pitch_y_m": ("a finite number", _is_number),
     "x_min_m": ("a finite number", _is_number),
     "y_min_m": ("a finite number", _is_number),
-    "orientation": ("a string", lambda value: isinstance(value, str)),
+    "orientation": (repr(ORIENTATION), lambda value: value == ORIENTATION),
     "dtype": (repr(_IMAGE_DTYPE), lambda value: value == _IMAGE_DTYPE),
 }
 
@@ -113,7 +113,10 @@ def read_trace_csv(path: str | Path) -> tuple[Trace, dict[str, str]]:
     if not xs:
         raise ConfigurationError(f"no trace rows found in {path}")
     normalization = header.pop("normalization", "raw")
-    return Trace(np.array(xs), np.array(ys), normalization), header
+    try:
+        return Trace(np.array(xs), np.array(ys), normalization), header
+    except DomainError as exc:
+        raise ConfigurationError(f"trace file {source}: {exc}") from exc
 
 
 def write_interferogram(path: str | Path, image: Interferogram) -> None:
@@ -130,7 +133,7 @@ def write_interferogram(path: str | Path, image: Interferogram) -> None:
         "pixel_pitch_y_m": image.pixel_pitch_y,
         "x_min_m": image.x_min,
         "y_min_m": image.y_min,
-        "orientation": image.orientation,
+        "orientation": ORIENTATION,
         "dtype": _IMAGE_DTYPE,
     }
     text = json.dumps(sidecar, sort_keys=True, indent=2)
@@ -172,14 +175,16 @@ def read_interferogram(path: str | Path) -> Interferogram:
         raise ConfigurationError(
             f"interferogram payload holds {raw.size} values, expected {nx * ny}"
         )
-    return Interferogram(
-        raw.reshape(ny, nx),
-        float(meta["pixel_pitch_x_m"]),
-        float(meta["pixel_pitch_y_m"]),
-        float(meta["x_min_m"]),
-        float(meta["y_min_m"]),
-        meta["orientation"],
-    )
+    try:
+        return Interferogram(
+            raw.reshape(ny, nx),
+            float(meta["pixel_pitch_x_m"]),
+            float(meta["pixel_pitch_y_m"]),
+            float(meta["x_min_m"]),
+            float(meta["y_min_m"]),
+        )
+    except DomainError as exc:
+        raise ConfigurationError(f"interferogram file {target}: {exc}") from exc
 
 
 def write_pixmap(path: str | Path, data: bytes) -> None:

@@ -143,8 +143,6 @@ MOLECULE_PRESETS: dict[str, dict[str, Any]] = {
     "pch2": {
         "name": "PcH2",
         "mass": 514.0 * ATOMIC_MASS_KG,
-        # principal static polarizability values, cubic angstroms (metadata)
-        "polarizability": (135.7, 139.9, 27.5),
     },
 }
 

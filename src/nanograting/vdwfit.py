@@ -15,23 +15,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .diffraction import (
     DetectorGrid,
     Trace,
-    _slit_envelope,
-    _slit_terms,
     _SlitTerms,
     far_field_orders,
     gaussian_kernel,
     symmetric_convolve,
 )
 from .domain import BeamlineGeometry, Grating, Molecule, SourceModel
-from .errors import DomainError, FitError
-from .gravity import VelocityDistribution, _local_maxima, _parabolic_peak, _velocity_classes
+from .errors import DomainError, FitError, WorkBudgetError
+from .gravity import VelocityDistribution, _class_row, _class_terms, _local_maxima
+from .gravity import _parabolic_peak
 
 __all__ = [
     "OrderPopulation",
@@ -44,6 +43,10 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# most points a coarse scan may take; the default scan takes 49, a 0.1 nm step
+# over the widest preset slit 641
+MAX_COARSE_POINTS = 10_000
+
 
 def suppression_ratio(slit_width: float, effective_slit_width: float) -> float:
     """Geometric-to-effective slit width ratio, >= 1 for attractive walls."""
@@ -55,28 +58,6 @@ def suppression_ratio(slit_width: float, effective_slit_width: float) -> float:
     return slit_width / effective_slit_width
 
 
-def _class_terms(
-    velocity_band: VelocityDistribution,
-    grating: Grating,
-    molecule: Molecule,
-    source: SourceModel,
-    geometry: BeamlineGeometry,
-    grid: DetectorGrid,
-    coherence_prefactor: float,
-    window: str,
-) -> Iterator[tuple[float, _SlitTerms]]:
-    """(weight, slit-width-independent pattern terms) per positive-weight
-    class, built one class at a time. The envelope nodes are sized for the
-    geometric slit width, the widest s_eff the grating admits."""
-    for _, w, k, n_slits in _velocity_classes(
-        velocity_band, molecule, source, geometry, grating.period, coherence_prefactor
-    ):
-        yield w, _slit_terms(
-            k, geometry.L2, n_slits, grating.period, grid, window,
-            max_width=grating.slit_width,
-        )
-
-
 def _band_sum(
     classes: Iterable[tuple[float, _SlitTerms]], s: float, grid: DetectorGrid,
     kernel: np.ndarray | None,
@@ -85,8 +66,7 @@ def _band_sum(
     convolved with ``kernel`` (the detector Gaussian) unless it is None."""
     acc = np.zeros(grid.n_pixels)
     for w, terms in classes:
-        intensities = _slit_envelope(terms, s)
-        acc += w * (intensities / intensities.sum())
+        acc += w * _class_row(terms, s)
     if kernel is not None:
         acc = symmetric_convolve(acc, kernel)
     return Trace(grid.positions, acc)
@@ -112,7 +92,8 @@ def band_averaged_trace(
     Gaussian of the grid (skipped when ``convolve`` is False).
     """
     classes = _class_terms(
-        velocity_band, grating, molecule, source, geometry, grid, coherence_prefactor, window
+        zip(velocity_band.velocities, velocity_band.weights),
+        grating, molecule, source, geometry, grid, coherence_prefactor, window,
     )
     kernel = gaussian_kernel(grid.psf_sigma, grid.pixel_pitch) if convolve else None
     return _band_sum(classes, grating.effective_slit_width, grid, kernel)
@@ -244,14 +225,22 @@ def fit_effective_slit(
     The forward model is the velocity-band-averaged, detector-convolved
     multi-slit pattern on the measured trace's own grid, the same as
     ``band_averaged_trace`` bit for bit. Each class's slit-width-independent
-    terms (pixels x envelope nodes, see ``diffraction._slit_terms``) are
+    terms (pixels x envelope nodes, see ``gravity._class_terms``) are
     built once per call and reused by every evaluation. The
     residual is the RMS difference after max-normalization and
     principal-peak registration.
     A coarse scan at ``coarse_step`` over [lower_bound, slit width] brackets
     the global minimum, then golden-section search refines it to
-    ``tolerance`` (0.1 nm by default).
+    ``tolerance`` (0.1 nm by default). A step that is not positive, a tolerance
+    below the float spacing at the slit width, or a scan of more than
+    ``MAX_COARSE_POINTS`` points is refused.
     """
+    # golden section cannot shrink a bracket below the float spacing of its widths
+    if not (tolerance >= math.ulp(grating.slit_width) and coarse_step > 0.0):
+        raise DomainError(
+            f"need tolerance >= {math.ulp(grating.slit_width)!r} m and coarse step > 0, "
+            f"got {tolerance!r}, {coarse_step!r}"
+        )
     y = measured.intensities
     if y.max() <= 0.0 or y.max() == y.min():
         raise FitError("measured trace is flat; there is nothing to fit")
@@ -265,6 +254,12 @@ def fit_effective_slit(
         raise DomainError(
             f"empty search interval [{lo!r}, {hi!r}] for the effective slit width"
         )
+    steps = (hi - lo) / coarse_step
+    if steps >= MAX_COARSE_POINTS:
+        raise WorkBudgetError(
+            f"a coarse scan over [{lo!r}, {hi!r}] m at {coarse_step!r} m steps takes "
+            f"{np.floor(steps) + 1:.0f} points, more than the budget of {MAX_COARSE_POINTS}"
+        )
 
     grid = DetectorGrid(
         x_min=float(measured.positions[0]),
@@ -277,11 +272,10 @@ def fit_effective_slit(
 
     # everything but the sinc is independent of s_eff: build it once per fit
     kernel = gaussian_kernel(psf_sigma, grid.pixel_pitch)
-    classes = list(
-        _class_terms(
-            velocity_band, grating, molecule, source, geometry, grid, coherence_prefactor, "hard"
-        )
-    )
+    classes = list(_class_terms(
+        zip(velocity_band.velocities, velocity_band.weights),
+        grating, molecule, source, geometry, grid, coherence_prefactor, "hard",
+    ))
     evaluations = 0
     cache: dict[int, float] = {}
 
@@ -297,7 +291,7 @@ def fit_effective_slit(
         return value
 
     # coarse scan guards against secondary minima near envelope-zero crossings
-    n_coarse = max(2, int(math.floor((hi - lo) / coarse_step)) + 1)
+    n_coarse = max(2, int(steps) + 1)
     coarse = np.linspace(lo, hi, n_coarse)
     coarse_values = [objective(float(s)) for s in coarse]
     best = int(np.argmin(coarse_values))

@@ -42,7 +42,7 @@ from nanograting.limits import (
 from nanograting.presets import grating_preset, molecule_preset
 
 GEOMETRY = BeamlineGeometry.from_segments(L1=1.554, L2=0.586, g=9.81)
-SOURCE = SourceModel(source_width=1.5e-6, most_probable_velocity=180.0)
+SOURCE = SourceModel(source_width=1.5e-6)
 PCH2 = molecule_preset("pch2")
 PRESET_NAMES = ("sinx", "biphenyl", "bilayer", "slg", "scroll")
 

@@ -296,6 +296,57 @@ class TestFitSeff:
         assert "error:" in stderr
 
 
+    @pytest.mark.parametrize("setting, expected", [
+        ("fit.tolerance_nm=0", 3),
+        ("fit.tolerance_nm=-0.1", 3),
+        ("fit.tolerance_nm=1e-16", 3),
+        ("fit.coarse_step_nm=0", 3),
+        ("fit.coarse_step_nm=-1", 3),
+        ("fit.coarse_step_nm=0.0001", 2),
+        ("fit.noise_fraction=-0.5", 2),
+    ])
+    def test_bad_fit_settings_exit_with_a_message(self, capsys, setting, expected):
+        code, _, stderr = run_cli(capsys, "fit-seff", *FIT_ARGS, "--set", setting)
+        assert code == expected
+        assert stderr.startswith("error:")
+
+
+def _flawed_input(tmp_path, flaw):
+    """An interferogram or trace file with one bad value, for a CLI that reads it."""
+    if flaw in ("nan-trace", "negative-trace"):
+        path = tmp_path / "m.csv"
+        bad = "nan" if flaw == "nan-trace" else "-1.0"
+        path.write_text(f"position_m,intensity\n0.0,1.0\n1e-06,{bad}\n2e-06,1.0\n")
+        return path
+    path = tmp_path / "img.f64"
+    write_interferogram(path, Interferogram(np.ones((4, 3)), 1e-6, 2e-6, 0.0, 0.0))
+    if flaw == "orientation":
+        sidecar = tmp_path / "img.f64.json"
+        sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), orientation="down")))
+    else:
+        values = np.ones(12)
+        values[5] = np.nan if flaw == "nan-image" else -1.0
+        path.write_bytes(values.astype("<f8").tobytes())
+    return path
+
+
+@pytest.mark.parametrize("command, key, flaw", [
+    ("render", "render.image_path", "nan-image"),
+    ("render", "render.image_path", "negative-image"),
+    ("render", "render.image_path", "orientation"),
+    ("fit-velocity", "profile.image_path", "nan-image"),
+    ("fit-velocity", "profile.image_path", "negative-image"),
+    ("fit-velocity", "profile.image_path", "orientation"),
+    ("fit-seff", "fit.measured_csv", "nan-trace"),
+    ("fit-seff", "fit.measured_csv", "negative-trace"),
+])
+def test_bad_values_in_input_files_exit_2(capsys, tmp_path, command, key, flaw):
+    path = _flawed_input(tmp_path, flaw)
+    code, _, stderr = run_cli(capsys, command, "--preset", "sinx", "--set", f"{key}={path}")
+    assert code == 2
+    assert stderr.startswith("error:") and str(path) in stderr
+
+
 @pytest.mark.parametrize(
     "args, outputs",
     [

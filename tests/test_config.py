@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from nanograting import ConfigurationError
+from nanograting import ConfigurationError, VelocityDistribution
 from nanograting.config import (
     DEFAULTS,
     KNOWN_KEYS,
@@ -114,7 +115,13 @@ def test_geometry_and_source_builders():
     assert geo.L == pytest.approx(2.14)
     src = config.source()
     assert src.source_width == pytest.approx(1.5e-6)
-    assert src.most_probable_velocity == 180.0
+    # without velocity.most_probable_m_s a Maxwell band takes v_p from the source key
+    band = load_run_config(
+        overrides=["velocity.kind=maxwell-boltzmann-beam", "source.most_probable_velocity_m_s=150"]
+    ).velocity_distribution()
+    expected = VelocityDistribution.maxwell_beam(150.0, n_classes=200)
+    assert np.array_equal(band.velocities, expected.velocities)
+    assert np.array_equal(band.weights, expected.weights)
 
 
 def test_velocity_builder_kind_defaults():

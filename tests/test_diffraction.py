@@ -53,7 +53,7 @@ def test_wave_number_value_and_identities():
 def test_coherent_slit_count_example():
     # angle C*lam/w = 3 urad exactly; width at grating 3e-6 * 1.554 m;
     # floor against the 101 nm period gives 46 slits
-    source = SourceModel(source_width=1.5e-6, most_probable_velocity=180.0)
+    source = SourceModel(source_width=1.5e-6)
     result = coherence(source, GEO, wavelength=3e-12, period=101e-9)
     assert result.coherence_angle == pytest.approx(3e-6, rel=1e-12)
     assert result.coherence_width_at_grating == pytest.approx(3e-6 * 1.554, rel=1e-12)
@@ -61,7 +61,7 @@ def test_coherent_slit_count_example():
 
 
 def test_coherent_slit_count_floors_at_one():
-    source = SourceModel(source_width=1.5e-6, most_probable_velocity=180.0)
+    source = SourceModel(source_width=1.5e-6)
     result = coherence(source, GEO, wavelength=1e-18, period=101e-9)
     assert result.n_coherent_slits == 1
 
@@ -271,7 +271,7 @@ def test_trace_rejects_non_finite_data():
 
 
 PCH2 = molecule_preset("pch2")
-SOURCE = SourceModel(source_width=1.5e-6, most_probable_velocity=180.0)
+SOURCE = SourceModel(source_width=1.5e-6)
 
 
 def _midpoint_reference(grating, k, L2, n_slits, grid, slit_amps, node_phase=0.02):

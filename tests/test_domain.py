@@ -125,6 +125,4 @@ def test_geometry_validation():
 
 def test_source_model_validation():
     with pytest.raises(DomainError):
-        SourceModel(source_width=0.0, most_probable_velocity=180.0)
-    with pytest.raises(DomainError):
-        SourceModel(source_width=1.5e-6, most_probable_velocity=-5.0)
+        SourceModel(source_width=0.0)

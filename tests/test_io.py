@@ -81,7 +81,6 @@ def test_interferogram_round_trip(tmp_path):
     assert back.pixel_pitch_y == img.pixel_pitch_y
     assert back.x_min == img.x_min
     assert back.y_min == img.y_min
-    assert back.orientation == "up-positive"
 
 
 def test_interferogram_sidecar_contents(tmp_path):
@@ -126,6 +125,7 @@ def test_interferogram_read_validation(tmp_path):
         ("x_min_m", True),
         ("y_min_m", float("nan")),
         ("orientation", None),
+        ("orientation", "down"),
         ("dtype", ">f8"),
     ],
 )

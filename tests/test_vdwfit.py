@@ -25,13 +25,18 @@ from nanograting import (
 from nanograting.config import load_run_config
 from nanograting.diffraction import coherence, kirchhoff_pattern, wave_number
 from nanograting.domain import de_broglie_wavelength
+from nanograting.errors import WorkBudgetError
 from nanograting.presets import grating_preset
-from nanograting import vdwfit
+from nanograting import gravity, vdwfit
 
 GEOMETRY = BeamlineGeometry.from_segments(L1=1.554, L2=0.586, g=9.81)
 PCH2 = Molecule(name="pch2", mass=8.5e-25)
-SOURCE = SourceModel(source_width=1.5e-6, most_probable_velocity=180.0)
+SOURCE = SourceModel(source_width=1.5e-6)
 SINX = grating_preset("sinx")
+
+
+def _no_terms(*args, **kwargs):
+    raise AssertionError("class terms built")
 
 
 class TestSuppressionRatio:
@@ -189,6 +194,31 @@ class TestFitEffectiveSlit:
                 lower_bound=SINX.slit_width * 2.0,
             )
 
+    @pytest.mark.parametrize("tolerance, coarse_step", [
+        (0.0, 1e-9), (-1e-10, 1e-9), (1e-25, 1e-9), (1e-10, 0.0), (1e-10, -1e-9),
+    ])
+    def test_unreachable_tolerance_or_bad_step_rejected_before_any_terms(
+        self, monkeypatch, tolerance, coarse_step
+    ):
+        measured = band_averaged_trace(SINX, PCH2, self.BAND, SOURCE, GEOMETRY, self.GRID)
+        monkeypatch.setattr(vdwfit, "_class_terms", _no_terms)
+        # 1e-25 m is below the float spacing of a 50 nm width: the bracket never shrinks to it
+        with pytest.raises(DomainError, match="need tolerance >="):
+            fit_effective_slit(
+                measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE,
+                coarse_step=coarse_step, tolerance=tolerance,
+            )
+
+    def test_coarse_scan_over_the_budget_refused_before_any_terms(self, monkeypatch):
+        measured = band_averaged_trace(SINX, PCH2, self.BAND, SOURCE, GEOMETRY, self.GRID)
+        monkeypatch.setattr(vdwfit, "_class_terms", _no_terms)
+        points = math.floor((SINX.slit_width - 1e-9) / 1e-13) + 1
+        assert points > vdwfit.MAX_COARSE_POINTS
+        with pytest.raises(WorkBudgetError, match=f"takes {points} points"):
+            fit_effective_slit(
+                measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE, coarse_step=1e-13,
+            )
+
     def test_each_evaluation_equals_the_band_averaged_trace(self, monkeypatch):
         calls = []
         band_sum = vdwfit._band_sum
@@ -242,7 +272,10 @@ class TestFitEffectiveSlit:
         tracemalloc.start()
         try:
             classes = list(
-                vdwfit._class_terms(band, SINX, PCH2, SOURCE, GEOMETRY, grid, 1.5, "hard")
+                gravity._class_terms(
+                    zip(band.velocities, band.weights), SINX, PCH2, SOURCE, GEOMETRY, grid,
+                    1.5, "hard",
+                )
             )
             held = tracemalloc.get_traced_memory()[0]
         finally:
