@@ -7,156 +7,22 @@ slit width and of the beam velocity, uncertainty-principle coherence limits,
 and false-color rendering.
 """
 
-from .diffraction import (
-    CoherenceResult,
-    DetectorGrid,
-    DiffractionOrder,
-    FarFieldOrders,
-    Trace,
-    coherence,
-    detector_convolve,
-    far_field_orders,
-    fraunhofer_multislit,
-    gaussian_kernel,
-    kirchhoff_pattern,
-    symmetric_convolve,
-    wave_number,
-)
-from .domain import (
-    ATOMIC_MASS_KG,
-    CONSTANTS,
-    BeamlineGeometry,
-    Grating,
-    Molecule,
-    PhysicalConstants,
-    SourceModel,
-    bar_mass,
-    de_broglie_wavelength,
-    opening_fraction,
-)
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    FitError,
-    GeometryError,
-    NanogratingError,
-    ResolutionError,
-)
-from .gravity import (
-    ImageGrid,
-    Interferogram,
-    StripeProfile,
-    StripeVelocity,
-    SynthesisResult,
-    VelocityDistribution,
-    fall_position,
-    fit_velocity,
-    stripe_velocity_profile,
-    synthesize_image,
-)
-from .imaging import (
-    HOT_COLORMAP,
-    HotColormap,
-    extract_band,
-    hot_color,
-    hot_color_inverse,
-    render_image,
-    subtract_background,
-)
-from .limits import (
-    LimitsReport,
-    adsorption_coverage,
-    coherence_check,
-    diffraction_momentum_spread,
-    grating_momentum_uncertainty,
-    limits_report,
-    min_coherent_slit,
-    momentum_transfer_hk,
-    thermal_scroll_amplitude,
-)
-from .presets import (
-    grating_preset,
-    grating_preset_names,
-    molecule_preset,
-    molecule_preset_names,
-    preset_notes,
-)
-from .vdwfit import (
-    OrderPopulation,
-    SlitFitResult,
-    band_averaged_trace,
-    fit_effective_slit,
-    order_population,
-    suppression_ratio,
-)
+from . import diffraction, domain, errors, gravity, imaging, limits, presets, vdwfit
+from .diffraction import *
+from .domain import *
+from .errors import *
+from .gravity import *
+from .imaging import *
+from .limits import *
+from .presets import *
+from .vdwfit import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATOMIC_MASS_KG",
-    "CONSTANTS",
-    "HOT_COLORMAP",
-    "BeamlineGeometry",
-    "CoherenceResult",
-    "ConfigurationError",
-    "DetectorGrid",
-    "DiffractionOrder",
-    "DomainError",
-    "FarFieldOrders",
-    "FitError",
-    "GeometryError",
-    "Grating",
-    "HotColormap",
-    "ImageGrid",
-    "Interferogram",
-    "LimitsReport",
-    "Molecule",
-    "NanogratingError",
-    "OrderPopulation",
-    "PhysicalConstants",
-    "ResolutionError",
-    "SlitFitResult",
-    "SourceModel",
-    "StripeProfile",
-    "StripeVelocity",
-    "SynthesisResult",
-    "Trace",
-    "VelocityDistribution",
-    "adsorption_coverage",
-    "band_averaged_trace",
-    "bar_mass",
-    "coherence",
-    "coherence_check",
-    "de_broglie_wavelength",
-    "detector_convolve",
-    "diffraction_momentum_spread",
-    "extract_band",
-    "fall_position",
-    "far_field_orders",
-    "fit_effective_slit",
-    "fit_velocity",
-    "fraunhofer_multislit",
-    "gaussian_kernel",
-    "grating_momentum_uncertainty",
-    "grating_preset",
-    "grating_preset_names",
-    "hot_color",
-    "hot_color_inverse",
-    "kirchhoff_pattern",
-    "limits_report",
-    "min_coherent_slit",
-    "molecule_preset",
-    "molecule_preset_names",
-    "momentum_transfer_hk",
-    "opening_fraction",
-    "order_population",
-    "preset_notes",
-    "render_image",
-    "stripe_velocity_profile",
-    "subtract_background",
-    "suppression_ratio",
-    "symmetric_convolve",
-    "synthesize_image",
-    "thermal_scroll_amplitude",
-    "wave_number",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (diffraction, domain, errors, gravity, imaging, limits, presets, vdwfit)
+        for name in module.__all__
+    }
+)

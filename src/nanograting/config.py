@@ -33,109 +33,74 @@ __all__ = [
     "parse_config_text",
 ]
 
-# key -> (type tag, SI scale). Scale applies to float-valued keys only.
-KNOWN_KEYS: dict[str, tuple[str, float]] = {
-    "molecule.preset": ("str", 1.0),
-    "molecule.name": ("str", 1.0),
-    "molecule.mass_kg": ("float", 1.0),
-    "molecule.mass_u": ("float", ATOMIC_MASS_KG),
-    "grating.preset": ("str", 1.0),
-    "grating.period_nm": ("float", 1e-9),
-    "grating.slit_width_nm": ("float", 1e-9),
-    "grating.effective_slit_width_nm": ("float", 1e-9),
-    "grating.bar_length_nm": ("float", 1e-9),
-    "grating.bar_width_nm": ("float", 1e-9),
-    "grating.ribbon_width_nm": ("float", 1e-9),
-    "grating.layers": ("int", 1.0),
-    "grating.areal_density_kg_m2": ("float", 1.0),
-    "geometry.L1_m": ("float", 1.0),
-    "geometry.L2_m": ("float", 1.0),
-    "geometry.g_m_s2": ("float", 1.0),
-    "geometry.y0_m": ("float", 1.0),
-    "geometry.y1_m": ("float", 1.0),
-    "source.width_um": ("float", 1e-6),
-    "source.most_probable_velocity_m_s": ("float", 1.0),
-    "source.coherence_prefactor": ("float", 1.0),
-    "velocity.kind": ("str", 1.0),
-    "velocity.center_m_s": ("float", 1.0),
-    "velocity.half_width_m_s": ("float", 1.0),
-    "velocity.n_classes": ("int", 1.0),
-    "velocity.most_probable_m_s": ("float", 1.0),
-    "velocity.v_min_m_s": ("float", 1.0),
-    "velocity.v_max_m_s": ("float", 1.0),
-    "velocity.list_m_s": ("float_list", 1.0),
-    "detector.x_min_um": ("float", 1e-6),
-    "detector.x_max_um": ("float", 1e-6),
-    "detector.pixel_pitch_um": ("float", 1e-6),
-    "detector.psf_sigma_um": ("float", 1e-6),
-    "image.y_min_um": ("float", 1e-6),
-    "image.y_max_um": ("float", 1e-6),
-    "image.pixel_pitch_y_um": ("float", 1e-6),
-    "simulate.velocity_m_s": ("float", 1.0),
-    "simulate.band": ("bool", 1.0),
-    "simulate.n_slits": ("int", 1.0),
-    "simulate.n_max": ("int", 1.0),
-    "simulate.window": ("str", 1.0),
-    "fit.lower_bound_nm": ("float", 1e-9),
-    "fit.coarse_step_nm": ("float", 1e-9),
-    "fit.tolerance_nm": ("float", 1e-9),
-    "fit.measured_csv": ("str", 1.0),
-    "fit.target_s_eff_nm": ("float", 1e-9),
-    "fit.noise_fraction": ("float", 1.0),
-    "fit.y2_um": ("float", 1e-6),
-    "limits.sigma_nm": ("float", 1e-9),
-    "limits.temperature_K": ("float", 1.0),
-    "limits.beam_length_nm": ("float", 1e-9),
-    "limits.beam_diameter_nm": ("float", 1e-9),
-    "limits.youngs_modulus_GPa": ("float", 1e9),
-    "limits.max_order": ("int", 1.0),
-    "limits.lambda_ref_nm": ("float", 1e-9),
-    "limits.molecule_count": ("float", 1.0),
-    "limits.open_area_um2": ("float", 1e-12),
-    "limits.footprint_nm2": ("float", 1e-18),
-    "render.vertical_stretch": ("float", 1.0),
-    "render.image_path": ("str", 1.0),
-    "profile.n_stripes": ("int", 1.0),
-    "profile.image_path": ("str", 1.0),
+# key -> (type tag, SI scale, default text or None). The scale applies to
+# float-valued keys only; defaults are converted like any other source.
+KNOWN_KEYS: dict[str, tuple[str, float, str | None]] = {
+    "molecule.preset": ("str", 1.0, "pch2"),
+    "molecule.name": ("str", 1.0, None),
+    "molecule.mass_kg": ("float", 1.0, None),
+    "molecule.mass_u": ("float", ATOMIC_MASS_KG, None),
+    "grating.preset": ("str", 1.0, None),
+    "grating.period_nm": ("float", 1e-9, None),
+    "grating.slit_width_nm": ("float", 1e-9, None),
+    "grating.effective_slit_width_nm": ("float", 1e-9, None),
+    "grating.bar_length_nm": ("float", 1e-9, None),
+    "grating.bar_width_nm": ("float", 1e-9, None),
+    "grating.ribbon_width_nm": ("float", 1e-9, None),
+    "grating.layers": ("int", 1.0, None),
+    "grating.areal_density_kg_m2": ("float", 1.0, None),
+    "geometry.L1_m": ("float", 1.0, "1.554"),
+    "geometry.L2_m": ("float", 1.0, "0.586"),
+    "geometry.g_m_s2": ("float", 1.0, "9.81"),
+    "geometry.y0_m": ("float", 1.0, "0"),
+    "geometry.y1_m": ("float", 1.0, "0"),
+    "source.width_um": ("float", 1e-6, "1.5"),
+    "source.most_probable_velocity_m_s": ("float", 1.0, "180"),
+    "source.coherence_prefactor": ("float", 1.0, "1.5"),
+    "velocity.kind": ("str", 1.0, "uniform-band"),
+    "velocity.center_m_s": ("float", 1.0, "220"),
+    "velocity.half_width_m_s": ("float", 1.0, "10"),
+    "velocity.n_classes": ("int", 1.0, None),
+    "velocity.most_probable_m_s": ("float", 1.0, None),
+    "velocity.v_min_m_s": ("float", 1.0, None),
+    "velocity.v_max_m_s": ("float", 1.0, None),
+    "velocity.list_m_s": ("float_list", 1.0, None),
+    "detector.x_min_um": ("float", 1e-6, "-230"),
+    "detector.x_max_um": ("float", 1e-6, "230"),
+    "detector.pixel_pitch_um": ("float", 1e-6, "0.5"),
+    "detector.psf_sigma_um": ("float", 1e-6, "3.5"),
+    "image.y_min_um": ("float", 1e-6, "-330"),
+    "image.y_max_um": ("float", 1e-6, "-75"),
+    "image.pixel_pitch_y_um": ("float", 1e-6, "2.5"),
+    "simulate.velocity_m_s": ("float", 1.0, "220"),
+    "simulate.band": ("bool", 1.0, "true"),
+    "simulate.n_slits": ("int", 1.0, "0"),
+    "simulate.n_max": ("int", 1.0, "9"),
+    "simulate.window": ("str", 1.0, "hard"),
+    "fit.lower_bound_nm": ("float", 1e-9, "1"),
+    "fit.coarse_step_nm": ("float", 1e-9, "1"),
+    "fit.tolerance_nm": ("float", 1e-9, "0.1"),
+    "fit.measured_csv": ("str", 1.0, None),
+    "fit.target_s_eff_nm": ("float", 1e-9, None),
+    "fit.noise_fraction": ("float", 1.0, "0"),
+    "fit.y2_um": ("float", 1e-6, None),
+    "limits.sigma_nm": ("float", 1e-9, None),
+    "limits.temperature_K": ("float", 1.0, "300"),
+    "limits.beam_length_nm": ("float", 1e-9, None),
+    "limits.beam_diameter_nm": ("float", 1e-9, None),
+    "limits.youngs_modulus_GPa": ("float", 1e9, "1000"),
+    "limits.max_order": ("int", 1.0, "9"),
+    "limits.lambda_ref_nm": ("float", 1e-9, "780.241"),
+    "limits.molecule_count": ("float", 1.0, None),
+    "limits.open_area_um2": ("float", 1e-12, None),
+    "limits.footprint_nm2": ("float", 1e-18, "1.7"),
+    "render.vertical_stretch": ("float", 1.0, "1.0"),
+    "render.image_path": ("str", 1.0, None),
+    "profile.n_stripes": ("int", 1.0, "20"),
+    "profile.image_path": ("str", 1.0, None),
 }
 
-DEFAULTS: dict[str, str] = {
-    "molecule.preset": "pch2",
-    "geometry.L1_m": "1.554",
-    "geometry.L2_m": "0.586",
-    "geometry.g_m_s2": "9.81",
-    "geometry.y0_m": "0",
-    "geometry.y1_m": "0",
-    "source.width_um": "1.5",
-    "source.most_probable_velocity_m_s": "180",
-    "source.coherence_prefactor": "1.5",
-    "velocity.kind": "uniform-band",
-    "velocity.center_m_s": "220",
-    "velocity.half_width_m_s": "10",
-    "detector.x_min_um": "-230",
-    "detector.x_max_um": "230",
-    "detector.pixel_pitch_um": "0.5",
-    "detector.psf_sigma_um": "3.5",
-    "image.y_min_um": "-330",
-    "image.y_max_um": "-75",
-    "image.pixel_pitch_y_um": "2.5",
-    "simulate.velocity_m_s": "220",
-    "simulate.band": "true",
-    "simulate.n_slits": "0",
-    "simulate.n_max": "9",
-    "simulate.window": "hard",
-    "fit.lower_bound_nm": "1",
-    "fit.coarse_step_nm": "1",
-    "fit.tolerance_nm": "0.1",
-    "fit.noise_fraction": "0",
-    "limits.temperature_K": "300",
-    "limits.youngs_modulus_GPa": "1000",
-    "limits.max_order": "9",
-    "limits.lambda_ref_nm": "780.241",
-    "limits.footprint_nm2": "1.7",
-    "render.vertical_stretch": "1.0",
-    "profile.n_stripes": "20",
-}
+DEFAULTS: dict[str, str] = {k: text for k, (_, _, text) in KNOWN_KEYS.items() if text is not None}
 
 # velocity-class counts when velocity.n_classes is not set: band analysis
 # needs enough classes for smooth order plateaus; beam synthesis resolves the
@@ -148,9 +113,8 @@ _FALSE_WORDS = {"false", "no", "off", "0"}
 
 
 def _convert(key: str, raw: str) -> Any:
-    if key not in KNOWN_KEYS:
-        raise ConfigurationError(f"unknown configuration key {key!r}")
-    kind, scale = KNOWN_KEYS[key]
+    """Typed SI value of the known key ``key`` from its raw text."""
+    kind, scale, _ = KNOWN_KEYS[key]
     text = raw.strip()
     if kind == "str":
         if not text:

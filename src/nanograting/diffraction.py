@@ -31,6 +31,7 @@ __all__ = [
     "fraunhofer_multislit",
     "gaussian_kernel",
     "kirchhoff_pattern",
+    "symmetric_convolve",
     "wave_number",
 ]
 
@@ -551,14 +552,15 @@ def gaussian_kernel(sigma: float, pitch: float) -> np.ndarray:
 
 
 def symmetric_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Convolve a 1D signal with a unit-sum symmetric kernel under
-    edge-mirrored boundary handling, which conserves the total signal exactly
-    (every kernel tap falling off an edge is folded back inside)."""
-    if kernel.size == 1:
-        return values * kernel[0]
+    """Convolve a 1D signal, or each row of a 2D array, with a unit-sum
+    symmetric kernel under edge-mirrored boundary handling, which conserves
+    each row's total exactly (every kernel tap falling off an edge is folded
+    back inside; ``np.pad`` reflects again where the kernel is wider than the
+    row). The one blur of the package: traces, image rows and placements."""
     radius = kernel.size // 2
-    padded = np.pad(values, radius, mode="symmetric")
-    return np.convolve(padded, kernel, mode="valid")
+    padded = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(radius, radius)], mode="symmetric")
+    rows = padded.reshape(-1, padded.shape[-1])
+    return np.array([np.convolve(row, kernel, mode="valid") for row in rows]).reshape(values.shape)
 
 
 def detector_convolve(trace: Trace, sigma: float) -> Trace:
@@ -570,8 +572,5 @@ def detector_convolve(trace: Trace, sigma: float) -> Trace:
     """
     if sigma < 0.0:
         raise DomainError(f"psf sigma must be non-negative, got {sigma!r}")
-    kernel = gaussian_kernel(sigma, trace.pixel_pitch)
-    if kernel.size == 1:
-        return Trace(trace.positions, trace.intensities, trace.normalization)
-    blurred = symmetric_convolve(trace.intensities, kernel)
+    blurred = symmetric_convolve(trace.intensities, gaussian_kernel(sigma, trace.pixel_pitch))
     return Trace(trace.positions, blurred, trace.normalization)

@@ -6,6 +6,16 @@ numerical/fit/geometry failures exit 3.
 
 from __future__ import annotations
 
+__all__ = [
+    "ConfigurationError",
+    "DomainError",
+    "FitError",
+    "GeometryError",
+    "NanogratingError",
+    "ResolutionError",
+    "WorkBudgetError",
+]
+
 
 class NanogratingError(Exception):
     """Base class for all package-specific errors."""

@@ -28,6 +28,7 @@ from .diffraction import (
     _SlitTerms,
     coherence,
     gaussian_kernel,
+    symmetric_convolve,
 )
 from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, SourceModel
 from .domain import de_broglie_wavelength
@@ -271,19 +272,6 @@ class SynthesisResult:
     n_classes: int
 
 
-def _convolve_rows(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """``symmetric_convolve`` of every row of a 2D array: one edge-mirrored
-    pad, then the tap-weighted sum of shifted column slices (the kernel is
-    symmetric, so no flip is needed)."""
-    radius = kernel.size // 2
-    padded = np.pad(values, ((0, 0), (radius, radius)), mode="symmetric")
-    n = values.shape[1]
-    out = kernel[0] * padded[:, :n]
-    for j in range(1, kernel.size):
-        out += kernel[j] * padded[:, j : j + n]
-    return out
-
-
 def _blurred_image(
     placements: np.ndarray, rows: np.ndarray, sigma_x_px: float, sigma_y_px: float
 ) -> np.ndarray:
@@ -291,8 +279,8 @@ def _blurred_image(
     edge-mirrored Gaussian (conserves total mass). Blurring each class's row
     (x kernel) and placement column (y kernel) before the outer product equals
     blurring the image's rows and columns, at the cost of the classes only."""
-    rows = _convolve_rows(rows, gaussian_kernel(sigma_x_px, 1.0))
-    placements = _convolve_rows(placements, gaussian_kernel(sigma_y_px, 1.0))
+    rows = symmetric_convolve(rows, gaussian_kernel(sigma_x_px, 1.0))
+    placements = symmetric_convolve(placements, gaussian_kernel(sigma_y_px, 1.0))
     return np.einsum("cy,cx->yx", placements, rows)
 
 
@@ -473,6 +461,7 @@ def stripe_velocity_profile(
     exclusion = max(2.5 * psf_sigma, 3.0 * pitch)
     image_peak = float(image.values.max())
 
+    # ny >= n_stripes, so the bounds strictly increase: no stripe is empty
     bounds = np.linspace(0, image.ny, n_stripes + 1).astype(int)
     stripes: list[StripeVelocity] = []
     raw: list[tuple[float, float]] = []
@@ -480,9 +469,6 @@ def stripe_velocity_profile(
 
     for idx in range(n_stripes):
         lo, hi = bounds[idx], bounds[idx + 1]
-        if hi <= lo:
-            skipped.append(idx)
-            continue
         profile = image.values[lo:hi].sum(axis=0)
         if profile.max() <= MIN_STRIPE_SIGNAL * image_peak or profile.max() <= 0.0:
             skipped.append(idx)
@@ -498,10 +484,8 @@ def stripe_velocity_profile(
         i1 = int(peaks[np.argmax(profile[peaks])])
         x1 = _parabolic_peak(x, profile, i1)
         angle = math.atan2(x1 - x0, geometry.L2)
+        # x1 > x0 + exclusion - pitch / 2 > x0: the angle and wavelength are positive
         wavelength = period * math.sin(angle)
-        if wavelength <= 0.0:
-            skipped.append(idx)
-            continue
         velocity = CONSTANTS.h / (molecule.mass * wavelength)
         y_center = float(y_rows[lo : hi].mean())
         raw.append((y_center, velocity))

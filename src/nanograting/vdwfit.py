@@ -277,18 +277,11 @@ def fit_effective_slit(
         grating, molecule, source, geometry, grid, coherence_prefactor, "hard",
     ))
     evaluations = 0
-    cache: dict[int, float] = {}
 
     def objective(s_eff: float) -> float:
         nonlocal evaluations
-        key = int(round(s_eff * 1e13))
-        if key in cache:
-            return cache[key]
-        candidate = _band_sum(classes, s_eff, grid, kernel)
         evaluations += 1
-        value = _registered_rms(y, candidate.intensities)
-        cache[key] = value
-        return value
+        return _registered_rms(y, _band_sum(classes, s_eff, grid, kernel).intensities)
 
     # coarse scan guards against secondary minima near envelope-zero crossings
     n_coarse = max(2, int(steps) + 1)

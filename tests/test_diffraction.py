@@ -212,6 +212,16 @@ def test_symmetric_convolve_conserves_total():
             continue
         out = symmetric_convolve(signal, kernel)
         assert out.sum() == pytest.approx(signal.sum(), rel=1e-12)
+    # a 2D array is blurred row by row, as the image blur uses it; rows of 3
+    # pixels under a 71-tap kernel take the repeated reflection of np.pad
+    for shape in [(4, 150), (3, 3)]:
+        image = rng.uniform(0.0, 3.0, shape)
+        kernel = gaussian_kernel(3.5e-6, 0.5e-6)
+        out = symmetric_convolve(image, kernel)
+        assert out.shape == image.shape
+        for row, blurred in zip(image, out):
+            assert np.array_equal(blurred, symmetric_convolve(row, kernel))
+            assert blurred.sum() == pytest.approx(row.sum(), rel=1e-12)
 
 
 def test_detector_convolve_delta_becomes_gaussian():

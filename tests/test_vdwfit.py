@@ -168,6 +168,18 @@ class TestFitEffectiveSlit:
         assert result.evaluations > 10
         assert result.bracket[0] <= result.effective_slit_width <= result.bracket[1]
 
+    @pytest.mark.parametrize("target", [17e-9, 35e-9])
+    def test_tolerance_below_a_tenth_of_a_picometre_refines(self, target):
+        band = VelocityDistribution.uniform_band(220.0, 10.0, 5)
+        measured = band_averaged_trace(
+            replace(SINX, effective_slit_width=target), PCH2, band, SOURCE, GEOMETRY, self.GRID
+        )
+        result = fit_effective_slit(
+            measured, SINX, PCH2, band, GEOMETRY, SOURCE, tolerance=1e-14,
+        )
+        # the final bracket is narrower than the tolerance and holds the target
+        assert abs(result.effective_slit_width - target) <= 0.5e-14
+
     def test_flat_trace_rejected(self):
         x = self.GRID.positions
         with pytest.raises(FitError):
