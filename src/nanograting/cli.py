@@ -49,7 +49,7 @@ from .io import (
     write_trace_csv,
 )
 from .limits import adsorption_coverage, limits_report, thermal_scroll_amplitude
-from .presets import grating_preset_names, preset_notes
+from .presets import preset_notes
 from .vdwfit import band_averaged_trace, fit_effective_slit
 
 __all__ = ["main"]
@@ -129,9 +129,8 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     wavelength = header["wavelength_m"]
     orders = far_field_orders(wavelength, grating.period, geometry.L2,
                               config.require("simulate.n_max"))
-    first = next((o for o in orders.orders if o.n == 1), None)
-    if first is not None:
-        header["first_order_position_m"] = first.position
+    if len(orders.orders) > 1:
+        header["first_order_position_m"] = orders.orders[1].position
 
     echo = dict(header)
     if args.out is not None:
@@ -310,39 +309,28 @@ def cmd_fit_velocity(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _position_sigma(config: RunConfig) -> tuple[float, str]:
+def _position_sigma(config: RunConfig, grating: Grating) -> tuple[float, str]:
     """Transverse position uncertainty of a grating bar: explicit config
     value, else the preset's measured vibration note, else the thermal
     bending amplitude of the bar."""
     sigma = config.get("limits.sigma_nm")
     if sigma is not None:
         return sigma, "configured"
-    preset_name = config.get("grating.preset")
-    if preset_name is not None and preset_name in grating_preset_names():
-        notes = preset_notes(preset_name)
-        if "vibration_sigma_m" in notes:
-            return float(notes["vibration_sigma_m"]), "preset-vibration-note"
-        diameter = notes.get("scroll_diameter_m")
-    else:
-        diameter = None
-    grating = config.grating()
-    length = config.get("limits.beam_length_nm", grating.bar_length)
-    if diameter is None:
-        diameter = config.get("limits.beam_diameter_nm", grating.bar_width)
-    else:
-        diameter = config.get("limits.beam_diameter_nm", diameter)
-    sigma = thermal_scroll_amplitude(
-        length,
-        diameter,
+    name = config.get("grating.preset")
+    notes = preset_notes(name) if name is not None else {}
+    if "vibration_sigma_m" in notes:
+        return float(notes["vibration_sigma_m"]), "preset-vibration-note"
+    return thermal_scroll_amplitude(
+        config.get("limits.beam_length_nm", grating.bar_length),
+        config.get("limits.beam_diameter_nm", notes.get("scroll_diameter_m", grating.bar_width)),
         config.require("limits.temperature_K"),
         config.require("limits.youngs_modulus_GPa"),
-    )
-    return sigma, "thermal"
+    ), "thermal"
 
 
 def cmd_limits(config: RunConfig, args: argparse.Namespace) -> int:
     grating = config.grating()
-    sigma, sigma_source = _position_sigma(config)
+    sigma, sigma_source = _position_sigma(config, grating)
     report_obj = limits_report(
         grating.effective_slit_width,
         sigma,

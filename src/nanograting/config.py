@@ -191,19 +191,13 @@ class RunConfig:
         return value
 
     def molecule(self) -> Molecule:
-        preset_name = self.get("molecule.preset")
+        # molecule.preset has a default and refuses an empty value, so every
+        # molecule starts from a preset
+        base = molecule_preset(self.require("molecule.preset"))
         mass = self.get("molecule.mass_kg")
         if mass is None:
-            mass = self.get("molecule.mass_u")
-        if preset_name is not None:
-            base = molecule_preset(preset_name)
-            name = self.get("molecule.name", base.name)
-            return replace(base, name=name, mass=base.mass if mass is None else mass)
-        if mass is None:
-            raise ConfigurationError(
-                "molecule is undefined: set molecule.preset or a molecule mass"
-            )
-        return Molecule(name=self.get("molecule.name", "custom"), mass=mass)
+            mass = self.get("molecule.mass_u", base.mass)
+        return replace(base, name=self.get("molecule.name", base.name), mass=mass)
 
     def grating(self) -> Grating:
         overrides = {

@@ -172,22 +172,16 @@ class CoherenceResult:
 @dataclass(frozen=True)
 class DiffractionOrder:
     n: int
-    angle: float      # rad
     position: float   # m, in the detection plane
 
 
 @dataclass(frozen=True)
 class FarFieldOrders:
-    """Propagating orders plus the indices that went evanescent (n*lambda >= d)."""
+    """Propagating orders n = 0, 1, ... plus the higher indices that went
+    evanescent (n*lambda >= d)."""
 
     orders: tuple[DiffractionOrder, ...]
     evanescent: tuple[int, ...] = field(default_factory=tuple)
-
-    def position(self, n: int) -> float:
-        for order in self.orders:
-            if order.n == n:
-                return order.position
-        raise DomainError(f"order {n} is not propagating")
 
 
 def wave_number(molecule: Molecule, velocity: float) -> float:
@@ -238,8 +232,7 @@ def far_field_orders(wavelength: float, period: float, L2: float, n_max: int) ->
         if sine >= 1.0:
             evanescent.append(n)
             continue
-        angle = math.asin(sine)
-        orders.append(DiffractionOrder(n=n, angle=angle, position=L2 * math.tan(angle)))
+        orders.append(DiffractionOrder(n=n, position=L2 * math.tan(math.asin(sine))))
     return FarFieldOrders(orders=tuple(orders), evanescent=tuple(evanescent))
 
 

@@ -463,14 +463,13 @@ def stripe_velocity_profile(
 
     # ny >= n_stripes, so the bounds strictly increase: no stripe is empty
     bounds = np.linspace(0, image.ny, n_stripes + 1).astype(int)
-    stripes: list[StripeVelocity] = []
     raw: list[tuple[float, float]] = []
     skipped: list[int] = []
 
     for idx in range(n_stripes):
         lo, hi = bounds[idx], bounds[idx + 1]
         profile = image.values[lo:hi].sum(axis=0)
-        if profile.max() <= MIN_STRIPE_SIGNAL * image_peak or profile.max() <= 0.0:
+        if profile.max() <= MIN_STRIPE_SIGNAL * image_peak:
             skipped.append(idx)
             continue
         i0 = int(np.argmax(profile))
@@ -490,28 +489,26 @@ def stripe_velocity_profile(
         y_center = float(y_rows[lo : hi].mean())
         raw.append((y_center, velocity))
 
-    coefficient = _ballistic_coefficient(geometry)
-    distinct_heights = len({round(yv[0], 12) for yv in raw})
-    underdetermined = distinct_heights < 2
-
-    if raw and not underdetermined:
-        ys = np.array([p[0] for p in raw])
-        vs = np.array([p[1] for p in raw])
-        # exact least squares of y = intercept + A / v^2
-        intercept = float(np.mean(ys - coefficient / vs**2))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            denom = ys - intercept
-            v_fit = np.where(denom < 0.0, np.sqrt(coefficient / np.where(denom < 0, denom, -1.0)), np.nan)
-        residuals = vs - v_fit
-        ok = np.isfinite(residuals)
-        rms_relative = float(np.sqrt(np.mean((residuals[ok] / vs[ok]) ** 2))) if ok.any() else math.nan
-        for (y_c, v), r in zip(raw, residuals):
-            stripes.append(StripeVelocity(y=y_c, velocity=v, residual=float(r) if math.isfinite(r) else math.nan))
-    else:
+    underdetermined = len({round(y_c, 12) for y_c, _ in raw}) < 2
+    if underdetermined:
         intercept = math.nan
-        rms_relative = math.nan
-        for y_c, v in raw:
-            stripes.append(StripeVelocity(y=y_c, velocity=v, residual=math.nan))
+    else:
+        ys, vs = np.array(raw).T
+        # exact least squares of y = intercept + A / v^2
+        intercept = float(np.mean(ys - _ballistic_coefficient(geometry) / vs**2))
+
+    # residuals against the fitted line, level at the intercept (NaN if underdetermined)
+    stripes: list[StripeVelocity] = []
+    relative: list[float] = []
+    for y_c, v in raw:
+        try:
+            residual = v - fit_velocity(y_c, intercept, intercept, geometry)
+        except GeometryError:  # stripe at or above the fitted line
+            residual = math.nan
+        stripes.append(StripeVelocity(y=y_c, velocity=v, residual=residual))
+        if math.isfinite(residual):
+            relative.append(residual / v)
+    rms_relative = float(np.sqrt(np.mean(np.square(relative)))) if relative else math.nan
 
     return StripeProfile(
         stripes=tuple(stripes),

@@ -197,10 +197,12 @@ def hot_color_inverse(
 
 def subtract_background(image: Interferogram, background: Interferogram) -> Interferogram:
     """Pixel-wise difference clamped at zero; grids must match exactly."""
-    if image.values.shape != background.values.shape:
+    grids = [(im.values.shape, im.pixel_pitch_x, im.pixel_pitch_y, im.x_min, im.y_min)
+             for im in (image, background)]
+    if grids[0] != grids[1]:
         raise DomainError(
-            f"image {image.values.shape} and background {background.values.shape} "
-            "dimensions differ"
+            "image and background grids (shape, pitch x, pitch y, x_min, y_min) "
+            f"differ: {grids[0]} vs {grids[1]}"
         )
     diff = np.maximum(image.values - background.values, 0.0)
     return Interferogram(

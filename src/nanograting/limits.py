@@ -158,12 +158,6 @@ class LimitsReport:
     margin: float
     momentum_transfer_hk: float
 
-    def __post_init__(self) -> None:
-        for name in ("slit_width", "sigma_thermal", "dp_diff", "dp_grating", "s_min",
-                     "margin", "momentum_transfer_hk"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be non-negative")
-
 
 def limits_report(
     slit_width: float,

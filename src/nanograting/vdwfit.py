@@ -121,7 +121,8 @@ def _window_peak(
 ) -> tuple[float, float, bool]:
     """(peak position, raw peak value, found) for the strongest point within
     center +- half_width; found requires an interior local maximum away from
-    the window edges."""
+    the window edges. Away from the edges, the window's first maximum i has
+    y[i - 1] < y[i], so y[i] > 0 on a non-negative trace."""
     x = trace.positions
     y = trace.intensities
     mask = (x >= center - half_width) & (x <= center + half_width)
@@ -130,13 +131,7 @@ def _window_peak(
         return center, 0.0, False
     j = int(np.argmax(y[idx]))
     i = int(idx[j])
-    found = (
-        0 < i < y.size - 1
-        and 0 < j < idx.size - 1
-        and y[i] >= y[i - 1]
-        and y[i] >= y[i + 1]
-        and y[i] > 0.0
-    )
+    found = 0 < j < idx.size - 1 and y[i] >= y[i + 1]
     return _parabolic_peak(x, y, i), float(y[i]), found
 
 
@@ -155,28 +150,17 @@ def order_population(
     refinement. Orders without an interior local maximum there are reported
     with found=False; evanescent orders get NaN positions and zero height.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be non-negative, got {n_max!r}")
     ff = far_field_orders(wavelength, period, L2, n_max)
-    fringe = wavelength * L2 / period
-    half = fringe / 4.0
-
-    x0, h0, found0 = _window_peak(trace, ff.position(0), half)
+    half = wavelength * L2 / period / 4.0
+    peaks = [_window_peak(trace, order.position, half) for order in ff.orders]
+    h0 = peaks[0][1]
     if h0 <= 0.0:
         raise FitError("trace has no signal at the zeroth order; cannot normalize")
-
-    records: list[OrderPopulation] = []
-    propagating = {o.n: o for o in ff.orders}
-    for n in range(n_max + 1):
-        if n not in propagating:
-            records.append(OrderPopulation(n, math.nan, math.nan, 0.0, False))
-            continue
-        nominal = propagating[n].position
-        if n == 0:
-            records.append(OrderPopulation(0, nominal, x0, 1.0, found0))
-            continue
-        xpk, h, found = _window_peak(trace, nominal, half)
-        records.append(OrderPopulation(n, nominal, xpk, h / h0, found))
+    records = [
+        OrderPopulation(order.n, order.position, xpk, h / h0, found)
+        for order, (xpk, h, found) in zip(ff.orders, peaks)
+    ]
+    records += [OrderPopulation(n, math.nan, math.nan, 0.0, False) for n in ff.evanescent]
     return tuple(records)
 
 

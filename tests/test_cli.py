@@ -524,10 +524,11 @@ class TestErrorHandling:
         capsys.readouterr()
 
     def test_module_entrypoint(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nanograting.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "nanograting", "limits",
              "--set", "grating.preset=slg"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0
         assert "min_coherent_slit_m" in proc.stdout

@@ -296,16 +296,18 @@ def _first_order_offset(velocity: float, period: float) -> float:
 
 
 class TestStripeVelocityProfile:
-    def _build_image(self, row_peaks):
-        """One synthetic double-peak row per entry of {row_index: velocity}."""
+    def _build_image(self, row_peaks, pitch_y=5e-6, y_min=-160e-6):
+        """One synthetic row per entry of {row_index: velocity}: a zeroth
+        order, plus a first order unless the velocity is None."""
         nx, ny = 101, 9
-        pitch_x, pitch_y = 1e-6, 5e-6
+        pitch_x = 1e-6
         x = -50e-6 + pitch_x * np.arange(nx)
         values = np.zeros((ny, nx))
         for row, velocity in row_peaks.items():
-            x1 = _first_order_offset(velocity, SINX.period)
-            values[row] = _gaussian(x, 0.0, 2e-6) + 0.3 * _gaussian(x, x1, 2e-6)
-        return Interferogram(values, pitch_x, pitch_y, -50e-6, -160e-6)
+            values[row] = _gaussian(x, 0.0, 2e-6)
+            if velocity is not None:
+                values[row] += 0.3 * _gaussian(x, _first_order_offset(velocity, SINX.period), 2e-6)
+        return Interferogram(values, pitch_x, pitch_y, -50e-6, y_min)
 
     def test_single_bright_row_is_underdetermined(self):
         image = self._build_image({4: 220.0})
@@ -343,6 +345,27 @@ class TestStripeVelocityProfile:
         assert velocities == sorted(velocities)
         assert profile.rms_relative < 0.02
         assert abs(profile.intercept) < 5e-6
+
+    def test_stripe_without_first_order_is_skipped(self):
+        image = self._build_image({1: 220.0, 4: None, 7: 200.0})
+        profile = stripe_velocity_profile(
+            image, GEOMETRY, SINX.period, PCH2, n_stripes=9
+        )
+        assert set(profile.skipped) == set(range(9)) - {1, 7}
+        assert [s.y for s in profile.stripes] == [-155e-6, -125e-6]
+
+    def test_stripe_above_fitted_line_has_nan_residual(self):
+        # equal velocities 400 um apart: the fitted line runs between them,
+        # so the upper stripe (y = 0) lies above it
+        image = self._build_image({0: 250.0, 8: 250.0}, pitch_y=50e-6, y_min=-400e-6)
+        profile = stripe_velocity_profile(
+            image, GEOMETRY, SINX.period, PCH2, n_stripes=9
+        )
+        low, high = profile.stripes
+        assert high.y == 0.0 and math.isnan(high.residual)
+        assert math.isfinite(low.residual)
+        # only the finite residual enters the rms
+        assert profile.rms_relative == pytest.approx(abs(low.residual / low.velocity), rel=1e-15)
 
     def test_validation(self):
         image = self._build_image({4: 220.0})

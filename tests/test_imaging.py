@@ -106,8 +106,14 @@ def test_subtract_background_clamps_at_zero():
     bg = _image(np.full((2, 2), 0.3))
     out = subtract_background(img, bg)
     assert np.allclose(out.values, [[0.2, 0.7], [0.0, 0.0]])
-    with pytest.raises(DomainError):
-        subtract_background(img, _image(np.zeros((3, 2))))
+    mismatched = [
+        _image(np.zeros((3, 2))),
+        Interferogram(np.zeros((2, 2)), 5e-6, 2e-6, 0.0, 0.0),
+        Interferogram(np.zeros((2, 2)), 1e-6, 2e-6, 0.0, 1e-6),
+    ]
+    for background in mismatched:
+        with pytest.raises(DomainError, match="grids"):
+            subtract_background(img, background)
 
 
 def test_extract_band_selects_rows_and_sums_columns():

@@ -135,6 +135,14 @@ class TestOrderPopulation:
             assert math.isfinite(o.nominal_position)
             assert not o.found
 
+    def test_zeroth_order_on_the_first_pixel_is_not_found(self):
+        # the window's peak is the trace's edge pixel: no interior maximum
+        x = DetectorGrid(0.0, 50e-6, 0.5e-6).positions
+        trace = Trace(x, np.exp(-0.5 * (x / 2e-6) ** 2))
+        orders = order_population(trace, SINX.period, self.WAVELENGTH, GEOMETRY.L2, n_max=1)
+        assert orders[0].peak_position == 0.0 and orders[0].height == 1.0
+        assert not orders[0].found
+
     def test_no_signal_at_zeroth_order_raises(self):
         grid = DetectorGrid.symmetric(50e-6, 0.5e-6)
         x = grid.positions
