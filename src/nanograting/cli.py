@@ -127,10 +127,10 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     convolved = detector_convolve(raw, grid.psf_sigma)
     header["psf_sigma_m"] = grid.psf_sigma
     wavelength = header["wavelength_m"]
-    orders = far_field_orders(wavelength, grating.period, geometry.L2,
-                              config.require("simulate.n_max"))
-    if len(orders.orders) > 1:
-        header["first_order_position_m"] = orders.orders[1].position
+    positions = far_field_orders(wavelength, grating.period, geometry.L2,
+                                 config.require("simulate.n_max"))
+    if len(positions) > 1:
+        header["first_order_position_m"] = positions[1]
 
     echo = dict(header)
     if args.out is not None:

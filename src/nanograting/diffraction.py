@@ -11,7 +11,7 @@ normalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .errors import DomainError, ResolutionError, WorkBudgetError
 __all__ = [
     "CoherenceResult",
     "DetectorGrid",
-    "DiffractionOrder",
-    "FarFieldOrders",
     "Trace",
     "coherence",
     "detector_convolve",
@@ -35,7 +33,7 @@ __all__ = [
     "wave_number",
 ]
 
-NORMALIZATIONS = ("raw", "max-1", "unit-area")
+NORMALIZATIONS = ("raw", "max-1")
 
 # largest quadratic phase k*s^2/(8*L2), in rad, dropped across one slit by
 # the per-slit linearization of kirchhoff_pattern
@@ -97,8 +95,7 @@ class Trace:
     """A 1D intensity trace on a uniform position grid.
 
     ``normalization`` records how the intensities are scaled:
-    "raw" (engine units), "max-1" (peak scaled to 1), or "unit-area"
-    (trapezoid integral scaled to 1).
+    "raw" (engine units) or "max-1" (peak scaled to 1).
     """
 
     positions: np.ndarray
@@ -142,22 +139,11 @@ class Trace:
     def pixel_pitch(self) -> float:
         return float(self.positions[1] - self.positions[0])
 
-    def integral(self) -> float:
-        """Trapezoid integral of intensity over position."""
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
-        return float(trapezoid(self.intensities, self.positions))
-
     def normalized_to_max(self) -> "Trace":
         peak = float(self.intensities.max())
         if peak <= 0.0:
             raise DomainError("cannot max-normalize an all-zero trace")
         return Trace(self.positions, self.intensities / peak, "max-1")
-
-    def normalized_to_area(self) -> "Trace":
-        area = self.integral()
-        if area <= 0.0:
-            raise DomainError("cannot area-normalize a zero-integral trace")
-        return Trace(self.positions, self.intensities / area, "unit-area")
 
 
 @dataclass(frozen=True)
@@ -167,21 +153,6 @@ class CoherenceResult:
     coherence_angle: float             # rad
     coherence_width_at_grating: float  # m
     n_coherent_slits: int              # >= 1
-
-
-@dataclass(frozen=True)
-class DiffractionOrder:
-    n: int
-    position: float   # m, in the detection plane
-
-
-@dataclass(frozen=True)
-class FarFieldOrders:
-    """Propagating orders n = 0, 1, ... plus the higher indices that went
-    evanescent (n*lambda >= d)."""
-
-    orders: tuple[DiffractionOrder, ...]
-    evanescent: tuple[int, ...] = field(default_factory=tuple)
 
 
 def wave_number(molecule: Molecule, velocity: float) -> float:
@@ -215,25 +186,21 @@ def coherence(
     )
 
 
-def far_field_orders(wavelength: float, period: float, L2: float, n_max: int) -> FarFieldOrders:
-    """Grating-equation order positions x_n = L2 * tan(asin(n lambda / d)).
+def far_field_orders(
+    wavelength: float, period: float, L2: float, n_max: int
+) -> tuple[float, ...]:
+    """Grating-equation order positions x_n = L2 * tan(asin(n lambda / d)):
+    entry n is order n, for the orders 0 .. n_max that propagate.
 
-    Orders with n*lambda >= d do not propagate; they are omitted from
-    ``orders`` and reported in ``evanescent``.
+    Orders with n*lambda >= d do not propagate, so the tuple stops before the
+    first of them; orders len(positions) .. n_max are evanescent.
     """
     if wavelength <= 0.0 or period <= 0.0 or L2 <= 0.0:
         raise DomainError("wavelength, period, and L2 must all be positive")
     if n_max < 0:
         raise DomainError(f"n_max must be non-negative, got {n_max!r}")
-    orders: list[DiffractionOrder] = []
-    evanescent: list[int] = []
-    for n in range(n_max + 1):
-        sine = n * wavelength / period
-        if sine >= 1.0:
-            evanescent.append(n)
-            continue
-        orders.append(DiffractionOrder(n=n, position=L2 * math.tan(math.asin(sine))))
-    return FarFieldOrders(orders=tuple(orders), evanescent=tuple(evanescent))
+    sines = (n * wavelength / period for n in range(n_max + 1))
+    return tuple(L2 * math.tan(math.asin(sine)) for sine in sines if sine < 1.0)
 
 
 def _slit_centers(n_slits: int, period: float) -> np.ndarray:

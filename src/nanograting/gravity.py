@@ -32,7 +32,7 @@ from .diffraction import (
 )
 from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, SourceModel
 from .domain import de_broglie_wavelength
-from .errors import DomainError, GeometryError
+from .errors import DomainError, GeometryError, WorkBudgetError
 
 __all__ = [
     "ImageGrid",
@@ -57,9 +57,30 @@ ORIENTATION = "up-positive"  # the one row order of an interferogram: index rise
 MIN_STRIPE_SIGNAL = 1e-3  # least stripe peak, relative to the image peak
 MIN_PEAK_FRACTION = 0.02  # least first-order peak, relative to its stripe's zeroth order
 
+# most classes a Maxwell beam or uniform band may hold: each class builds one
+# pattern's terms, about 1.3 ms (2-core VM) and 0.24 MB on the README 921-pixel
+# grid, and a fit keeps every class's terms, so 2,000 classes take 2.6 s and
+# 0.47 GB there
+MAX_VELOCITY_CLASSES = 2_000
+
+# largest image one call may hold, in pixels: synthesize_image's ny x nx image
+# plus its class rows and placements, and render_image's output rows x nx; a
+# render peaks at about 82 B per output pixel (0.41 GB), a synthesis at 19 B
+MAX_IMAGE_PIXELS = 5_000_000
+
 
 def _ballistic_coefficient(geometry: BeamlineGeometry) -> float:
     return geometry.g * (geometry.L * geometry.L1 - geometry.L**2) / 2.0
+
+
+def _check_class_count(n_classes: int) -> None:
+    if n_classes < 1:
+        raise DomainError("need at least one velocity class")
+    if n_classes > MAX_VELOCITY_CLASSES:
+        raise WorkBudgetError(
+            f"{n_classes} velocity classes (one pattern each) exceeds the budget "
+            f"of {MAX_VELOCITY_CLASSES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -112,8 +133,7 @@ class VelocityDistribution:
         """
         if most_probable_velocity <= 0.0:
             raise DomainError("most probable velocity must be positive")
-        if n_classes < 1:
-            raise DomainError("need at least one velocity class")
+        _check_class_count(n_classes)
         lo = most_probable_velocity / 3.0 if v_min is None else v_min
         hi = 3.0 * most_probable_velocity if v_max is None else v_max
         if not 0.0 < lo < hi:
@@ -129,8 +149,7 @@ class VelocityDistribution:
             raise DomainError("band center must be positive")
         if half_width < 0.0 or half_width >= center:
             raise DomainError("band half-width must satisfy 0 <= half_width < center")
-        if n_classes < 1:
-            raise DomainError("need at least one velocity class")
+        _check_class_count(n_classes)
         if half_width == 0.0 or n_classes == 1:
             v = np.array([center])
         else:
@@ -329,7 +348,16 @@ def synthesize_image(
     with no row on the grid is never computed. The image is blurred with the
     detection Gaussian along both axes; the blur is applied to each class's
     row and two-row placement before they are summed into the image.
+    An image whose pixels, class rows and placements exceed
+    ``MAX_IMAGE_PIXELS`` is refused before any array is built.
     """
+    nx, ny, n_classes = grid.nx, grid.ny, len(distribution)
+    size = nx * ny + n_classes * (nx + ny)
+    if size > MAX_IMAGE_PIXELS:
+        raise WorkBudgetError(
+            f"{ny} x {nx} image pixels plus {n_classes} classes x ({ny} + {nx}) rows "
+            f"and placements = {size:.3e} values exceeds the budget of {MAX_IMAGE_PIXELS:.0e}"
+        )
     v_lo = float(distribution.velocities.min())
     v_hi = float(distribution.velocities.max())
     if v_lo < VELOCITY_SUPPORT[0] or v_hi > VELOCITY_SUPPORT[1]:

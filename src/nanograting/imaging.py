@@ -10,13 +10,11 @@ throughout; quantization to 8-bit channels happens only at render time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .diffraction import Trace, _frozen_array
-from .errors import DomainError
-from .gravity import Interferogram
+from .errors import DomainError, WorkBudgetError
+from .gravity import MAX_IMAGE_PIXELS, Interferogram
 
 __all__ = [
     "HOT_COLORMAP",
@@ -134,31 +132,16 @@ _HOT_ROWS = (
 )
 
 
-@dataclass(frozen=True)
 class HotColormap:
-    """Signal-to-RGB lookup over the 100-row heat control table.
+    """Signal-to-RGB lookup over the fixed 100-row heat control table.
 
     ``signals`` are the control abscissae (0.00 .. 0.99); lookups clamp below
     0 and above 0.99 and interpolate linearly between rows. All channels are
     monotone non-decreasing in the signal.
     """
 
-    table: np.ndarray = field(default_factory=lambda: _frozen_array(_HOT_ROWS))
-    signals: np.ndarray = field(default_factory=lambda: _frozen_array(np.arange(100) / 100.0))
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.table, dtype=float)
-        s = np.asarray(self.signals, dtype=float)
-        if t.shape != (s.size, 3):
-            raise DomainError("colormap table must be (n, 3) matching its signal grid")
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise DomainError("colormap channels must lie in [0, 1]")
-        if np.any(np.diff(t, axis=0) < 0.0):
-            raise DomainError("colormap channels must be monotone non-decreasing")
-        if np.any(np.diff(s) <= 0.0):
-            raise DomainError("colormap signal grid must be strictly increasing")
-        object.__setattr__(self, "table", _frozen_array(t))
-        object.__setattr__(self, "signals", _frozen_array(s))
+    table = _frozen_array(_HOT_ROWS)
+    signals = _frozen_array(np.arange(100) / 100.0)
 
     def rgb(self, values: np.ndarray) -> np.ndarray:
         """Vectorized lookup: values of any shape -> RGB array shaped
@@ -174,15 +157,13 @@ class HotColormap:
 HOT_COLORMAP = HotColormap()
 
 
-def hot_color(value: float, colormap: HotColormap = HOT_COLORMAP) -> tuple[float, float, float]:
+def hot_color(value: float) -> tuple[float, float, float]:
     """RGB triple for one normalized signal value in [0, 1]."""
-    r, g, b = colormap.rgb(np.float64(value))
+    r, g, b = HOT_COLORMAP.rgb(np.float64(value))
     return float(r), float(g), float(b)
 
 
-def hot_color_inverse(
-    rgb: tuple[float, float, float], colormap: HotColormap = HOT_COLORMAP
-) -> float:
+def hot_color_inverse(rgb: tuple[float, float, float]) -> float:
     """Signal of the control row nearest to an RGB triple (Euclidean).
 
     Inverts renders: a channel-quantized color maps back to its generating
@@ -191,8 +172,8 @@ def hot_color_inverse(
     probe = np.asarray(rgb, dtype=float)
     if probe.shape != (3,):
         raise DomainError("expected an (R, G, B) triple")
-    distances = np.sum((colormap.table - probe) ** 2, axis=1)
-    return float(colormap.signals[int(np.argmin(distances))])
+    distances = np.sum((HOT_COLORMAP.table - probe) ** 2, axis=1)
+    return float(HOT_COLORMAP.signals[int(np.argmin(distances))])
 
 
 def subtract_background(image: Interferogram, background: Interferogram) -> Interferogram:
@@ -236,31 +217,34 @@ def extract_band(
     return trace
 
 
-def render_image(
-    image: Interferogram,
-    colormap: HotColormap = HOT_COLORMAP,
-    vertical_stretch: float = 1.0,
-) -> bytes:
+def render_image(image: Interferogram, vertical_stretch: float = 1.0) -> bytes:
     """Render an interferogram to a binary portable pixmap (P6, maxval 255).
 
     The image is max-normalized (black = 0, white = peak intensity), colored
     through the lookup table, and quantized as round(255 x channel). Rows run
     top to bottom from high y to low y. ``vertical_stretch`` resamples rows
-    nearest-neighbor to a height of round(stretch x ny) for display.
+    nearest-neighbor to a height of round(stretch x ny) for display. A
+    pixmap of more than ``MAX_IMAGE_PIXELS`` pixels is refused before any
+    array is built.
     """
     if vertical_stretch <= 0.0:
         raise DomainError(f"vertical stretch must be positive, got {vertical_stretch!r}")
+    ny, nx = image.ny, image.nx
+    out_rows = max(1, int(round(vertical_stretch * ny)))
+    if out_rows * nx > MAX_IMAGE_PIXELS:
+        raise WorkBudgetError(
+            f"{out_rows} x {nx} pixmap = {out_rows * nx:.3e} pixels exceeds the "
+            f"budget of {MAX_IMAGE_PIXELS:.0e}"
+        )
     values = image.values
     peak = values.max()
     signal = values / peak if peak > 0.0 else np.zeros_like(values)
 
     top_down = signal[::-1]
-    ny = top_down.shape[0]
-    out_rows = max(1, int(round(vertical_stretch * ny)))
     source = np.minimum((np.arange(out_rows) * ny) // out_rows, ny - 1)
     stretched = top_down[source]
 
-    rgb = colormap.rgb(stretched)
+    rgb = HOT_COLORMAP.rgb(stretched)
     channels = np.rint(255.0 * rgb).astype(np.uint8)
-    header = f"P6\n{image.nx} {out_rows}\n255\n".encode("ascii")
+    header = f"P6\n{nx} {out_rows}\n255\n".encode("ascii")
     return header + channels.tobytes()

@@ -146,8 +146,7 @@ def adsorption_coverage(
 @dataclass(frozen=True)
 class LimitsReport:
     """Coherence bookkeeping for one slit width at one localization sigma,
-    with the optional momentum-transfer figure when a period and maximum
-    order are supplied."""
+    with the momentum transfer of the grating period's maximum order."""
 
     slit_width: float
     sigma_thermal: float
@@ -163,15 +162,15 @@ def limits_report(
     slit_width: float,
     position_sigma: float,
     *,
-    period: float | None = None,
-    max_order: int = 0,
+    period: float,
+    max_order: int,
     lambda_ref: float = CONSTANTS.lambda_ref,
 ) -> LimitsReport:
     """Assemble the full coherence-limit report for one slit/sigma pair.
 
     ``position_sigma`` may come from a measurement or from
-    ``thermal_scroll_amplitude``. The momentum-transfer entry is zero unless
-    a grating period is given. A perfectly localized-in-momentum grating
+    ``thermal_scroll_amplitude``; ``period`` and ``max_order`` set the
+    momentum-transfer entry. A perfectly localized-in-momentum grating
     (sigma = 0, e.g. at zero temperature) is reported as coherent with
     infinite margin and an infinite momentum uncertainty.
     """
@@ -181,9 +180,6 @@ def limits_report(
     else:
         coherent, margin = coherence_check(position_sigma, slit_width)
         dp_grating = grating_momentum_uncertainty(position_sigma)
-    transfer = 0.0
-    if period is not None:
-        transfer = momentum_transfer_hk(period, max_order, lambda_ref)
     return LimitsReport(
         slit_width=slit_width,
         sigma_thermal=position_sigma,
@@ -192,5 +188,5 @@ def limits_report(
         s_min=min_coherent_slit(position_sigma),
         coherent=coherent,
         margin=margin,
-        momentum_transfer_hk=transfer,
+        momentum_transfer_hk=momentum_transfer_hk(period, max_order, lambda_ref),
     )

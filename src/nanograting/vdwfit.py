@@ -104,9 +104,9 @@ class OrderPopulation:
     """One diffraction order located on a trace.
 
     ``height`` is the peak trace value relative to the zeroth order's peak.
-    ``found`` is False when the trace has no interior local maximum within a
-    quarter fringe of the nominal position (order suppressed or evanescent);
-    evanescent orders carry NaN positions.
+    ``found`` is True when the largest sample within a quarter fringe of the
+    nominal position lies inside that window, not on its edge, and False
+    otherwise; evanescent orders are never found and carry NaN positions.
     """
 
     n: int
@@ -119,10 +119,13 @@ class OrderPopulation:
 def _window_peak(
     trace: Trace, center: float, half_width: float
 ) -> tuple[float, float, bool]:
-    """(peak position, raw peak value, found) for the strongest point within
-    center +- half_width; found requires an interior local maximum away from
-    the window edges. Away from the edges, the window's first maximum i has
-    y[i - 1] < y[i], so y[i] > 0 on a non-negative trace."""
+    """(peak position, raw peak value, found) for the strongest sample within
+    center +- half_width. found is True when that sample (the first, on a
+    tie) is neither of the window's edge samples; a window whose largest
+    sample sits on an edge is not found, even if it holds a smaller interior
+    local maximum. The window is a contiguous run of pixels, so an interior
+    first maximum i has y[i - 1] < y[i] >= y[i + 1], and y[i] > 0 on a
+    non-negative trace."""
     x = trace.positions
     y = trace.intensities
     mask = (x >= center - half_width) & (x <= center + half_width)
@@ -131,7 +134,7 @@ def _window_peak(
         return center, 0.0, False
     j = int(np.argmax(y[idx]))
     i = int(idx[j])
-    found = 0 < j < idx.size - 1 and y[i] >= y[i + 1]
+    found = 0 < j < idx.size - 1
     return _parabolic_peak(x, y, i), float(y[i]), found
 
 
@@ -147,20 +150,24 @@ def order_population(
 
     Each order is searched within a quarter of the fringe spacing
     lambda*L2/d of its grating-equation position, with sub-pixel parabolic
-    refinement. Orders without an interior local maximum there are reported
-    with found=False; evanescent orders get NaN positions and zero height.
+    refinement. An order whose largest sample there lies on the window's
+    edge is reported with found=False; evanescent orders get NaN positions
+    and zero height.
     """
-    ff = far_field_orders(wavelength, period, L2, n_max)
+    positions = far_field_orders(wavelength, period, L2, n_max)
     half = wavelength * L2 / period / 4.0
-    peaks = [_window_peak(trace, order.position, half) for order in ff.orders]
+    peaks = [_window_peak(trace, x, half) for x in positions]
     h0 = peaks[0][1]
     if h0 <= 0.0:
         raise FitError("trace has no signal at the zeroth order; cannot normalize")
     records = [
-        OrderPopulation(order.n, order.position, xpk, h / h0, found)
-        for order, (xpk, h, found) in zip(ff.orders, peaks)
+        OrderPopulation(n, x, xpk, h / h0, found)
+        for n, (x, (xpk, h, found)) in enumerate(zip(positions, peaks))
     ]
-    records += [OrderPopulation(n, math.nan, math.nan, 0.0, False) for n in ff.evanescent]
+    records += [
+        OrderPopulation(n, math.nan, math.nan, 0.0, False)
+        for n in range(len(positions), n_max + 1)
+    ]
     return tuple(records)
 
 

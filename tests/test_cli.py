@@ -21,6 +21,7 @@ from nanograting.io import (
     write_trace_csv,
 )
 from nanograting.diffraction import MAX_PIXEL_SLITS, DetectorGrid, Trace
+from nanograting.gravity import MAX_IMAGE_PIXELS, MAX_VELOCITY_CLASSES
 
 
 def run_cli(capsys, *args):
@@ -123,6 +124,40 @@ class TestSimulate:
         estimate = re.search(r"= (\S+) pixel x slit terms", stderr)
         assert estimate is not None, stderr
         assert float(estimate.group(1)) > MAX_PIXEL_SLITS
+        assert peak < 32 * 2**20
+
+
+class TestWorkBudgets:
+    @pytest.mark.parametrize("args, estimate_pattern, budget", [
+        # 4e11 image rows of 921 pixels: about 3 PB as float64
+        (("synth-image", "--preset", "slg", "--set", "image.y_min_um=-1e12"),
+         r"= (\S+) values", MAX_IMAGE_PIXELS),
+        # 1e12 velocity classes: 8 TB for their velocities alone
+        (("synth-image", "--preset", "slg", "--set", "velocity.n_classes=1000000000000"),
+         r"error: (\d+) velocity classes", MAX_VELOCITY_CLASSES),
+        # a 4-row image stretched to 4e12 pixmap rows
+        (("render", "--set", "render.vertical_stretch=1e12"),
+         r"= (\S+) pixels", MAX_IMAGE_PIXELS),
+    ], ids=["image-rows", "velocity-classes", "render-stretch"])
+    def test_runaway_size_exits_2_before_allocating(
+        self, capsys, tmp_path, args, estimate_pattern, budget
+    ):
+        image_path = tmp_path / "img.f64"
+        write_interferogram(image_path, Interferogram(np.ones((4, 3)), 1e-6, 2e-6, 0.0, 0.0))
+        tracemalloc.start()
+        try:
+            code, _, stderr = run_cli(
+                capsys, *args,
+                "--set", f"render.image_path={image_path}",
+                "--out", str(tmp_path / "out"),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        estimate = re.search(estimate_pattern, stderr)
+        assert estimate is not None, stderr
+        assert float(estimate.group(1)) > budget
         assert peak < 32 * 2**20
 
 

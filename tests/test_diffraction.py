@@ -68,21 +68,19 @@ def test_coherent_slit_count_floors_at_one():
 
 def test_far_field_orders_positions():
     lam = de_broglie_wavelength(M85, 220.0)
-    orders = far_field_orders(lam, 105e-9, 0.586, 5)
-    by_n = {o.n: o for o in orders.orders}
-    assert by_n[0].position == 0.0
-    assert by_n[1].position == 1.977528449254354e-05  # about 19.8 um
-    assert by_n[1].position == pytest.approx(19.8e-6, rel=0.005)
+    positions = far_field_orders(lam, 105e-9, 0.586, 5)
+    assert positions[0] == 0.0
+    assert positions[1] == 1.977528449254354e-05  # about 19.8 um
+    assert positions[1] == pytest.approx(19.8e-6, rel=0.005)
     # small-angle check: x_n ~ n * x_1
-    assert by_n[3].position == pytest.approx(3 * by_n[1].position, rel=1e-5)
-    assert orders.evanescent == ()
+    assert positions[3] == pytest.approx(3 * positions[1], rel=1e-5)
+    assert len(positions) == 6  # no order is evanescent
 
 
 def test_far_field_orders_evanescent():
     # n*lambda >= d cannot propagate
-    orders = far_field_orders(30e-9, 100e-9, 0.586, 5)
-    assert [o.n for o in orders.orders] == [0, 1, 2, 3]
-    assert orders.evanescent == (4, 5)
+    positions = far_field_orders(30e-9, 100e-9, 0.586, 5)
+    assert len(positions) == 4  # orders 0..3 propagate, 4 and 5 are evanescent
 
 
 def test_trace_uniform_grid_tolerance_is_one_part_in_a_million():
@@ -115,7 +113,6 @@ def test_trace_validation():
 def test_trace_normalizations():
     t = Trace(np.arange(5.0), np.array([0.0, 1.0, 4.0, 1.0, 0.0]))
     assert t.normalized_to_max().intensities.max() == 1.0
-    assert t.normalized_to_area().integral() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_single_slit_matches_sinc_envelope():
@@ -255,7 +252,11 @@ def test_detector_convolve_preserves_total_and_integral():
         # edge-vanishing signals: the trapezoid integral is conserved too
         bump = Trace(x, np.exp(-0.5 * ((x - center) / 8e-6) ** 2))
         out = detector_convolve(bump, sigma)
-        assert abs(out.integral() - bump.integral()) <= 1e-6 * bump.integral()
+        area_in, area_out = (
+            float(np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2.0)
+            for y in (bump.intensities, out.intensities)
+        )
+        assert abs(area_out - area_in) <= 1e-6 * area_in
 
 
 def test_kirchhoff_runtime_is_bounded():

@@ -11,7 +11,6 @@ from nanograting import (
     render_image,
     subtract_background,
 )
-from nanograting.imaging import HotColormap
 
 
 def test_colormap_has_100_rows_knot_exact():
@@ -56,13 +55,6 @@ def test_hot_color_inverse_round_trip():
         signal = float(rng.uniform(0.0, 0.99))
         recovered = hot_color_inverse(hot_color(signal))
         assert abs(recovered - signal) <= 0.01
-
-
-def test_colormap_table_validation():
-    bad = np.array(HOT_COLORMAP.table)
-    bad[50] = (0.0, 0.0, 0.0)  # breaks monotonicity
-    with pytest.raises(DomainError):
-        HotColormap(bad)
 
 
 def _image(values):

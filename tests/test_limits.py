@@ -150,15 +150,15 @@ def test_limits_report_combines_everything():
 
 
 def test_limits_report_zero_sigma_is_fully_coherent():
-    report = limits_report(59e-9, 0.0)
+    report = limits_report(59e-9, 0.0, period=101e-9, max_order=0)
     assert report.coherent
     assert report.margin == math.inf
     assert report.dp_grating == math.inf
     assert report.s_min == 0.0
-    assert report.momentum_transfer_hk == 0.0  # no period given
+    assert report.momentum_transfer_hk == 0.0  # order 0 transfers nothing
 
 
 def test_limits_report_incoherent_when_sigma_large():
-    report = limits_report(5e-9, 1e-9)
+    report = limits_report(5e-9, 1e-9, period=101e-9, max_order=9)
     assert not report.coherent
     assert report.margin < 1.0

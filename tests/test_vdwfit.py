@@ -1,8 +1,9 @@
 """Tests for band-averaged traces, order population, and the slit-width fit."""
 
+import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -120,6 +121,23 @@ class TestOrderPopulation:
         assert orders[3].found and orders[3].height > 0.01
         # order 2 sits on an envelope zero
         assert orders[2].height < 0.01
+
+    def test_found_is_a_builtin_bool_that_round_trips_through_json(self):
+        # sinx at 400 +- 20 m/s on the README grid: order 1 is found, and the
+        # largest sample of order 5's window sits on the window's edge
+        config = load_run_config(None, "sinx", [])
+        molecule = config.molecule()
+        trace = band_averaged_trace(
+            SINX, molecule, VelocityDistribution.uniform_band(400.0, 20.0, 21), SOURCE,
+            GEOMETRY, DetectorGrid.symmetric(230e-6, 0.5e-6),
+        )
+        wavelength = de_broglie_wavelength(molecule, 400.0)
+        orders = order_population(trace, SINX.period, wavelength, GEOMETRY.L2, n_max=5)
+        assert orders[1].found and not orders[5].found
+        for o in (orders[1], orders[5]):
+            assert type(o.found) is bool
+            record = asdict(o)
+            assert json.loads(json.dumps(record)) == record
 
     def test_evanescent_orders_reported_with_nan_positions(self):
         grid = DetectorGrid.symmetric(50e-6, 1e-6)
