@@ -27,7 +27,6 @@ from nanograting import (
     fall_position,
     fit_effective_slit,
     fit_velocity,
-    fraunhofer_multislit,
     hot_color,
     kirchhoff_pattern,
     order_population,
@@ -40,6 +39,8 @@ from nanograting.limits import (
     thermal_scroll_amplitude,
 )
 from nanograting.presets import grating_preset, molecule_preset
+
+from far_field_oracle import fraunhofer_multislit
 
 GEOMETRY = BeamlineGeometry.from_segments(L1=1.554, L2=0.586, g=9.81)
 SOURCE = SourceModel(source_width=1.5e-6)

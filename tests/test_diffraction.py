@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nanograting import (
@@ -20,7 +20,6 @@ from nanograting import (
     de_broglie_wavelength,
     detector_convolve,
     far_field_orders,
-    fraunhofer_multislit,
     gaussian_kernel,
     grating_preset,
     grating_preset_names,
@@ -30,8 +29,11 @@ from nanograting import (
     wave_number,
 )
 from nanograting.config import load_run_config
-from nanograting.diffraction import MAX_PIXEL_SLITS, MAX_SLIT_PHASE, _slit_envelope, _slit_terms
+from nanograting.diffraction import MAX_PIXEL_SLITS, MAX_SLIT_PHASE, _slit_terms
+from nanograting.diffraction import _envelope_scan, _slit_envelope
 from nanograting.gravity import VELOCITY_SUPPORT
+
+from far_field_oracle import fraunhofer_multislit
 
 M85 = Molecule("test", 8.5e-25)
 GEO = BeamlineGeometry.from_segments(L1=1.554, L2=0.586)
@@ -612,3 +614,36 @@ def test_terms_match_the_per_slit_sum_over_the_gated_domain(
     _assert_terms_match_the_per_slit_sum(
         k, L2, n_slits, grating.period, grid, window, [width_share * s_max, s_max]
     )
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    preset=st.sampled_from(grating_preset_names()),
+    velocity=st.floats(50.0, 1000.0),
+    half_span_px=st.integers(1, 60),
+    pitch_share=st.floats(0.05, 1.0),
+    n_widths=st.integers(2, 10_000),
+    lower_share=st.floats(0.02, 0.9),
+)
+@example(preset="sinx", velocity=220.0, half_span_px=60, pitch_share=0.9, n_widths=10_000,
+         lower_share=0.02)
+def test_envelope_scan_rows_match_the_envelope_at_each_width(
+    preset, velocity, half_span_px, pitch_share, n_widths, lower_share
+):
+    # the bound _envelope_scan states on windows that hold the zeroth order,
+    # for scans up to MAX_COARSE_POINTS widths: 64 rows pass between the
+    # exact recomputations, so a long scan is where rounding would pile up
+    grating = grating_preset(preset)
+    k = wave_number(PCH2, velocity)
+    pitch = pitch_share * (2.0 * math.pi / k * GEO.L2 / grating.period / 2.0)
+    grid = DetectorGrid.symmetric(half_span_px * pitch, pitch)
+    n_slits = coherence(SOURCE, GEO, 2.0 * math.pi / k, grating.period).n_coherent_slits
+    terms = _slit_terms(
+        k, GEO.L2, n_slits, grating.period, grid, "hard", max_width=grating.slit_width
+    )
+    widths = np.linspace(lower_share * grating.slit_width, grating.slit_width, n_widths)
+    rows = _envelope_scan(terms, widths)
+    assert rows.shape == (n_widths, grid.n_pixels)
+    for row, s in zip(rows, widths):
+        expected = _slit_envelope(terms, float(s))
+        assert np.abs(row - expected).max() <= 1e-13 * expected.max(), s

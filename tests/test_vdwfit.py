@@ -258,29 +258,74 @@ class TestFitEffectiveSlit:
             )
 
     def test_each_evaluation_equals_the_band_averaged_trace(self, monkeypatch):
-        calls = []
-        band_sum = vdwfit._band_sum
+        # the coarse rows come from rotated phasors, within the bound the fit
+        # states; every later evaluation goes through _band_sum, bit for bit
+        calls, scored = [], []
+        band_sum, registered_rms = vdwfit._band_sum, vdwfit._registered_rms
 
-        def recording(classes, s, grid, convolve):
-            trace = band_sum(classes, s, grid, convolve)
-            calls.append((s, grid, trace))
-            return trace
+        def recording_sum(classes, s, grid, kernel):
+            values = band_sum(classes, s, grid, kernel)
+            calls.append((s, grid, values))
+            return values
 
-        monkeypatch.setattr(vdwfit, "_band_sum", recording)
+        def recording_rms(reference, candidate):
+            scored.append(candidate.copy())
+            return registered_rms(reference, candidate)
+
         measured = band_averaged_trace(
             replace(SINX, effective_slit_width=20e-9), PCH2, self.BAND, SOURCE, GEOMETRY,
             self.GRID,
         )
-        calls.clear()
+        monkeypatch.setattr(vdwfit, "_band_sum", recording_sum)
+        monkeypatch.setattr(vdwfit, "_registered_rms", recording_rms)
         result = fit_effective_slit(
             measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE, coarse_step=2e-9,
         )
-        assert len(calls) == result.evaluations
-        for s, grid, trace in (calls[0], calls[len(calls) // 2], calls[-1]):
+        monkeypatch.undo()
+
+        n_coarse = math.floor((SINX.slit_width - 1e-9) / 2e-9) + 1
+        assert result.evaluations == n_coarse + len(calls) == len(scored)
+        grid = calls[0][1]
+        for (s, call_grid, values), candidate in zip(calls, scored[n_coarse:]):
+            assert call_grid == grid
+            assert np.array_equal(candidate, values)
             expected = band_averaged_trace(
                 replace(SINX, effective_slit_width=s), PCH2, self.BAND, SOURCE, GEOMETRY, grid
             )
-            assert np.array_equal(trace.intensities, expected.intensities)
+            assert np.array_equal(values, expected.intensities)
+        for row, s in zip(scored[:n_coarse], np.linspace(1e-9, SINX.slit_width, n_coarse)):
+            expected = band_averaged_trace(
+                replace(SINX, effective_slit_width=float(s)), PCH2, self.BAND, SOURCE,
+                GEOMETRY, grid,
+            ).intensities
+            assert np.abs(row - expected).max() <= 1e-13 * expected.max(), s
+
+    def test_coarse_scan_refuses_at_its_first_width_over_the_slit_phase(self):
+        # at L2 = 5 mm and 220 m/s the slit-phase gate closes at about 34 nm,
+        # inside the default scan over [1 nm, 50 nm]
+        geometry = BeamlineGeometry.from_segments(L1=1.554, L2=0.005, g=9.81)
+        band = VelocityDistribution.discrete([220.0])
+        grid = DetectorGrid.symmetric(2e-6, 0.05e-6)
+        x = grid.positions
+        measured = Trace(x, np.exp(-0.5 * (x / 0.5e-6) ** 2))
+        wavelength = de_broglie_wavelength(PCH2, 220.0)
+        n_slits = coherence(SOURCE, geometry, wavelength, SINX.period, 1.5).n_coherent_slits
+        n_coarse = math.floor((SINX.slit_width - 1e-9) / 1e-9) + 1
+        coarse = np.linspace(1e-9, SINX.slit_width, n_coarse)
+        refusals = []
+        for s in coarse:
+            try:
+                kirchhoff_pattern(
+                    replace(SINX, effective_slit_width=float(s)), wave_number(PCH2, 220.0),
+                    geometry.L2, n_slits, grid,
+                )
+            except ResolutionError as error:
+                refusals.append(str(error))
+        assert 0 < len(refusals) < coarse.size
+        assert "quadratic phase" in refusals[0]
+        with pytest.raises(ResolutionError) as raised:
+            fit_effective_slit(measured, SINX, PCH2, band, geometry, SOURCE)
+        assert str(raised.value) == refusals[0]
 
     def test_wide_slit_raises_the_pattern_resolution_error(self):
         # k s^2 / (8 L2) at s = 45 nm and L2 = 5 mm is 0.09 rad > MAX_SLIT_PHASE
