@@ -204,10 +204,11 @@ def far_field_orders(
 @dataclass(frozen=True)
 class _SlitTerms:
     """The s-independent part of ``kirchhoff_pattern`` for one wave number:
-    per pixel (rows) and envelope node (columns) the sine weight V_m and the
-    sine rate rho_m, per pixel the on-node weight W0, plus
-    k/L2/n_slits/period/pitch and the widest width the nodes serve, for the
-    checks."""
+    per envelope node (rows) and pixel (columns) the sine rate rho_m and the
+    sine weight V_m, held as two contiguous real planes (``weights[0]`` the
+    real part, ``weights[1]`` the imaginary), per pixel the on-node weight
+    W0, plus k/L2/n_slits/period/pitch and the widest width the nodes serve,
+    for the checks."""
 
     k: float
     L2: float
@@ -309,14 +310,16 @@ def _slit_terms(
     for all M rows is one FFT convolution over a power of two >= P + N - 1
     points: the chirp-z transform (Rabiner, Schafer and Rader, 1969) on
     numpy's single-threaded FFT. ``_chirp`` reduces the chirp phases (up to
-    about 5e4 rad) mod 2 pi exactly. R and delta' are evaluated at the P x M
-    (pixel, node) points only, so the work scales with pixels x nodes.
+    about 5e4 rad) mod 2 pi exactly. R and delta' are evaluated at the M x P
+    (node, pixel) points only, so the work scales with pixels x nodes.
 
     Sines. With rho_m = k delta^'_m / 2 the envelope sum equals
     sum_m V_m sin(s rho_m) + s W0 exactly, where V_m = W_m / rho_m (0 where
     rho_m = 0) and W0 sums W_m over the nodes with rho_m = 0. The terms hold
-    V (``weights``), rho (``rate``) and W0 (``on_node``): 24 B per pixel and
-    node, 0.22 MB for 921 pixels and 10 nodes.
+    V (``weights``, real and imaginary planes of M x P), rho (``rate``,
+    M x P) and W0 (``on_node``): 24 B per pixel and node, 0.22 MB for 921
+    pixels and 10 nodes. Node-major rows keep each node's pixels contiguous,
+    so the contraction over nodes runs on unit-stride rows.
 
     Error, against the per-slit sum with its phase in long double: at most
     3.7e-13 of the in-window peak on the README presets at 50 and 1000 m/s
@@ -364,19 +367,20 @@ def _slit_terms(
     sums *= np.fft.fft(kernel)
     sums = np.fft.ifft(sums)[:, :n_pixels]
     # the Fresnel remainder k R(u) and the sine rate at the nodes, u = c^_m - x'
-    u = nodes[None, :] - positions[:, None]
+    u = nodes[:, None] - positions[None, :]
     r = np.sqrt(L2 * L2 + u * u)
     rate = (0.5 * k) * u / r
     remainder = (-0.5 * k / L2) * (u * u / (L2 + r)) ** 2
     weights = np.empty(u.shape, dtype=complex)
     np.cos(remainder, out=weights.real)
     np.sin(remainder, out=weights.imag)
-    weights *= sums.T
+    weights *= sums
     on = rate == 0.0
-    on_node = np.where(on, weights, 0.0).sum(axis=1)
+    on_node = np.where(on, weights, 0.0).sum(axis=0)
     np.divide(weights, rate, out=weights, where=~on)
     weights[on] = 0.0
-    return _SlitTerms(k, L2, n_slits, period, grid.pixel_pitch, max_width, weights, rate, on_node)
+    planes = np.stack((weights.real, weights.imag))
+    return _SlitTerms(k, L2, n_slits, period, grid.pixel_pitch, max_width, planes, rate, on_node)
 
 
 def _check_width(terms: _SlitTerms, s: float) -> None:
@@ -404,11 +408,12 @@ def _check_width(terms: _SlitTerms, s: float) -> None:
         )
 
 
-def _contract(terms: _SlitTerms, sines: np.ndarray, s: float) -> np.ndarray:
-    """|sum_m V_m sines_m + s W0|^2 per pixel, sines[p, m] = sin(s rho_m)."""
+def _contract(terms: _SlitTerms, sines: np.ndarray, s: float | np.ndarray) -> np.ndarray:
+    """|sum_m V_m sines_m + s W0|^2 per pixel, sines[..., m, p] = sin(s rho_m),
+    for a scalar s or a (..., 1) column of widths, one per row of sines."""
     # einsum (never BLAS) keeps one summation order whatever the thread count
-    re = np.einsum("pm,pm->p", terms.weights.real, sines)
-    im = np.einsum("pm,pm->p", terms.weights.imag, sines)
+    re = np.einsum("mp,...mp->...p", terms.weights[0], sines)
+    im = np.einsum("mp,...mp->...p", terms.weights[1], sines)
     re += s * terms.on_node.real
     im += s * terms.on_node.imag
     return re * re + im * im
@@ -428,23 +433,30 @@ def _envelope_scan(terms: _SlitTerms, widths: np.ndarray) -> np.ndarray:
     ascending order. Row i reads its sines as Im(z step^i), z = exp(i s_0 rho)
     and step = exp(i Delta rho): one complex multiply per pixel and node, no
     sine (Press et al., Numerical Recipes, 3rd ed., 5.4). The rounding grows
-    linearly with i, so z is recomputed by np.exp every 64 rows. Bound: on a
-    window that holds the zeroth order, each row of a scan of up to 10,000
-    widths is within 1e-13 of its peak of ``_slit_envelope`` at its width
-    (450 random scans on the presets at 50-1000 m/s read at most 1.7e-14;
-    without the recompute, row 9,998 reads 6.5e-13). Off axis, 80 random
-    scans of the gated domain read at most 7.9e-18 of the global peak
+    linearly with i, so z is recomputed by np.exp every 64 rows. The sines
+    of 16 rows at a time go to one ``_contract`` call (a 16 x M x P buffer,
+    0.32 MB at 281 pixels and 9 nodes), which sums each row in the order a
+    lone row would: the rows equal a row-at-a-time scan's, bit for bit.
+    Bound: on a window that holds the zeroth order, each row of a scan of up
+    to 10,000 widths is within 1e-13 of its peak of ``_slit_envelope`` at
+    its width (450 random scans on the presets at 50-1000 m/s read at most
+    1.7e-14; without the recompute, row 9,998 reads 6.5e-13). Off axis, 80
+    random scans of the gated domain read at most 7.9e-18 of the global peak
     (s sum_j a_j)^2."""
     for s in widths:
         _check_width(terms, float(s))
     step = np.exp((1j * (widths[-1] - widths[0]) / (widths.size - 1)) * terms.rate)
-    rows = np.empty((widths.size, terms.rate.shape[0]))
+    rows = np.empty((widths.size, terms.rate.shape[1]))
+    block = np.empty((min(16, widths.size),) + terms.rate.shape)
     for i, s in enumerate(widths):
         if i % 64:
             z *= step
         else:
             z = np.exp((1j * s) * terms.rate)
-        rows[i] = _contract(terms, z.imag, float(s))
+        j = i % 16
+        block[j] = z.imag
+        if j == 15 or i == widths.size - 1:
+            rows[i - j : i + 1] = _contract(terms, block[: j + 1], widths[i - j : i + 1, None])
     return rows
 
 

@@ -38,9 +38,11 @@ __all__ = [
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # most points a coarse scan may take: on the fit-seff grid (281 pixels, 5
-# classes of 9 nodes) a point costs about 0.11 ms (2-core VM) and 12 kB, 42 B
-# per pixel for its row of the scan while the rows are blurred, so 10,000
-# points take 1.1 s and 0.12 GB there (0.39 GB on the README 921-pixel grid)
+# classes of 9 nodes) a point costs about 0.11 ms (2-core VM, where one row
+# at a time took 0.21 ms) and 13 kB, 46 B per pixel for its row of the scan
+# while the rows are scored, so 10,000 points take 1.1 s and 0.13 GB there
+# (0.42 GB on the README 921-pixel grid), plus the scan's constant
+# 16 x M x P x 8 B block buffer (0.32 MB there)
 MAX_COARSE_POINTS = 10_000
 
 
@@ -177,19 +179,20 @@ class SlitFitResult:
     bracket: tuple[float, float]
 
 
-def _registered_rms(reference: np.ndarray, candidate: np.ndarray) -> float:
-    """RMS difference after max-normalization and integer-pixel alignment of
-    the principal peaks."""
+def _registered_rms(reference: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """RMS difference of each candidate row (last axis) from ``reference``
+    after max-normalization and integer-pixel alignment of the principal
+    peaks; one value per row, 0-d for a 1-D candidate."""
     a = reference / reference.max()
-    b = candidate / candidate.max()
-    shift = int(np.argmax(a)) - int(np.argmax(b))
-    if shift > 0:
-        a_part, b_part = a[shift:], b[: b.size - shift]
-    elif shift < 0:
-        a_part, b_part = a[: a.size + shift], b[-shift:]
-    else:
-        a_part, b_part = a, b
-    return float(np.sqrt(np.mean((a_part - b_part) ** 2)))
+    b = candidates / candidates.max(axis=-1, keepdims=True)
+    shifts = int(np.argmax(a)) - np.argmax(b, axis=-1)
+    rms = np.empty(shifts.shape)
+    for shift in set(shifts.ravel().tolist()):
+        rows = shifts == shift
+        a_part = a[max(shift, 0) : a.size + min(shift, 0)]
+        b_part = b[rows][..., max(-shift, 0) : b.shape[-1] - max(shift, 0)]
+        rms[rows] = np.sqrt(np.mean((a_part - b_part) ** 2, axis=-1))
+    return rms
 
 
 def fit_effective_slit(
@@ -214,9 +217,9 @@ def fit_effective_slit(
     max-normalization and principal-peak registration. A coarse scan at
     ``coarse_step`` over [lower_bound, slit width] brackets the global
     minimum: one rotated-phasor pass per class (``diffraction._envelope_scan``)
-    and one blur of the summed rows, each row one evaluation within 1e-13 of
-    its peak of ``band_averaged_trace`` (at most 5.4e-16 on the presets at
-    100-540 m/s). Golden-section search then refines it to ``tolerance``
+    and one blur and one scoring call for the summed rows, each row one
+    evaluation within 1e-13 of its peak of ``band_averaged_trace`` (at most
+    5.4e-16 on the presets at 100-540 m/s). Golden-section search then refines it to ``tolerance``
     (0.1 nm by default) on ``band_averaged_trace``'s own path, bit for bit,
     as is the final residual. A step that is not positive, a tolerance below
     the float spacing at the slit width, or a scan of more than
@@ -270,13 +273,13 @@ def fit_effective_slit(
     for w, terms in classes:
         rows = _envelope_scan(terms, coarse)
         scan += rows * (w / rows.sum(axis=1, keepdims=True))
-    coarse_values = [_registered_rms(y, row) for row in symmetric_convolve(scan, kernel)]
+    coarse_values = _registered_rms(y, symmetric_convolve(scan, kernel))
     evaluations = n_coarse
 
     def objective(s_eff: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return _registered_rms(y, _band_sum(classes, s_eff, grid, kernel))
+        return float(_registered_rms(y, _band_sum(classes, s_eff, grid, kernel)))
 
     best = int(np.argmin(coarse_values))
     a = float(coarse[max(0, best - 1)])

@@ -30,7 +30,7 @@ from nanograting import (
 )
 from nanograting.config import load_run_config
 from nanograting.diffraction import MAX_PIXEL_SLITS, MAX_SLIT_PHASE, _slit_terms
-from nanograting.diffraction import _envelope_scan, _slit_envelope
+from nanograting.diffraction import _contract, _envelope_scan, _slit_envelope
 from nanograting.gravity import VELOCITY_SUPPORT
 
 from far_field_oracle import fraunhofer_multislit
@@ -512,7 +512,7 @@ def test_pixel_on_a_node_takes_the_on_node_term(n_slits):
         k, GEO.L2, n_slits, grating.period, grid, "hard", max_width=grating.slit_width
     )
     assert terms.weights.shape[1] == n_slits  # the nodes are the centres
-    assert terms.rate[centre, n_slits // 2] == 0.0
+    assert terms.rate[n_slits // 2, centre] == 0.0
     for s in (grating.effective_slit_width, grating.slit_width):
         engine = _slit_envelope(terms, s)
         reference = _per_slit_reference(
@@ -647,3 +647,38 @@ def test_envelope_scan_rows_match_the_envelope_at_each_width(
     for row, s in zip(rows, widths):
         expected = _slit_envelope(terms, float(s))
         assert np.abs(row - expected).max() <= 1e-13 * expected.max(), s
+
+
+def _row_at_a_time_scan(terms, widths):
+    # the scan one row at a time: rotate the phasor, recompute it every 64
+    # rows, and contract each row's sines on their own
+    step = np.exp((1j * (widths[-1] - widths[0]) / (widths.size - 1)) * terms.rate)
+    rows = []
+    for i, s in enumerate(widths):
+        if i % 64:
+            z *= step
+        else:
+            z = np.exp((1j * s) * terms.rate)
+        rows.append(_contract(terms, z.imag, float(s)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("preset, grid, n_slits", [
+    pytest.param("sinx", DetectorGrid.symmetric(70e-6, 1e-6), None, id="sinx"),
+    pytest.param("slg", DetectorGrid.symmetric(70e-6, 1e-6), None, id="slg"),
+    # x = 0 is a pixel and the centre slit's node, so the s W0 term is live
+    pytest.param("sinx", DetectorGrid(-(2.0**-16), 2.0**-16, 2.0**-24), 3, id="on-node"),
+])
+@pytest.mark.parametrize("n_widths", [2, 15, 16, 17, 63, 64, 65, 130])
+def test_envelope_scan_blocks_equal_the_row_at_a_time_scan(preset, grid, n_slits, n_widths):
+    # the 16-row blocks and the 64-row recompute reorganise the scan only:
+    # lengths around both boundaries give the same rows, bit for bit
+    grating = grating_preset(preset)
+    k = wave_number(PCH2, 220.0)
+    if n_slits is None:
+        n_slits = coherence(SOURCE, GEO, 2.0 * math.pi / k, grating.period).n_coherent_slits
+    terms = _slit_terms(
+        k, GEO.L2, n_slits, grating.period, grid, "hard", max_width=grating.slit_width
+    )
+    widths = np.linspace(1e-9, grating.slit_width, n_widths)
+    assert np.array_equal(_envelope_scan(terms, widths), _row_at_a_time_scan(terms, widths))

@@ -175,6 +175,38 @@ class TestOrderPopulation:
             order_population(trace, SINX.period, self.WAVELENGTH, GEOMETRY.L2, n_max=-1)
 
 
+def test_stacked_scoring_equals_the_row_at_a_time_score():
+    # rows whose peaks sit right of, left of and on the reference's peak, in
+    # one stack, score as each row does alone; a 1-D candidate gives 0-d
+    x = np.arange(41.0)
+    reference = np.exp(-0.5 * ((x - 20.0) / 3.0) ** 2)
+    rows = np.array([
+        0.5 * np.exp(-0.5 * ((x - centre) / width) ** 2) + 0.01 * np.cos(x)
+        for centre, width in [(24.0, 3.0), (13.0, 2.5), (20.0, 4.0), (27.0, 3.5), (20.0, 3.0)]
+    ])
+
+    def alone(candidate):
+        a = reference / reference.max()
+        b = candidate / candidate.max()
+        shift = int(np.argmax(a)) - int(np.argmax(b))
+        if shift > 0:
+            a_part, b_part = a[shift:], b[: b.size - shift]
+        elif shift < 0:
+            a_part, b_part = a[: a.size + shift], b[-shift:]
+        else:
+            a_part, b_part = a, b
+        return float(np.sqrt(np.mean((a_part - b_part) ** 2)))
+
+    shifts = 20 - np.argmax(rows, axis=1)
+    assert (shifts < 0).any() and (shifts > 0).any() and (shifts == 0).any()
+    stacked = vdwfit._registered_rms(reference, rows)
+    assert stacked.shape == (len(rows),)
+    assert stacked.tolist() == [alone(row) for row in rows]
+    single = vdwfit._registered_rms(reference, rows[1])
+    assert single.shape == ()
+    assert float(single) == alone(rows[1])
+
+
 class TestFitEffectiveSlit:
     GRID = DetectorGrid.symmetric(40e-6, 0.5e-6)
     BAND = VelocityDistribution.uniform_band(220.0, 10.0, 3)
@@ -259,7 +291,8 @@ class TestFitEffectiveSlit:
 
     def test_each_evaluation_equals_the_band_averaged_trace(self, monkeypatch):
         # the coarse rows come from rotated phasors, within the bound the fit
-        # states; every later evaluation goes through _band_sum, bit for bit
+        # states, scored in one call; every later evaluation goes through
+        # _band_sum, bit for bit. Each scored row is one evaluation.
         calls, scored = [], []
         band_sum, registered_rms = vdwfit._band_sum, vdwfit._registered_rms
 
@@ -268,9 +301,9 @@ class TestFitEffectiveSlit:
             calls.append((s, grid, values))
             return values
 
-        def recording_rms(reference, candidate):
-            scored.append(candidate.copy())
-            return registered_rms(reference, candidate)
+        def recording_rms(reference, candidates):
+            scored.extend(np.array(candidates, ndmin=2))
+            return registered_rms(reference, candidates)
 
         measured = band_averaged_trace(
             replace(SINX, effective_slit_width=20e-9), PCH2, self.BAND, SOURCE, GEOMETRY,
@@ -299,6 +332,30 @@ class TestFitEffectiveSlit:
                 GEOMETRY, grid,
             ).intensities
             assert np.abs(row - expected).max() <= 1e-13 * expected.max(), s
+
+    def test_fit_seff_configuration_is_pinned(self):
+        # the fit-seff benchmark configuration (perfbench/workloads.py):
+        # sinx, 220 +- 10 m/s in 5 classes, 281 pixels at 1 um, 1% noise; a
+        # change that moves this fit moves the package's headline number
+        cfg = load_run_config(preset="sinx", overrides=[
+            "velocity.kind=uniform-band", "velocity.center_m_s=220",
+            "velocity.half_width_m_s=10", "velocity.n_classes=5",
+            "detector.x_min_um=-140", "detector.x_max_um=140", "detector.pixel_pitch_um=1",
+        ])
+        grating, band, grid = cfg.grating(), cfg.velocity_distribution(), cfg.detector_grid()
+        assert grid.n_pixels == 281
+        clean = band_averaged_trace(
+            grating, cfg.molecule(), band, cfg.source(), cfg.geometry(), grid
+        )
+        noise = 0.01 * np.random.default_rng(41).standard_normal(len(clean))
+        measured = Trace(clean.positions, np.clip(clean.intensities * (1.0 + noise), 0.0, None))
+        result = fit_effective_slit(
+            measured, grating, cfg.molecule(), band, cfg.geometry(), cfg.source()
+        )
+        assert result.evaluations == 59
+        assert result.bracket == (1.4270833333333331e-08, 1.6312499999999998e-08)
+        assert result.effective_slit_width == pytest.approx(1.504238059965577e-08, rel=1e-12)
+        assert result.residual == pytest.approx(0.003559372293497459, rel=1e-12)
 
     def test_coarse_scan_refuses_at_its_first_width_over_the_slit_phase(self):
         # at L2 = 5 mm and 220 m/s the slit-phase gate closes at about 34 nm,
