@@ -115,8 +115,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     else:
         velocity = config.require("simulate.velocity_m_s")
         wavelength = de_broglie_wavelength(molecule, velocity)
-        coh = coherence(source, geometry, wavelength, grating.period, prefactor)
-        n_slits = config.require("simulate.n_slits") or coh.n_coherent_slits
+        n_slits = coherence(source, geometry, wavelength, grating.period, prefactor).n_coherent_slits
         raw = kirchhoff_pattern(
             grating, wave_number(molecule, velocity), geometry.L2, n_slits, grid,
             window=window,
@@ -127,8 +126,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     convolved = detector_convolve(raw, grid.psf_sigma)
     header["psf_sigma_m"] = grid.psf_sigma
     wavelength = header["wavelength_m"]
-    positions = far_field_orders(wavelength, grating.period, geometry.L2,
-                                 config.require("simulate.n_max"))
+    positions = far_field_orders(wavelength, grating.period, geometry.L2, 1)
     if len(positions) > 1:
         header["first_order_position_m"] = positions[1]
 

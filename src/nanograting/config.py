@@ -38,7 +38,6 @@ __all__ = [
 KNOWN_KEYS: dict[str, tuple[str, float, str | None]] = {
     "molecule.preset": ("str", 1.0, "pch2"),
     "molecule.name": ("str", 1.0, None),
-    "molecule.mass_kg": ("float", 1.0, None),
     "molecule.mass_u": ("float", ATOMIC_MASS_KG, None),
     "grating.preset": ("str", 1.0, None),
     "grating.period_nm": ("float", 1e-9, None),
@@ -46,22 +45,18 @@ KNOWN_KEYS: dict[str, tuple[str, float, str | None]] = {
     "grating.effective_slit_width_nm": ("float", 1e-9, None),
     "grating.bar_length_nm": ("float", 1e-9, None),
     "grating.bar_width_nm": ("float", 1e-9, None),
-    "grating.ribbon_width_nm": ("float", 1e-9, None),
-    "grating.layers": ("int", 1.0, None),
-    "grating.areal_density_kg_m2": ("float", 1.0, None),
     "geometry.L1_m": ("float", 1.0, "1.554"),
     "geometry.L2_m": ("float", 1.0, "0.586"),
     "geometry.g_m_s2": ("float", 1.0, "9.81"),
     "geometry.y0_m": ("float", 1.0, "0"),
     "geometry.y1_m": ("float", 1.0, "0"),
     "source.width_um": ("float", 1e-6, "1.5"),
-    "source.most_probable_velocity_m_s": ("float", 1.0, "180"),
     "source.coherence_prefactor": ("float", 1.0, "1.5"),
     "velocity.kind": ("str", 1.0, "uniform-band"),
     "velocity.center_m_s": ("float", 1.0, "220"),
     "velocity.half_width_m_s": ("float", 1.0, "10"),
     "velocity.n_classes": ("int", 1.0, None),
-    "velocity.most_probable_m_s": ("float", 1.0, None),
+    "velocity.most_probable_m_s": ("float", 1.0, "180"),
     "velocity.v_min_m_s": ("float", 1.0, None),
     "velocity.v_max_m_s": ("float", 1.0, None),
     "velocity.list_m_s": ("float_list", 1.0, None),
@@ -74,8 +69,6 @@ KNOWN_KEYS: dict[str, tuple[str, float, str | None]] = {
     "image.pixel_pitch_y_um": ("float", 1e-6, "2.5"),
     "simulate.velocity_m_s": ("float", 1.0, "220"),
     "simulate.band": ("bool", 1.0, "true"),
-    "simulate.n_slits": ("int", 1.0, "0"),
-    "simulate.n_max": ("int", 1.0, "9"),
     "simulate.window": ("str", 1.0, "hard"),
     "fit.lower_bound_nm": ("float", 1e-9, "1"),
     "fit.coarse_step_nm": ("float", 1e-9, "1"),
@@ -194,10 +187,8 @@ class RunConfig:
         # molecule.preset has a default and refuses an empty value, so every
         # molecule starts from a preset
         base = molecule_preset(self.require("molecule.preset"))
-        mass = self.get("molecule.mass_kg")
-        if mass is None:
-            mass = self.get("molecule.mass_u", base.mass)
-        return replace(base, name=self.get("molecule.name", base.name), mass=mass)
+        name = self.get("molecule.name", base.name)
+        return replace(base, name=name, mass=self.get("molecule.mass_u", base.mass))
 
     def grating(self) -> Grating:
         overrides = {
@@ -206,17 +197,14 @@ class RunConfig:
             "effective_slit_width": self.get("grating.effective_slit_width_nm"),
             "bar_length": self.get("grating.bar_length_nm"),
             "bar_width": self.get("grating.bar_width_nm"),
-            "ribbon_width": self.get("grating.ribbon_width_nm"),
-            "layers": self.get("grating.layers"),
-            "areal_density": self.get("grating.areal_density_kg_m2"),
         }
         present = {k: v for k, v in overrides.items() if v is not None}
         preset_name = self.get("grating.preset")
         if preset_name is not None:
             base = grating_preset(preset_name)
-            if "bar_width" in present and "ribbon_width" not in present:
+            if "bar_width" in present:
                 # an explicit bar width overrides the preset's rolled-ribbon note
-                present.setdefault("ribbon_width", present["bar_width"])
+                present["ribbon_width"] = present["bar_width"]
             return replace(base, **present) if present else base
         for required in ("period", "slit_width", "effective_slit_width"):
             if required not in present:
@@ -269,12 +257,8 @@ class RunConfig:
                 n_classes=BAND_DEFAULT_CLASSES if n_classes is None else n_classes,
             )
         if kind == "maxwell-boltzmann-beam":
-            v_p = self.get(
-                "velocity.most_probable_m_s",
-                self.require("source.most_probable_velocity_m_s"),
-            )
             return VelocityDistribution.maxwell_beam(
-                most_probable_velocity=v_p,
+                most_probable_velocity=self.require("velocity.most_probable_m_s"),
                 n_classes=BEAM_DEFAULT_CLASSES if n_classes is None else n_classes,
                 v_min=self.get("velocity.v_min_m_s"),
                 v_max=self.get("velocity.v_max_m_s"),

@@ -31,8 +31,6 @@ __all__ = [
     "wave_number",
 ]
 
-NORMALIZATIONS = ("raw", "max-1")
-
 # largest quadratic phase k*s^2/(8*L2), in rad, dropped across one slit by
 # the per-slit linearization of kirchhoff_pattern
 MAX_SLIT_PHASE = 0.05
@@ -90,15 +88,10 @@ class DetectorGrid:
 
 @dataclass(frozen=True)
 class Trace:
-    """A 1D intensity trace on a uniform position grid.
-
-    ``normalization`` records how the intensities are scaled:
-    "raw" (engine units) or "max-1" (peak scaled to 1).
-    """
+    """A 1D intensity trace on a uniform position grid."""
 
     positions: np.ndarray
     intensities: np.ndarray
-    normalization: str = "raw"
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=float)
@@ -109,10 +102,6 @@ class Trace:
             raise DomainError("a trace needs at least two samples")
         if not (np.isfinite(pos).all() and np.isfinite(inten).all()):
             raise DomainError("positions and intensities must be finite")
-        if self.normalization not in NORMALIZATIONS:
-            raise DomainError(
-                f"unknown normalization {self.normalization!r}; expected one of {NORMALIZATIONS}"
-            )
         steps = np.diff(pos)
         if (steps <= 0.0).any():
             raise DomainError("positions must be strictly increasing")
@@ -141,7 +130,7 @@ class Trace:
         peak = float(self.intensities.max())
         if peak <= 0.0:
             raise DomainError("cannot max-normalize an all-zero trace")
-        return Trace(self.positions, self.intensities / peak, "max-1")
+        return Trace(self.positions, self.intensities / peak)
 
 
 @dataclass(frozen=True)
@@ -504,7 +493,7 @@ def kirchhoff_pattern(
         with sigma_w one quarter of the illuminated span (at least one period).
     """
     terms = _slit_terms(k, L2, n_slits, grating.period, grid, window, max_width=grating.slit_width)
-    return Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width), "raw")
+    return Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width))
 
 
 def gaussian_kernel(sigma: float, pitch: float) -> np.ndarray:
@@ -545,4 +534,4 @@ def detector_convolve(trace: Trace, sigma: float) -> Trace:
     if sigma < 0.0:
         raise DomainError(f"psf sigma must be non-negative, got {sigma!r}")
     blurred = symmetric_convolve(trace.intensities, gaussian_kernel(sigma, trace.pixel_pitch))
-    return Trace(trace.positions, blurred, trace.normalization)
+    return Trace(trace.positions, blurred)

@@ -57,10 +57,10 @@ ORIENTATION = "up-positive"  # the one row order of an interferogram: index rise
 MIN_STRIPE_SIGNAL = 1e-3  # least stripe peak, relative to the image peak
 MIN_PEAK_FRACTION = 0.02  # least first-order peak, relative to its stripe's zeroth order
 
-# most classes a Maxwell beam or uniform band may hold: each class builds one
-# pattern's terms, about 1.3 ms (2-core VM) and 0.24 MB on the README 921-pixel
-# grid, and a fit keeps every class's terms, so 2,000 classes take 2.6 s and
-# 0.47 GB there
+# most classes a Maxwell beam, uniform band or discrete list may hold: each
+# class builds one pattern's terms, about 1.3 ms (2-core VM) and 0.24 MB on the
+# README 921-pixel grid, and a fit keeps every class's terms, so 2,000 classes
+# take 2.6 s and 0.47 GB there
 MAX_VELOCITY_CLASSES = 2_000
 
 # largest image one call may hold, in pixels: synthesize_image's ny x nx image
@@ -159,6 +159,7 @@ class VelocityDistribution:
     @classmethod
     def discrete(cls, velocities, weights=None) -> "VelocityDistribution":
         v = np.asarray(velocities, dtype=float)
+        _check_class_count(v.size)
         w = np.ones_like(v) if weights is None else np.asarray(weights, dtype=float)
         return cls("discrete", v, w)
 

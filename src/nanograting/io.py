@@ -70,9 +70,8 @@ def format_value(value: Any) -> str:
 
 def write_trace_csv(path: str | Path, trace: Trace, header: Mapping[str, Any] | None = None) -> None:
     """Two-column CSV (position_m, intensity) with a '#' comment header
-    recording the magic line, the normalization tag, and all supplied
-    parameters in sorted order."""
-    lines = [f"# {_TRACE_MAGIC}", f"# normalization = {trace.normalization}"]
+    recording the magic line and all supplied parameters in sorted order."""
+    lines = [f"# {_TRACE_MAGIC}"]
     for key in sorted(header or {}):
         lines.append(f"# {key} = {format_value((header or {})[key])}")
     lines.append("position_m,intensity")
@@ -112,9 +111,8 @@ def read_trace_csv(path: str | Path) -> tuple[Trace, dict[str, str]]:
             raise ConfigurationError(f"malformed trace row {line!r} in {path}") from exc
     if not xs:
         raise ConfigurationError(f"no trace rows found in {path}")
-    normalization = header.pop("normalization", "raw")
     try:
-        return Trace(np.array(xs), np.array(ys), normalization), header
+        return Trace(np.array(xs), np.array(ys)), header
     except DomainError as exc:
         raise ConfigurationError(f"trace file {source}: {exc}") from exc
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nanograting
+from nanograting import vdwfit
 from nanograting.cli import main
 from nanograting.gravity import Interferogram
 from nanograting.io import (
@@ -345,6 +346,21 @@ class TestFitSeff:
         assert code == expected
         assert stderr.startswith("error:")
 
+    def test_discrete_list_over_the_class_budget_exits_2_before_any_terms(
+        self, capsys, monkeypatch
+    ):
+        def no_terms(*args, **kwargs):
+            raise AssertionError("class terms built")
+
+        monkeypatch.setattr(vdwfit, "_class_terms", no_terms)
+        velocities = ",".join(["220"] * (MAX_VELOCITY_CLASSES + 1))
+        code, _, stderr = run_cli(
+            capsys, "fit-seff", *FIT_ARGS,
+            "--set", "velocity.kind=discrete", "--set", f"velocity.list_m_s={velocities}",
+        )
+        assert code == 2
+        assert f"error: {MAX_VELOCITY_CLASSES + 1} velocity classes" in stderr
+
 
 def _flawed_input(tmp_path, flaw):
     """An interferogram or trace file with one bad value, for a CLI that reads it."""
@@ -432,6 +448,14 @@ class TestFitVelocity:
         assert report["velocity_m_s"] == "219.98973940739114"
         assert report["y2_m"] == "-0.0001271"
         assert "wavelength_m" in report
+
+    def test_fall_height_report_file_equals_the_echo(self, capsys, tmp_path):
+        out = tmp_path / "f.txt"
+        code, stdout, _ = run_cli(
+            capsys, "fit-velocity", "--set", "fit.y2_um=-127.1", "--out", str(out)
+        )
+        assert code == 0
+        assert out.read_text() == stdout
 
     def test_detection_above_line_is_runtime_error(self, capsys):
         code, _, _ = run_cli(
@@ -533,6 +557,15 @@ class TestLimits:
         assert row["coherent"] == "true"
         assert row["position_sigma_m"] == "5.05820490302688e-10"
 
+    def test_text_output_equals_the_echo(self, capsys, tmp_path):
+        out = tmp_path / "report.txt"
+        code, stdout, _ = run_cli(
+            capsys, "limits", "--preset", "scroll", "--out", str(out)
+        )
+        assert code == 0
+        assert parse_report(stdout)["position_sigma_source"] == "thermal"
+        assert out.read_text() == stdout
+
 
 class TestErrorHandling:
     def test_unknown_key_exits_2(self, capsys):
@@ -541,6 +574,21 @@ class TestErrorHandling:
         )
         assert code == 2
         assert "error:" in stderr
+
+    @pytest.mark.parametrize("key", [
+        "molecule.mass_kg",
+        "source.most_probable_velocity_m_s",
+        "grating.ribbon_width_nm",
+        "grating.layers",
+        "grating.areal_density_kg_m2",
+        "simulate.n_slits",
+        "simulate.n_max",
+    ])
+    def test_removed_key_exits_2(self, capsys, key):
+        # aliases of another key, or keys that reached no output
+        code, _, stderr = run_cli(capsys, "simulate", "--preset", "sinx", "--set", f"{key}=1")
+        assert code == 2
+        assert stderr == f"error: unknown configuration key {key!r}\n"
 
     def test_missing_grating_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate")

@@ -84,6 +84,15 @@ def test_grating_builder_preset_with_override():
     assert g.effective_slit_width == pytest.approx(30e-9)
 
 
+def test_explicit_bar_width_on_a_preset_sets_the_ribbon_width():
+    # scroll's bars are rolled ribbons 64 nm wide; an explicit bar width
+    # replaces that note
+    g = load_run_config(preset="scroll", overrides=["grating.bar_width_nm=25"]).grating()
+    assert g.label == "scroll"
+    assert g.bar_width == pytest.approx(25e-9, rel=1e-15)
+    assert g.ribbon_width == pytest.approx(25e-9, rel=1e-15)
+
+
 def test_grating_builder_inline_without_preset():
     config = load_run_config(overrides=[
         "grating.period_nm=100",
@@ -115,11 +124,11 @@ def test_geometry_and_source_builders():
     assert geo.L == pytest.approx(2.14)
     src = config.source()
     assert src.source_width == pytest.approx(1.5e-6)
-    # without velocity.most_probable_m_s a Maxwell band takes v_p from the source key
+    # a Maxwell band without velocity.most_probable_m_s takes its default, 180 m/s
     band = load_run_config(
-        overrides=["velocity.kind=maxwell-boltzmann-beam", "source.most_probable_velocity_m_s=150"]
+        overrides=["velocity.kind=maxwell-boltzmann-beam"]
     ).velocity_distribution()
-    expected = VelocityDistribution.maxwell_beam(150.0, n_classes=200)
+    expected = VelocityDistribution.maxwell_beam(180.0, n_classes=200)
     assert np.array_equal(band.velocities, expected.velocities)
     assert np.array_equal(band.weights, expected.weights)
 

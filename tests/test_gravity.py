@@ -14,6 +14,7 @@ from nanograting import (
     Molecule,
     SourceModel,
     VelocityDistribution,
+    WorkBudgetError,
     band_averaged_trace,
     fall_position,
     fit_velocity,
@@ -143,6 +144,12 @@ class TestVelocityDistribution:
     def test_discrete_defaults_to_equal_weights(self):
         dist = VelocityDistribution.discrete([180.0, 220.0, 260.0])
         np.testing.assert_allclose(dist.weights, 1.0 / 3.0)
+
+    def test_discrete_list_obeys_the_class_budget(self):
+        budget = gravity.MAX_VELOCITY_CLASSES
+        assert len(VelocityDistribution.discrete([220.0] * budget)) == budget
+        with pytest.raises(WorkBudgetError, match=f"{budget + 1} velocity classes"):
+            VelocityDistribution.discrete([220.0] * (budget + 1))
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -121,7 +121,6 @@ def test_extract_band_normalization():
     img = _image([[1.0, 4.0, 2.0]])
     trace = extract_band(img, 0.0, 1e-6, normalize=True)
     assert trace.intensities.max() == 1.0
-    assert trace.normalization == "max-1"
 
 
 def test_extract_band_empty_raises():

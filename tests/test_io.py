@@ -29,8 +29,19 @@ def test_trace_round_trip_is_exact(tmp_path):
     back, header = read_trace_csv(path)
     assert np.array_equal(back.positions, trace.positions)
     assert np.array_equal(back.intensities, trace.intensities)
-    assert back.normalization == trace.normalization
     assert header == {"velocity_m_s": "220.0", "n_slits": "52"}
+
+
+def test_trace_with_a_normalization_line_still_reads(tmp_path):
+    # files written before the tag was dropped carry it as one more header line
+    path = tmp_path / "old.csv"
+    path.write_text(
+        "# nanograting trace v1\n# normalization = raw\n# n_slits = 52\n"
+        "position_m,intensity\n0.0,1.0\n1e-06,2.0\n"
+    )
+    trace, header = read_trace_csv(path)
+    assert np.array_equal(trace.intensities, [1.0, 2.0])
+    assert header == {"normalization": "raw", "n_slits": "52"}
 
 
 def test_trace_write_is_deterministic(tmp_path):
@@ -45,14 +56,14 @@ def test_trace_header_keys_sorted(tmp_path):
     path = tmp_path / "t.csv"
     write_trace_csv(path, _trace(), {"zeta": 1, "alpha": 2})
     lines = path.read_text().splitlines()
-    assert lines[2] == "# alpha = 2"
-    assert lines[3] == "# zeta = 1"
+    assert lines[1] == "# alpha = 2"
+    assert lines[2] == "# zeta = 1"
 
 
 def test_trace_rows_are_plain_reprs(tmp_path):
     path = tmp_path / "t.csv"
     write_trace_csv(path, _trace())
-    first_row = path.read_text().splitlines()[3]
+    first_row = path.read_text().splitlines()[2]
     assert "np." not in first_row
     assert first_row == "-1e-05,0.001930454136227704"
 

@@ -357,6 +357,34 @@ class TestFitEffectiveSlit:
         assert result.effective_slit_width == pytest.approx(1.504238059965577e-08, rel=1e-12)
         assert result.residual == pytest.approx(0.003559372293497459, rel=1e-12)
 
+    def test_coarse_scan_holds_at_most_40_bytes_per_pixel_and_point(self):
+        # the fit-seff configuration at coarse steps of 0.1 and 0.01 nm: the
+        # peak grows with the scan's (points x pixels) rows, 38.2 B per pixel
+        # and point, once the last class's own rows are freed before scoring
+        cfg = load_run_config(preset="sinx", overrides=[
+            "velocity.n_classes=5", "detector.x_min_um=-140", "detector.x_max_um=140",
+            "detector.pixel_pitch_um=1",
+        ])
+        grating, band, grid = cfg.grating(), cfg.velocity_distribution(), cfg.detector_grid()
+        measured = band_averaged_trace(
+            grating, cfg.molecule(), band, cfg.source(), cfg.geometry(), grid
+        )
+        peaks, points = [], []
+        for step in (1e-10, 1e-11):
+            tracemalloc.start()
+            try:
+                fit_effective_slit(
+                    measured, grating, cfg.molecule(), band, cfg.geometry(), cfg.source(),
+                    coarse_step=step,
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            points.append(math.floor((grating.slit_width - 1e-9) / step) + 1)
+        assert points == [490, 4901]
+        slope = (peaks[1] - peaks[0]) / ((points[1] - points[0]) * grid.n_pixels)
+        assert slope <= 40.0
+
     def test_coarse_scan_refuses_at_its_first_width_over_the_slit_phase(self):
         # at L2 = 5 mm and 220 m/s the slit-phase gate closes at about 34 nm,
         # inside the default scan over [1 nm, 50 nm]
