@@ -81,7 +81,7 @@ def _simulation_header(config: RunConfig, velocity: float) -> dict[str, Any]:
     }
 
 
-def _band_trace(config: RunConfig, grating: Grating, **options: Any) -> Trace:
+def _band_trace(config: RunConfig, grating: Grating) -> Trace:
     """band_averaged_trace of ``grating`` over the configured beamline,
     molecule, velocity distribution and detector."""
     return band_averaged_trace(
@@ -92,7 +92,6 @@ def _band_trace(config: RunConfig, grating: Grating, **options: Any) -> Trace:
         config.geometry(),
         config.detector_grid(),
         coherence_prefactor=config.require("source.coherence_prefactor"),
-        **options,
     )
 
 
@@ -108,7 +107,10 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     if config.require("simulate.band"):
         band = config.velocity_distribution()
         center = float(np.average(band.velocities, weights=band.weights))
-        raw = _band_trace(config, grating, window=window, convolve=False)
+        raw = band_averaged_trace(
+            grating, molecule, band, source, geometry, replace(grid, psf_sigma=0.0),
+            coherence_prefactor=prefactor, window=window,
+        )
         header = _simulation_header(config, center)
         header["velocity_classes"] = len(band)
         header["velocity_kind"] = band.kind
@@ -167,7 +169,7 @@ def cmd_synth_image(config: RunConfig, args: argparse.Namespace) -> int:
             "grating": grating.label,
             "molecule": molecule.name,
             "velocity_kind": distribution.kind,
-            "velocity_classes": result.n_classes,
+            "velocity_classes": len(distribution),
             "clipped_classes": len(result.clipped_velocities),
             "clipped_weight": result.clipped_weight,
             "nx": result.image.nx,
@@ -334,7 +336,6 @@ def cmd_limits(config: RunConfig, args: argparse.Namespace) -> int:
         sigma,
         period=grating.period,
         max_order=config.require("limits.max_order"),
-        lambda_ref=config.require("limits.lambda_ref_nm"),
     )
     report: dict[str, Any] = {
         "grating": grating.label,
@@ -421,7 +422,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_run_config(args.config, args.preset, args.set)
         return args.func(config, args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:
+        # an OSError is a path that cannot be opened, such as an --out in a
+        # missing directory; its message names the file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NanogratingError as exc:

@@ -23,6 +23,7 @@ from .domain import (
 )
 from .errors import ConfigurationError
 from .gravity import ImageGrid, VelocityDistribution
+from .io import _read_file
 from .presets import grating_preset, molecule_preset
 
 __all__ = [
@@ -83,7 +84,6 @@ KNOWN_KEYS: dict[str, tuple[str, float, str | None]] = {
     "limits.beam_diameter_nm": ("float", 1e-9, None),
     "limits.youngs_modulus_GPa": ("float", 1e9, "1000"),
     "limits.max_order": ("int", 1.0, "9"),
-    "limits.lambda_ref_nm": ("float", 1e-9, "780.241"),
     "limits.molecule_count": ("float", 1.0, None),
     "limits.open_area_um2": ("float", 1e-12, None),
     "limits.footprint_nm2": ("float", 1e-18, "1.7"),
@@ -202,9 +202,6 @@ class RunConfig:
         preset_name = self.get("grating.preset")
         if preset_name is not None:
             base = grating_preset(preset_name)
-            if "bar_width" in present:
-                # an explicit bar width overrides the preset's rolled-ribbon note
-                present["ribbon_width"] = present["bar_width"]
             return replace(base, **present) if present else base
         for required in ("period", "slit_width", "effective_slit_width"):
             if required not in present:
@@ -285,7 +282,7 @@ def load_run_config(
         path = Path(config_path)
         if not path.exists():
             raise ConfigurationError(f"config file {path} does not exist")
-        raw.update(parse_config_text(path.read_text(encoding="utf-8"), str(path)))
+        raw.update(parse_config_text(_read_file(path, "utf-8"), str(path)))
     if preset is not None:
         raw["grating.preset"] = preset
     for item in overrides:

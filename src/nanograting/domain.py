@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "ATOMIC_MASS_KG",
@@ -19,7 +19,6 @@ __all__ = [
     "Molecule",
     "PhysicalConstants",
     "SourceModel",
-    "bar_mass",
     "de_broglie_wavelength",
     "opening_fraction",
 ]
@@ -71,7 +70,7 @@ class Molecule:
 
 @dataclass(frozen=True)
 class Grating:
-    """Geometry and material data of a periodic transmission grating.
+    """Geometry of a periodic transmission grating.
 
     Parameters
     ----------
@@ -87,14 +86,6 @@ class Grating:
         it defaults to d - s. A provided value must agree with d - s within
         ``BAR_WIDTH_TOLERANCE`` (relative), since bars and slits tile the
         period.
-    ribbon_width:
-        Width of membrane material wound into one bar, for bars that are
-        rolled-up ribbons. Defaults to ``bar_width``; only ``bar_mass``
-        consumes it.
-    layers:
-        Number of stacked membrane layers per bar (>= 1).
-    areal_density:
-        Mass per unit area of a single layer in kg/m^2, or None if unknown.
     label:
         Free-form label.
     """
@@ -104,9 +95,6 @@ class Grating:
     effective_slit_width: float
     bar_length: float
     bar_width: float | None = None
-    ribbon_width: float | None = None
-    layers: int = 1
-    areal_density: float | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -122,10 +110,6 @@ class Grating:
             )
         if self.bar_length < 0.0:
             raise DomainError(f"bar length must be non-negative, got {self.bar_length!r}")
-        if self.layers < 1:
-            raise DomainError(f"layers must be >= 1, got {self.layers!r}")
-        if self.areal_density is not None and self.areal_density <= 0.0:
-            raise DomainError(f"areal density must be positive, got {self.areal_density!r}")
         if self.bar_width is None:
             object.__setattr__(self, "bar_width", d - s)
         else:
@@ -139,10 +123,6 @@ class Grating:
                     f"= {expected!r} (relative deviation {rel:.3f} exceeds "
                     f"{BAR_WIDTH_TOLERANCE})"
                 )
-        if self.ribbon_width is None:
-            object.__setattr__(self, "ribbon_width", self.bar_width)
-        elif self.ribbon_width < 0.0:
-            raise DomainError(f"ribbon width must be non-negative, got {self.ribbon_width!r}")
 
 
 @dataclass(frozen=True)
@@ -202,17 +182,3 @@ def de_broglie_wavelength(molecule: Molecule, velocity: float) -> float:
 def opening_fraction(grating: Grating) -> float:
     """Open fraction s/d of the grating unit cell."""
     return grating.slit_width / grating.period
-
-
-def bar_mass(grating: Grating) -> float:
-    """Mass of a single grating bar in kg.
-
-    layers * areal_density * bar_length * material width, where the material
-    width is ``ribbon_width`` (the unrolled membrane width for scrolled bars,
-    identical to ``bar_width`` for flat ones).
-    """
-    if grating.areal_density is None:
-        raise ConfigurationError(
-            f"grating {grating.label or '<unlabeled>'!s} has no areal density configured"
-        )
-    return grating.layers * grating.areal_density * grating.bar_length * grating.ribbon_width

@@ -157,11 +157,11 @@ class VelocityDistribution:
         return cls("uniform-band", v, np.ones_like(v))
 
     @classmethod
-    def discrete(cls, velocities, weights=None) -> "VelocityDistribution":
+    def discrete(cls, velocities) -> "VelocityDistribution":
+        """Equal-weight classes at the given velocities."""
         v = np.asarray(velocities, dtype=float)
         _check_class_count(v.size)
-        w = np.ones_like(v) if weights is None else np.asarray(weights, dtype=float)
-        return cls("discrete", v, w)
+        return cls("discrete", v, np.ones_like(v))
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,6 @@ class SynthesisResult:
     image: Interferogram
     clipped_velocities: tuple[float, ...]
     clipped_weight: float
-    n_classes: int
 
 
 def _blurred_image(
@@ -411,7 +410,6 @@ def synthesize_image(
         image=image,
         clipped_velocities=tuple(clipped_v),
         clipped_weight=clipped_w,
-        n_classes=len(distribution),
     )
 
 

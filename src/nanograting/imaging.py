@@ -17,8 +17,6 @@ from .errors import DomainError, WorkBudgetError
 from .gravity import MAX_IMAGE_PIXELS, Interferogram
 
 __all__ = [
-    "HOT_COLORMAP",
-    "HotColormap",
     "extract_band",
     "hot_color",
     "hot_color_inverse",
@@ -132,34 +130,25 @@ _HOT_ROWS = (
 )
 
 
-class HotColormap:
-    """Signal-to-RGB lookup over the fixed 100-row heat control table.
-
-    ``signals`` are the control abscissae (0.00 .. 0.99); lookups clamp below
-    0 and above 0.99 and interpolate linearly between rows. All channels are
-    monotone non-decreasing in the signal.
-    """
-
-    table = _frozen_array(_HOT_ROWS)
-    signals = _frozen_array(np.arange(100) / 100.0)
-
-    def rgb(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized lookup: values of any shape -> RGB array shaped
-        values.shape + (3,). Exact at the control points, linear between
-        them, clamped outside."""
-        v = np.asarray(values, dtype=float)
-        out = np.empty(v.shape + (3,))
-        for c in range(3):
-            out[..., c] = np.interp(v, self.signals, self.table[:, c])
-        return out
+_HOT_TABLE = _frozen_array(_HOT_ROWS)
+_HOT_SIGNALS = _frozen_array(np.arange(100) / 100.0)  # each row's signal, 0.00 .. 0.99
 
 
-HOT_COLORMAP = HotColormap()
+def _hot_rgb(values: np.ndarray) -> np.ndarray:
+    """Heat-map lookup: values of any shape -> RGB array shaped
+    values.shape + (3,). Exact at the control points, linear between them,
+    clamped below 0 and above 0.99; every channel is monotone
+    non-decreasing in the signal."""
+    v = np.asarray(values, dtype=float)
+    out = np.empty(v.shape + (3,))
+    for c in range(3):
+        out[..., c] = np.interp(v, _HOT_SIGNALS, _HOT_TABLE[:, c])
+    return out
 
 
 def hot_color(value: float) -> tuple[float, float, float]:
     """RGB triple for one normalized signal value in [0, 1]."""
-    r, g, b = HOT_COLORMAP.rgb(np.float64(value))
+    r, g, b = _hot_rgb(np.float64(value))
     return float(r), float(g), float(b)
 
 
@@ -172,8 +161,8 @@ def hot_color_inverse(rgb: tuple[float, float, float]) -> float:
     probe = np.asarray(rgb, dtype=float)
     if probe.shape != (3,):
         raise DomainError("expected an (R, G, B) triple")
-    distances = np.sum((HOT_COLORMAP.table - probe) ** 2, axis=1)
-    return float(HOT_COLORMAP.signals[int(np.argmin(distances))])
+    distances = np.sum((_HOT_TABLE - probe) ** 2, axis=1)
+    return float(_HOT_SIGNALS[int(np.argmin(distances))])
 
 
 def subtract_background(image: Interferogram, background: Interferogram) -> Interferogram:
@@ -195,12 +184,10 @@ def extract_band(
     image: Interferogram,
     y_center: float,
     half_width: float,
-    normalize: bool = False,
 ) -> Trace:
     """Column-wise sum over the rows within ``y_center +- half_width``.
 
-    This is the vertical 1D integral of a horizontal velocity band. With
-    ``normalize`` the result is scaled to a maximum of 1.
+    This is the vertical 1D integral of a horizontal velocity band.
     """
     if half_width < 0.0:
         raise DomainError(f"half width must be non-negative, got {half_width!r}")
@@ -210,11 +197,7 @@ def extract_band(
         raise DomainError(
             f"band {y_center!r} +- {half_width!r} selects no rows of the image"
         )
-    profile = image.values[rows].sum(axis=0)
-    trace = Trace(image.x_positions, profile)
-    if normalize:
-        return trace.normalized_to_max()
-    return trace
+    return Trace(image.x_positions, image.values[rows].sum(axis=0))
 
 
 def render_image(image: Interferogram, vertical_stretch: float = 1.0) -> bytes:
@@ -244,7 +227,7 @@ def render_image(image: Interferogram, vertical_stretch: float = 1.0) -> bytes:
     source = np.minimum((np.arange(out_rows) * ny) // out_rows, ny - 1)
     stretched = top_down[source]
 
-    rgb = HOT_COLORMAP.rgb(stretched)
+    rgb = _hot_rgb(stretched)
     channels = np.rint(255.0 * rgb).astype(np.uint8)
     header = f"P6\n{nx} {out_rows}\n255\n".encode("ascii")
     return header + channels.tobytes()

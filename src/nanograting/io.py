@@ -57,6 +57,16 @@ _SIDECAR_KEYS = {
 }
 
 
+def _read_file(path: Path, encoding: str | None = None) -> Any:
+    """Bytes of ``path``, or its text when an ``encoding`` is given; a file
+    that cannot be opened or decoded (a directory, a non-text byte) is a
+    ConfigurationError naming it."""
+    try:
+        return path.read_bytes() if encoding is None else path.read_text(encoding=encoding)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
 def format_value(value: Any) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -90,8 +100,7 @@ def read_trace_csv(path: str | Path) -> tuple[Trace, dict[str, str]]:
     source = Path(path)
     if not source.exists():
         raise ConfigurationError(f"trace file {source} does not exist")
-    text = source.read_text(encoding="ascii")
-    for line in text.splitlines():
+    for line in _read_file(source, "ascii").splitlines():
         line = line.strip()
         if not line:
             continue
@@ -163,12 +172,12 @@ def read_interferogram(path: str | Path) -> Interferogram:
     if not sidecar_path.exists():
         raise ConfigurationError(f"missing interferogram sidecar {sidecar_path}")
     try:
-        meta = json.loads(sidecar_path.read_text(encoding="ascii"))
+        meta = json.loads(_read_file(sidecar_path, "ascii"))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"malformed sidecar {sidecar_path}: {exc}") from exc
     _check_sidecar(meta, sidecar_path)
     ny, nx = meta["ny"], meta["nx"]
-    raw = np.frombuffer(target.read_bytes(), dtype=_IMAGE_DTYPE)
+    raw = np.frombuffer(_read_file(target), dtype=_IMAGE_DTYPE)
     if raw.size != nx * ny:
         raise ConfigurationError(
             f"interferogram payload holds {raw.size} values, expected {nx * ny}"

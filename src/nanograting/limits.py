@@ -107,21 +107,15 @@ def coherence_check(position_sigma: float, slit_width: float) -> tuple[bool, flo
     return coherent, margin
 
 
-def momentum_transfer_hk(
-    period: float,
-    max_order: int,
-    lambda_ref: float = CONSTANTS.lambda_ref,
-) -> float:
+def momentum_transfer_hk(period: float, max_order: int) -> float:
     """Transverse momentum splitting between the +n_max and -n_max
-    diffraction arms, in units of the photon recoil h / lambda_ref:
-    2 n_max lambda_ref / d."""
+    diffraction arms, in units of the photon recoil h / lambda_ref of the
+    780.241 nm reference line (``CONSTANTS.lambda_ref``): 2 n_max lambda_ref / d."""
     if period <= 0.0:
         raise DomainError(f"period must be positive, got {period!r}")
-    if lambda_ref <= 0.0:
-        raise DomainError(f"reference wavelength must be positive, got {lambda_ref!r}")
     if max_order < 0:
         raise DomainError(f"max order must be non-negative, got {max_order!r}")
-    return 2.0 * max_order * lambda_ref / period
+    return 2.0 * max_order * CONSTANTS.lambda_ref / period
 
 
 def adsorption_coverage(
@@ -164,7 +158,6 @@ def limits_report(
     *,
     period: float,
     max_order: int,
-    lambda_ref: float = CONSTANTS.lambda_ref,
 ) -> LimitsReport:
     """Assemble the full coherence-limit report for one slit/sigma pair.
 
@@ -188,5 +181,5 @@ def limits_report(
         s_min=min_coherent_slit(position_sigma),
         coherent=coherent,
         margin=margin,
-        momentum_transfer_hk=momentum_transfer_hk(period, max_order, lambda_ref),
+        momentum_transfer_hk=momentum_transfer_hk(period, max_order),
     )

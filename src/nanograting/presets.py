@@ -1,12 +1,16 @@
 """Built-in presets: five ultra-thin gratings and the test molecule.
 
-Preset values are data, not code. Each grating entry carries a ``notes`` dict
-with material info, recorded-but-unused raw values, and inconsistency flags
-where the underlying characterization data disagree with themselves.
+Preset values are data, not code. Each grating entry carries the
+``Grating`` fields, the bar material that ``bar_mass`` reads (``layers``,
+``areal_density`` per layer and, for rolled bars, the unrolled
+``ribbon_width``), and a ``notes`` dict with material info,
+recorded-but-unused raw values, and inconsistency flags where the
+underlying characterization data disagree with themselves.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any
 
 from .domain import ATOMIC_MASS_KG, Grating, Molecule
@@ -15,6 +19,7 @@ from .errors import ConfigurationError
 __all__ = [
     "GRATING_PRESETS",
     "MOLECULE_PRESETS",
+    "bar_mass",
     "grating_preset",
     "grating_preset_names",
     "molecule_preset",
@@ -155,16 +160,31 @@ def molecule_preset_names() -> tuple[str, ...]:
     return tuple(sorted(MOLECULE_PRESETS))
 
 
-def grating_preset(name: str) -> Grating:
-    """Build the named grating preset. Unknown names raise ConfigurationError."""
+def _grating_entry(name: str) -> dict[str, Any]:
     try:
-        entry = GRATING_PRESETS[name]
+        return GRATING_PRESETS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown grating preset {name!r}; available: {', '.join(grating_preset_names())}"
         ) from None
-    fields = {k: v for k, v in entry.items() if k != "notes"}
-    return Grating(**fields)
+
+
+def grating_preset(name: str) -> Grating:
+    """Build the named grating preset. Unknown names raise ConfigurationError."""
+    entry = _grating_entry(name)
+    return Grating(**{f.name: entry[f.name] for f in fields(Grating) if f.name in entry})
+
+
+def bar_mass(name: str) -> float:
+    """Mass of a single bar of the named grating preset in kg.
+
+    layers * areal_density * bar_length * material width, where the material
+    width is the ribbon width (the unrolled membrane width for scrolled bars)
+    or else the bar width.
+    """
+    entry = _grating_entry(name)
+    width = entry.get("ribbon_width", entry["bar_width"])
+    return entry["layers"] * entry["areal_density"] * entry["bar_length"] * width
 
 
 def molecule_preset(name: str) -> Molecule:
@@ -180,7 +200,4 @@ def molecule_preset(name: str) -> Molecule:
 
 def preset_notes(name: str) -> dict[str, Any]:
     """Raw characterization notes and inconsistency flags for a grating preset."""
-    try:
-        return dict(GRATING_PRESETS[name]["notes"])
-    except KeyError:
-        raise ConfigurationError(f"unknown grating preset {name!r}") from None
+    return dict(_grating_entry(name)["notes"])

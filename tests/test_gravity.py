@@ -227,7 +227,6 @@ class TestSynthesizeImage:
     def test_single_class_places_unit_weight_at_fall_height(self):
         dist = VelocityDistribution.discrete([220.0])
         result = synthesize_image(dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
-        assert result.n_classes == 1
         assert result.clipped_velocities == ()
         assert result.clipped_weight == 0.0
         # blur is mass-preserving, so the whole unit weight survives
@@ -248,7 +247,6 @@ class TestSynthesizeImage:
     def test_zero_weight_class_is_skipped(self):
         dist = VelocityDistribution("discrete", [180.0, 220.0], [0.0, 1.0])
         result = synthesize_image(dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
-        assert result.n_classes == 2
         assert result.clipped_velocities == ()
         assert result.image.total == pytest.approx(1.0, rel=1e-9)
 
@@ -274,7 +272,7 @@ class TestSynthesizeImage:
         # every class lands fully on the image, and the y blur keeps each
         # column's sum
         grating = grating_preset(preset)
-        dist = VelocityDistribution.discrete([200.0, 215.0, 230.0, 260.0], [1.0, 2.0, 3.0, 4.0])
+        dist = VelocityDistribution("discrete", [200.0, 215.0, 230.0, 260.0], [1.0, 2.0, 3.0, 4.0])
         result = synthesize_image(dist, grating, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
         assert result.clipped_weight == 0.0
         trace = band_averaged_trace(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nanograting import (
-    HOT_COLORMAP,
     DomainError,
     Interferogram,
     extract_band,
@@ -11,12 +10,13 @@ from nanograting import (
     render_image,
     subtract_background,
 )
+from nanograting.imaging import _HOT_SIGNALS, _HOT_TABLE, _hot_rgb
 
 
 def test_colormap_has_100_rows_knot_exact():
-    assert HOT_COLORMAP.table.shape == (100, 3)
-    for i, signal in enumerate(HOT_COLORMAP.signals):
-        assert hot_color(float(signal)) == tuple(HOT_COLORMAP.table[i]), i
+    assert _HOT_TABLE.shape == (100, 3)
+    for i, signal in enumerate(_HOT_SIGNALS):
+        assert hot_color(float(signal)) == tuple(_HOT_TABLE[i]), i
 
 
 def test_colormap_anchor_rows():
@@ -38,7 +38,7 @@ def test_color_center_of_red_to_yellow_transition_near_60_percent():
 def test_colormap_monotone_channels():
     rng = np.random.default_rng(404)
     values = np.sort(rng.uniform(0.0, 1.0, 10_000))
-    rgb = HOT_COLORMAP.rgb(values)
+    rgb = _hot_rgb(values)
     for channel in range(3):
         diffs = np.diff(rgb[:, channel])
         assert np.all(diffs >= -1e-15), channel
@@ -119,7 +119,7 @@ def test_extract_band_selects_rows_and_sums_columns():
 
 def test_extract_band_normalization():
     img = _image([[1.0, 4.0, 2.0]])
-    trace = extract_band(img, 0.0, 1e-6, normalize=True)
+    trace = extract_band(img, 0.0, 1e-6).normalized_to_max()
     assert trace.intensities.max() == 1.0
 
 

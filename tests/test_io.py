@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanograting import ConfigurationError, Interferogram, Trace
 from nanograting.io import (
@@ -160,6 +164,40 @@ def test_interferogram_sidecar_must_be_an_object(tmp_path):
     (tmp_path / "img.f64.json").write_text("[1, 2]")
     with pytest.raises(ConfigurationError):
         read_interferogram(path)
+
+
+def test_a_directory_in_place_of_a_file_is_a_configuration_error(tmp_path):
+    (tmp_path / "trace.csv").mkdir()
+    with pytest.raises(ConfigurationError, match="trace.csv"):
+        read_trace_csv(tmp_path / "trace.csv")
+    path = tmp_path / "img.f64"
+    write_interferogram(path, Interferogram(np.ones((2, 3)), 1e-6, 2e-6, 0.0, 0.0))
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(ConfigurationError, match="img.f64"):
+        read_interferogram(path)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    file=st.sampled_from(["trace", "sidecar"]),
+    position=st.integers(0, 4095),
+    value=st.integers(0, 255),
+)
+def test_one_overwritten_byte_reads_or_raises_configuration_error(file, position, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path = Path(tmp) / "t.csv"
+        image_path = Path(tmp) / "i.f64"
+        write_trace_csv(trace_path, _trace(), {"velocity_m_s": 220.0, "n_slits": 52})
+        write_interferogram(image_path, Interferogram(np.ones((2, 3)), 1e-6, 2e-6, 0.0, -1e-4))
+        target = trace_path if file == "trace" else Path(tmp) / "i.f64.json"
+        data = bytearray(target.read_bytes())
+        data[position % len(data)] = value
+        target.write_bytes(bytes(data))
+        try:
+            read_trace_csv(trace_path) if file == "trace" else read_interferogram(image_path)
+        except ConfigurationError:
+            pass
 
 
 def test_write_pixmap_requires_p6(tmp_path):

@@ -115,9 +115,7 @@ def test_momentum_transfer_values():
 
 
 def test_momentum_transfer_reference_wavelength_default():
-    assert momentum_transfer_hk(100e-9, 9) == momentum_transfer_hk(
-        100e-9, 9, lambda_ref=CONSTANTS.lambda_ref
-    )
+    assert momentum_transfer_hk(100e-9, 9) == 2 * 9 * CONSTANTS.lambda_ref / 100e-9
 
 
 def test_adsorption_coverage_values():

@@ -1,7 +1,9 @@
 import pytest
 
 from nanograting import (
+    GRATING_PRESETS,
     ConfigurationError,
+    bar_mass,
     grating_preset,
     grating_preset_names,
     molecule_preset,
@@ -9,7 +11,6 @@ from nanograting import (
     opening_fraction,
     preset_notes,
 )
-from nanograting.domain import bar_mass
 
 EXPECTED_GEOMETRY = {
     # name: (period, slit, effective slit) in nm
@@ -44,7 +45,7 @@ def test_preset_geometry_values():
 
 def test_preset_masses_within_five_percent():
     for name, expected in EXPECTED_MASSES.items():
-        mass = bar_mass(grating_preset(name))
+        mass = bar_mass(name)
         assert abs(mass - expected) / expected < 0.05, (name, mass, expected)
 
 
@@ -72,7 +73,7 @@ def test_slg_notes_carry_vibration_bound():
 
 
 def test_bilayer_has_two_layers():
-    assert grating_preset("bilayer").layers == 2
+    assert GRATING_PRESETS["bilayer"]["layers"] == 2
 
 
 def test_unknown_preset_raises():

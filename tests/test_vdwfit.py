@@ -55,25 +55,26 @@ class TestSuppressionRatio:
 
 class TestBandAveragedTrace:
     GRID = DetectorGrid.symmetric(50e-6, 1e-6)
+    RAW_GRID = replace(GRID, psf_sigma=0.0)  # identity kernel: the unconvolved sum
 
     def test_raw_trace_has_unit_pixel_sum(self):
         band = VelocityDistribution.uniform_band(220.0, 10.0, 3)
         trace = band_averaged_trace(
-            SINX, PCH2, band, SOURCE, GEOMETRY, self.GRID, convolve=False
+            SINX, PCH2, band, SOURCE, GEOMETRY, self.RAW_GRID
         )
         assert trace.intensities.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_convolution_preserves_pixel_sum(self):
         band = VelocityDistribution.uniform_band(220.0, 10.0, 3)
         trace = band_averaged_trace(
-            SINX, PCH2, band, SOURCE, GEOMETRY, self.GRID, convolve=True
+            SINX, PCH2, band, SOURCE, GEOMETRY, self.GRID
         )
         assert trace.intensities.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_single_class_band_matches_direct_pattern(self):
         band = VelocityDistribution.uniform_band(220.0, 0.0, 1)
         trace = band_averaged_trace(
-            SINX, PCH2, band, SOURCE, GEOMETRY, self.GRID, convolve=False
+            SINX, PCH2, band, SOURCE, GEOMETRY, self.RAW_GRID
         )
         wavelength = de_broglie_wavelength(PCH2, 220.0)
         k = wave_number(PCH2, 220.0)
@@ -85,8 +86,8 @@ class TestBandAveragedTrace:
     def test_zero_weight_classes_are_skipped(self):
         one = VelocityDistribution("discrete", [220.0], [1.0])
         padded = VelocityDistribution("discrete", [180.0, 220.0], [0.0, 1.0])
-        a = band_averaged_trace(SINX, PCH2, one, SOURCE, GEOMETRY, self.GRID, convolve=False)
-        b = band_averaged_trace(SINX, PCH2, padded, SOURCE, GEOMETRY, self.GRID, convolve=False)
+        a = band_averaged_trace(SINX, PCH2, one, SOURCE, GEOMETRY, self.RAW_GRID)
+        b = band_averaged_trace(SINX, PCH2, padded, SOURCE, GEOMETRY, self.RAW_GRID)
         np.testing.assert_allclose(a.intensities, b.intensities, rtol=1e-15)
 
 
