@@ -49,7 +49,7 @@ from .io import (
     write_trace_csv,
 )
 from .limits import adsorption_coverage, limits_report, thermal_scroll_amplitude
-from .presets import preset_notes
+from .presets import GRATING_PRESETS
 from .vdwfit import band_averaged_trace, fit_effective_slit
 
 __all__ = ["main"]
@@ -113,7 +113,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
         )
         header = _simulation_header(config, center)
         header["velocity_classes"] = len(band)
-        header["velocity_kind"] = band.kind
+        header["velocity_kind"] = config.require("velocity.kind")
     else:
         velocity = config.require("simulate.velocity_m_s")
         wavelength = de_broglie_wavelength(molecule, velocity)
@@ -168,7 +168,7 @@ def cmd_synth_image(config: RunConfig, args: argparse.Namespace) -> int:
         {
             "grating": grating.label,
             "molecule": molecule.name,
-            "velocity_kind": distribution.kind,
+            "velocity_kind": config.require("velocity.kind"),
             "velocity_classes": len(distribution),
             "clipped_classes": len(result.clipped_velocities),
             "clipped_weight": result.clipped_weight,
@@ -309,28 +309,36 @@ def cmd_fit_velocity(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _position_sigma(config: RunConfig, grating: Grating) -> tuple[float, str]:
+def _position_sigma(config: RunConfig) -> tuple[float, str]:
     """Transverse position uncertainty of a grating bar: explicit config
     value, else the preset's measured vibration note, else the thermal
-    bending amplitude of the bar."""
+    bending amplitude of a bar sized by the limits.beam_* keys or the preset
+    table. config.grating() must have checked the preset name."""
     sigma = config.get("limits.sigma_nm")
     if sigma is not None:
         return sigma, "configured"
     name = config.get("grating.preset")
-    notes = preset_notes(name) if name is not None else {}
+    entry = GRATING_PRESETS[name] if name is not None else {}
+    notes = entry.get("notes", {})
     if "vibration_sigma_m" in notes:
         return float(notes["vibration_sigma_m"]), "preset-vibration-note"
+    length = config.get("limits.beam_length_nm", entry.get("bar_length"))
+    width = notes.get("scroll_diameter_m", entry.get("bar_width"))
+    diameter = config.get("limits.beam_diameter_nm", width)
+    if length is None or diameter is None:
+        raise ConfigurationError(
+            "the thermal position estimate of a custom grating needs "
+            "limits.beam_length_nm and limits.beam_diameter_nm (or limits.sigma_nm)"
+        )
     return thermal_scroll_amplitude(
-        config.get("limits.beam_length_nm", grating.bar_length),
-        config.get("limits.beam_diameter_nm", notes.get("scroll_diameter_m", grating.bar_width)),
-        config.require("limits.temperature_K"),
+        length, diameter, config.require("limits.temperature_K"),
         config.require("limits.youngs_modulus_GPa"),
     ), "thermal"
 
 
 def cmd_limits(config: RunConfig, args: argparse.Namespace) -> int:
     grating = config.grating()
-    sigma, sigma_source = _position_sigma(config, grating)
+    sigma, sigma_source = _position_sigma(config)
     report_obj = limits_report(
         grating.effective_slit_width,
         sigma,
@@ -418,7 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed < 0:
+        # numpy's generators take only non-negative seeds
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     try:
         config = load_run_config(args.config, args.preset, args.set)
         return args.func(config, args)

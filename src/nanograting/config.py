@@ -9,6 +9,7 @@ the config file, then --preset, then --set overrides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -44,8 +45,6 @@ KNOWN_KEYS: dict[str, tuple[str, float, str | None]] = {
     "grating.period_nm": ("float", 1e-9, None),
     "grating.slit_width_nm": ("float", 1e-9, None),
     "grating.effective_slit_width_nm": ("float", 1e-9, None),
-    "grating.bar_length_nm": ("float", 1e-9, None),
-    "grating.bar_width_nm": ("float", 1e-9, None),
     "geometry.L1_m": ("float", 1.0, "1.554"),
     "geometry.L2_m": ("float", 1.0, "0.586"),
     "geometry.g_m_s2": ("float", 1.0, "9.81"),
@@ -126,22 +125,23 @@ def _convert(key: str, raw: str) -> Any:
         except ValueError as exc:
             raise ConfigurationError(f"{key!r} expects an integer, got {raw!r}") from exc
     if kind == "float_list":
-        try:
-            items = [float(part) * scale for part in text.split(",") if part.strip()]
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{key!r} expects comma-separated numbers, got {raw!r}"
-            ) from exc
-        if not items:
+        parts = [part for part in text.split(",") if part.strip()]
+        if not parts:
             raise ConfigurationError(f"{key!r} expects at least one number")
-        return items
+        return [_number(key, part.strip(), scale) for part in parts]
+    return _number(key, text, scale)
+
+
+def _number(key: str, text: str, scale: float) -> float:
+    """One number of ``key`` times its SI scale; the product must be finite,
+    so a value that overflows in SI units is refused like NaN or inf."""
     try:
-        value = float(text)
+        value = float(text) * scale
     except ValueError as exc:
-        raise ConfigurationError(f"{key!r} expects a number, got {raw!r}") from exc
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ConfigurationError(f"{key!r} must be finite, got {raw!r}")
-    return value * scale
+        raise ConfigurationError(f"{key!r} expects a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{key!r} must be finite in SI units, got {text!r}")
+    return value
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -195,22 +195,18 @@ class RunConfig:
             "period": self.get("grating.period_nm"),
             "slit_width": self.get("grating.slit_width_nm"),
             "effective_slit_width": self.get("grating.effective_slit_width_nm"),
-            "bar_length": self.get("grating.bar_length_nm"),
-            "bar_width": self.get("grating.bar_width_nm"),
         }
         present = {k: v for k, v in overrides.items() if v is not None}
         preset_name = self.get("grating.preset")
         if preset_name is not None:
             base = grating_preset(preset_name)
             return replace(base, **present) if present else base
-        for required in ("period", "slit_width", "effective_slit_width"):
-            if required not in present:
-                raise ConfigurationError(
-                    "grating is undefined: set grating.preset or at least "
-                    "grating.period_nm, grating.slit_width_nm, and "
-                    "grating.effective_slit_width_nm"
-                )
-        present.setdefault("bar_length", 1e-6)
+        if len(present) < len(overrides):
+            raise ConfigurationError(
+                "grating is undefined: set grating.preset or at least "
+                "grating.period_nm, grating.slit_width_nm, and "
+                "grating.effective_slit_width_nm"
+            )
         return Grating(label="custom", **present)
 
     def geometry(self) -> BeamlineGeometry:

@@ -126,12 +126,6 @@ class Trace:
     def pixel_pitch(self) -> float:
         return float(self.positions[1] - self.positions[0])
 
-    def normalized_to_max(self) -> "Trace":
-        peak = float(self.intensities.max())
-        if peak <= 0.0:
-            raise DomainError("cannot max-normalize an all-zero trace")
-        return Trace(self.positions, self.intensities / peak)
-
 
 @dataclass(frozen=True)
 class CoherenceResult:

@@ -20,12 +20,9 @@ __all__ = [
     "PhysicalConstants",
     "SourceModel",
     "de_broglie_wavelength",
-    "opening_fraction",
 ]
 
 ATOMIC_MASS_KG = 1.66053906660e-27
-
-BAR_WIDTH_TOLERANCE = 0.25  # largest relative deviation of a given bar width from d - s
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,10 @@ class Molecule:
 
 @dataclass(frozen=True)
 class Grating:
-    """Geometry of a periodic transmission grating.
+    """The diffraction mask of a periodic transmission grating.
+
+    The bars enter only the coherence limits, which read their size from
+    the preset table or the ``limits.beam_*`` keys.
 
     Parameters
     ----------
@@ -81,11 +81,6 @@ class Grating:
     effective_slit_width:
         Effective (interaction-reduced) slit width in m, 0 < s_eff <= s.
         The forward diffraction model always uses this width.
-    bar_length, bar_width:
-        Physical extent of one grating bar in m. If ``bar_width`` is omitted
-        it defaults to d - s. A provided value must agree with d - s within
-        ``BAR_WIDTH_TOLERANCE`` (relative), since bars and slits tile the
-        period.
     label:
         Free-form label.
     """
@@ -93,8 +88,6 @@ class Grating:
     period: float
     slit_width: float
     effective_slit_width: float
-    bar_length: float
-    bar_width: float | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -108,21 +101,6 @@ class Grating:
                 f"effective slit width must satisfy 0 < s_eff <= s, "
                 f"got s_eff={s_eff!r}, s={s!r}"
             )
-        if self.bar_length < 0.0:
-            raise DomainError(f"bar length must be non-negative, got {self.bar_length!r}")
-        if self.bar_width is None:
-            object.__setattr__(self, "bar_width", d - s)
-        else:
-            expected = d - s
-            if self.bar_width < 0.0:
-                raise DomainError(f"bar width must be non-negative, got {self.bar_width!r}")
-            rel = abs(self.bar_width - expected) / expected
-            if rel > BAR_WIDTH_TOLERANCE:
-                raise DomainError(
-                    f"bar width {self.bar_width!r} inconsistent with period - slit "
-                    f"= {expected!r} (relative deviation {rel:.3f} exceeds "
-                    f"{BAR_WIDTH_TOLERANCE})"
-                )
 
 
 @dataclass(frozen=True)
@@ -177,8 +155,3 @@ def de_broglie_wavelength(molecule: Molecule, velocity: float) -> float:
     if not (velocity > 0.0 and math.isfinite(velocity)):
         raise DomainError(f"velocity must be positive and finite, got {velocity!r}")
     return CONSTANTS.h / (molecule.mass * velocity)
-
-
-def opening_fraction(grating: Grating) -> float:
-    """Open fraction s/d of the grating unit cell."""
-    return grating.slit_width / grating.period

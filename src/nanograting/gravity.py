@@ -47,8 +47,6 @@ __all__ = [
     "synthesize_image",
 ]
 
-DISTRIBUTION_KINDS = ("maxwell-boltzmann-beam", "uniform-band", "discrete")
-
 # velocity range over which image synthesis is validated
 VELOCITY_SUPPORT = (50.0, 1000.0)
 
@@ -91,15 +89,10 @@ class VelocityDistribution:
     the generic constructor validates whatever classes it is given.
     """
 
-    kind: str
     velocities: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in DISTRIBUTION_KINDS:
-            raise DomainError(
-                f"unknown distribution kind {self.kind!r}; expected one of {DISTRIBUTION_KINDS}"
-            )
         v = np.asarray(self.velocities, dtype=float)
         w = np.asarray(self.weights, dtype=float)
         if v.ndim != 1 or w.ndim != 1 or v.size != w.size or v.size == 0:
@@ -140,7 +133,7 @@ class VelocityDistribution:
             raise DomainError(f"need 0 < v_min < v_max, got [{lo!r}, {hi!r}]")
         v = np.linspace(lo, hi, n_classes) if n_classes > 1 else np.array([(lo + hi) / 2.0])
         w = v**3 * np.exp(-((v / most_probable_velocity) ** 2))
-        return cls("maxwell-boltzmann-beam", v, w)
+        return cls(v, w)
 
     @classmethod
     def uniform_band(cls, center: float, half_width: float, n_classes: int = 5) -> "VelocityDistribution":
@@ -154,14 +147,14 @@ class VelocityDistribution:
             v = np.array([center])
         else:
             v = np.linspace(center - half_width, center + half_width, n_classes)
-        return cls("uniform-band", v, np.ones_like(v))
+        return cls(v, np.ones_like(v))
 
     @classmethod
     def discrete(cls, velocities) -> "VelocityDistribution":
         """Equal-weight classes at the given velocities."""
         v = np.asarray(velocities, dtype=float)
         _check_class_count(v.size)
-        return cls("discrete", v, np.ones_like(v))
+        return cls(v, np.ones_like(v))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
-"""Detector-image processing and rendering: background subtraction, band
-extraction into 1D traces, the heat colormap used for interferogram display,
-and binary portable-pixmap (P6) rendering with optional vertical stretch.
+"""Interferogram display: the heat colormap and binary portable-pixmap (P6)
+rendering with optional vertical stretch.
 
 The colormap is a 100-row control table (signal 0.00..0.99 in steps of 0.01
 to R, G, B in [0, 1]); lookups interpolate linearly between adjacent rows
@@ -12,16 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffraction import Trace, _frozen_array
+from .diffraction import _frozen_array
 from .errors import DomainError, WorkBudgetError
 from .gravity import MAX_IMAGE_PIXELS, Interferogram
 
 __all__ = [
-    "extract_band",
     "hot_color",
     "hot_color_inverse",
     "render_image",
-    "subtract_background",
 ]
 
 # Heat colormap control points: black through red and yellow to white.
@@ -163,41 +160,6 @@ def hot_color_inverse(rgb: tuple[float, float, float]) -> float:
         raise DomainError("expected an (R, G, B) triple")
     distances = np.sum((_HOT_TABLE - probe) ** 2, axis=1)
     return float(_HOT_SIGNALS[int(np.argmin(distances))])
-
-
-def subtract_background(image: Interferogram, background: Interferogram) -> Interferogram:
-    """Pixel-wise difference clamped at zero; grids must match exactly."""
-    grids = [(im.values.shape, im.pixel_pitch_x, im.pixel_pitch_y, im.x_min, im.y_min)
-             for im in (image, background)]
-    if grids[0] != grids[1]:
-        raise DomainError(
-            "image and background grids (shape, pitch x, pitch y, x_min, y_min) "
-            f"differ: {grids[0]} vs {grids[1]}"
-        )
-    diff = np.maximum(image.values - background.values, 0.0)
-    return Interferogram(
-        diff, image.pixel_pitch_x, image.pixel_pitch_y, image.x_min, image.y_min
-    )
-
-
-def extract_band(
-    image: Interferogram,
-    y_center: float,
-    half_width: float,
-) -> Trace:
-    """Column-wise sum over the rows within ``y_center +- half_width``.
-
-    This is the vertical 1D integral of a horizontal velocity band.
-    """
-    if half_width < 0.0:
-        raise DomainError(f"half width must be non-negative, got {half_width!r}")
-    y = image.y_positions
-    rows = np.nonzero(np.abs(y - y_center) <= half_width + 1e-12 * image.pixel_pitch_y)[0]
-    if rows.size == 0:
-        raise DomainError(
-            f"band {y_center!r} +- {half_width!r} selects no rows of the image"
-        )
-    return Trace(image.x_positions, image.values[rows].sum(axis=0))
 
 
 def render_image(image: Interferogram, vertical_stretch: float = 1.0) -> bytes:

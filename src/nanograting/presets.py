@@ -1,9 +1,10 @@
 """Built-in presets: five ultra-thin gratings and the test molecule.
 
 Preset values are data, not code. Each grating entry carries the
-``Grating`` fields, the bar material that ``bar_mass`` reads (``layers``,
-``areal_density`` per layer and, for rolled bars, the unrolled
-``ribbon_width``), and a ``notes`` dict with material info,
+``Grating`` fields; the bar geometry (``bar_length``, ``bar_width``) and
+material (``layers``, ``areal_density`` per layer and, for rolled bars, the
+unrolled ``ribbon_width``) that ``bar_mass`` and the thermal estimate of
+``limits`` read; and a ``notes`` dict with material info,
 recorded-but-unused raw values, and inconsistency flags where the
 underlying characterization data disagree with themselves.
 """
@@ -24,7 +25,6 @@ __all__ = [
     "grating_preset_names",
     "molecule_preset",
     "molecule_preset_names",
-    "preset_notes",
 ]
 
 # Graphene areal density per layer; standard single-sheet value.
@@ -196,8 +196,3 @@ def molecule_preset(name: str) -> Molecule:
             f"unknown molecule preset {name!r}; available: {', '.join(molecule_preset_names())}"
         ) from None
     return Molecule(**entry)
-
-
-def preset_notes(name: str) -> dict[str, Any]:
-    """Raw characterization notes and inconsistency flags for a grating preset."""
-    return dict(_grating_entry(name)["notes"])

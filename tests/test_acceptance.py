@@ -68,7 +68,6 @@ def test_criterion_01_closed_form_equivalence():
             period=period,
             slit_width=50e-9,
             effective_slit_width=s_eff,
-            bar_length=1e-6,
         )
         start = time.perf_counter()
         simulated = kirchhoff_pattern(

@@ -550,6 +550,34 @@ class TestLimits:
             0.0010408163265306124, rel=1e-12
         )
 
+    @pytest.mark.parametrize("preset, sigma", [
+        ("sinx", "6.477809385546572e-12"),
+        ("bilayer", "6.566482773353498e-12"),
+        ("biphenyl", "6.942582206965178e-12"),
+    ])
+    def test_thermal_sigma_reads_the_preset_bar(self, capsys, preset, sigma):
+        code, stdout, _ = run_cli(capsys, "limits", "--preset", preset)
+        assert code == 0
+        report = parse_report(stdout)
+        assert report["position_sigma_source"] == "thermal"
+        assert report["position_sigma_m"] == sigma
+
+    def test_custom_grating_thermal_sigma_needs_the_beam_keys(self, capsys):
+        custom = (
+            "--set", "grating.period_nm=100",
+            "--set", "grating.slit_width_nm=50",
+            "--set", "grating.effective_slit_width_nm=30",
+        )
+        code, _, stderr = run_cli(capsys, "limits", *custom)
+        assert code == 2
+        assert "limits.beam_length_nm" in stderr
+        code, stdout, _ = run_cli(
+            capsys, "limits", *custom,
+            "--set", "limits.beam_length_nm=1000", "--set", "limits.beam_diameter_nm=50",
+        )
+        assert code == 0
+        assert parse_report(stdout)["position_sigma_source"] == "thermal"
+
     def test_configured_sigma_overrides(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "limits",
@@ -602,6 +630,8 @@ class TestErrorHandling:
         "simulate.n_slits",
         "simulate.n_max",
         "limits.lambda_ref_nm",
+        "grating.bar_length_nm",
+        "grating.bar_width_nm",
     ])
     def test_removed_key_exits_2(self, capsys, key):
         # aliases of another key, or keys that reached no output
@@ -654,6 +684,42 @@ class TestErrorHandling:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and str(path) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--preset", "slg", "--set", "grating.period_nm=120",
+         "--set", "simulate.band=false", *SMALL_DETECTOR),
+        ("fit-seff", "--preset", "sinx", "--set", "grating.slit_width_nm=70",
+         "--set", "fit.target_s_eff_nm=15", *SMALL_DETECTOR),
+    ])
+    def test_preset_geometry_overrides_run(self, capsys, args):
+        # the bars tile no part of the diffraction mask, so a period or slit
+        # override needs no matching bar width
+        code, _, stderr = run_cli(capsys, *args)
+        assert code == 0, stderr
+
+    @pytest.mark.parametrize("setting", [
+        "limits.youngs_modulus_GPa=1e300",
+        "velocity.list_m_s=nan",
+        "velocity.list_m_s=inf,220",
+    ])
+    def test_values_not_finite_in_si_units_exit_2(self, capsys, setting):
+        key = setting.partition("=")[0]
+        code, _, stderr = run_cli(
+            capsys, "limits", "--preset", "scroll", "--set", setting
+        )
+        assert code == 2
+        assert stderr.startswith("error:") and key in stderr
+
+    def test_negative_seed_exits_2(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nanograting.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nanograting", "fit-seff", "--preset", "sinx",
+             "--set", "fit.target_s_eff_nm=15", "--set", "fit.noise_fraction=0.01",
+             "--seed", "-1"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2
+        assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_missing_grating_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate")

@@ -84,14 +84,6 @@ def test_grating_builder_preset_with_override():
     assert g.effective_slit_width == pytest.approx(30e-9)
 
 
-def test_explicit_bar_width_on_a_preset_sets_the_ribbon_width():
-    # scroll's bars are rolled ribbons 64 nm wide; an explicit bar width
-    # replaces that note
-    g = load_run_config(preset="scroll", overrides=["grating.bar_width_nm=25"]).grating()
-    assert g.label == "scroll"
-    assert g.bar_width == pytest.approx(25e-9, rel=1e-15)
-
-
 def test_grating_builder_inline_without_preset():
     config = load_run_config(overrides=[
         "grating.period_nm=100",
@@ -134,12 +126,14 @@ def test_geometry_and_source_builders():
 
 def test_velocity_builder_kind_defaults():
     band = load_run_config().velocity_distribution()
-    assert band.kind == "uniform-band"
+    assert np.array_equal(
+        band.velocities, VelocityDistribution.uniform_band(220.0, 10.0, 21).velocities
+    )
     assert len(band) == 21
     mb = load_run_config(
         overrides=["velocity.kind=maxwell-boltzmann-beam"]
     ).velocity_distribution()
-    assert mb.kind == "maxwell-boltzmann-beam"
+    assert np.array_equal(mb.weights, VelocityDistribution.maxwell_beam(180.0, 200).weights)
     assert len(mb) == 200
     disc = load_run_config(
         overrides=["velocity.kind=discrete", "velocity.list_m_s=145,220,263"]

@@ -40,8 +40,7 @@ GEO = BeamlineGeometry.from_segments(L1=1.554, L2=0.586)
 
 
 def _grating(period=105e-9, slit=50e-9, s_eff=15e-9):
-    return Grating(period=period, slit_width=slit, effective_slit_width=s_eff,
-                   bar_length=956e-9, label="t")
+    return Grating(period=period, slit_width=slit, effective_slit_width=s_eff, label="t")
 
 
 def test_wave_number_value_and_identities():
@@ -110,11 +109,6 @@ def test_trace_validation():
         Trace(np.array([0.0, 1.0]), np.array([1.0, -0.5]))  # negative data
     tiny = Trace(np.array([0.0, 1.0]), np.array([1.0, -1e-15]))  # float fuzz
     assert tiny.intensities[1] == 0.0
-
-
-def test_trace_normalizations():
-    t = Trace(np.arange(5.0), np.array([0.0, 1.0, 4.0, 1.0, 0.0]))
-    assert t.normalized_to_max().intensities.max() == 1.0
 
 
 def test_single_slit_matches_sinc_envelope():

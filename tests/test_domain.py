@@ -12,7 +12,6 @@ from nanograting import (
     Molecule,
     SourceModel,
     de_broglie_wavelength,
-    opening_fraction,
 )
 
 
@@ -59,15 +58,9 @@ def test_molecule_validation():
 
 
 def _grating(**overrides):
-    base = dict(period=105e-9, slit_width=50e-9, effective_slit_width=15e-9,
-                bar_length=956e-9, label="t")
+    base = dict(period=105e-9, slit_width=50e-9, effective_slit_width=15e-9, label="t")
     base.update(overrides)
     return Grating(**base)
-
-
-def test_grating_defaults_bar_width_to_closed_fraction():
-    g = _grating()
-    assert g.bar_width == pytest.approx(105e-9 - 50e-9)
 
 
 def test_grating_validation():
@@ -77,11 +70,6 @@ def test_grating_validation():
         _grating(effective_slit_width=60e-9)  # effective exceeds geometric
     with pytest.raises(DomainError):
         _grating(period=0.0)
-
-
-def test_opening_fraction_half_when_slit_is_half_period():
-    g = _grating(period=100e-9, slit_width=50e-9, effective_slit_width=25e-9)
-    assert opening_fraction(g) == 0.5
 
 
 def test_geometry_segments_and_total_length():

@@ -83,7 +83,7 @@ class TestFitVelocity:
 
 class TestVelocityDistribution:
     def test_weights_normalized_to_unit_sum(self):
-        dist = VelocityDistribution("discrete", [200.0, 220.0], [3.0, 1.0])
+        dist = VelocityDistribution([200.0, 220.0], [3.0, 1.0])
         assert dist.weights.sum() == pytest.approx(1.0, rel=1e-15)
         assert dist.weights[0] == pytest.approx(0.75)
         assert len(dist) == 2
@@ -97,7 +97,6 @@ class TestVelocityDistribution:
 
     def test_uniform_band_layout(self):
         dist = VelocityDistribution.uniform_band(220.0, 10.0, 5)
-        assert dist.kind == "uniform-band"
         np.testing.assert_allclose(
             dist.velocities, [210.0, 215.0, 220.0, 225.0, 230.0]
         )
@@ -118,7 +117,6 @@ class TestVelocityDistribution:
     def test_maxwell_beam_default_bounds_and_shape(self):
         vp = 220.0
         dist = VelocityDistribution.maxwell_beam(vp, n_classes=200)
-        assert dist.kind == "maxwell-boltzmann-beam"
         assert dist.velocities[0] == pytest.approx(vp / 3.0)
         assert dist.velocities[-1] == pytest.approx(3.0 * vp)
         # weight ratio follows v^3 exp(-v^2/vp^2) independent of normalization
@@ -153,15 +151,13 @@ class TestVelocityDistribution:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            VelocityDistribution("banana", [220.0], [1.0])
+            VelocityDistribution([220.0, -3.0], [1.0, 1.0])
         with pytest.raises(DomainError):
-            VelocityDistribution("discrete", [220.0, -3.0], [1.0, 1.0])
+            VelocityDistribution([220.0], [0.0])
         with pytest.raises(DomainError):
-            VelocityDistribution("discrete", [220.0], [0.0])
+            VelocityDistribution([220.0, 230.0], [1.0])
         with pytest.raises(DomainError):
-            VelocityDistribution("discrete", [220.0, 230.0], [1.0])
-        with pytest.raises(DomainError):
-            VelocityDistribution("discrete", [], [])
+            VelocityDistribution([], [])
 
 
 class TestImageGrid:
@@ -245,7 +241,7 @@ class TestSynthesizeImage:
         assert result.image.total == pytest.approx(0.5, rel=1e-9)
 
     def test_zero_weight_class_is_skipped(self):
-        dist = VelocityDistribution("discrete", [180.0, 220.0], [0.0, 1.0])
+        dist = VelocityDistribution([180.0, 220.0], [0.0, 1.0])
         result = synthesize_image(dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
         assert result.clipped_velocities == ()
         assert result.image.total == pytest.approx(1.0, rel=1e-9)
@@ -272,7 +268,7 @@ class TestSynthesizeImage:
         # every class lands fully on the image, and the y blur keeps each
         # column's sum
         grating = grating_preset(preset)
-        dist = VelocityDistribution("discrete", [200.0, 215.0, 230.0, 260.0], [1.0, 2.0, 3.0, 4.0])
+        dist = VelocityDistribution([200.0, 215.0, 230.0, 260.0], [1.0, 2.0, 3.0, 4.0])
         result = synthesize_image(dist, grating, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
         assert result.clipped_weight == 0.0
         trace = band_averaged_trace(

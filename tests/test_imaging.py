@@ -4,11 +4,9 @@ import pytest
 from nanograting import (
     DomainError,
     Interferogram,
-    extract_band,
     hot_color,
     hot_color_inverse,
     render_image,
-    subtract_background,
 )
 from nanograting.imaging import _HOT_SIGNALS, _HOT_TABLE, _hot_rgb
 
@@ -91,39 +89,3 @@ def test_render_quantization_is_round_255():
     img = _image(np.array([[1.0]]))
     data = render_image(img)
     assert data[-3:] == bytes(int(np.rint(255 * c)) for c in hot_color(1.0))
-
-
-def test_subtract_background_clamps_at_zero():
-    img = _image([[0.5, 1.0], [0.1, 0.2]])
-    bg = _image(np.full((2, 2), 0.3))
-    out = subtract_background(img, bg)
-    assert np.allclose(out.values, [[0.2, 0.7], [0.0, 0.0]])
-    mismatched = [
-        _image(np.zeros((3, 2))),
-        Interferogram(np.zeros((2, 2)), 5e-6, 2e-6, 0.0, 0.0),
-        Interferogram(np.zeros((2, 2)), 1e-6, 2e-6, 0.0, 1e-6),
-    ]
-    for background in mismatched:
-        with pytest.raises(DomainError, match="grids"):
-            subtract_background(img, background)
-
-
-def test_extract_band_selects_rows_and_sums_columns():
-    values = np.array([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0]])
-    img = _image(values)  # rows at y = 0, 2, 4 um
-    trace = extract_band(img, y_center=2e-6, half_width=0.5e-6)
-    assert np.allclose(trace.intensities, [10.0, 20.0])
-    wide = extract_band(img, y_center=2e-6, half_width=2.5e-6)
-    assert np.allclose(wide.intensities, values.sum(axis=0))
-
-
-def test_extract_band_normalization():
-    img = _image([[1.0, 4.0, 2.0]])
-    trace = extract_band(img, 0.0, 1e-6).normalized_to_max()
-    assert trace.intensities.max() == 1.0
-
-
-def test_extract_band_empty_raises():
-    img = _image([[1.0, 2.0]])
-    with pytest.raises(DomainError):
-        extract_band(img, 1.0, 1e-9)

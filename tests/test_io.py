@@ -200,6 +200,55 @@ def test_one_overwritten_byte_reads_or_raises_configuration_error(file, position
             pass
 
 
+# finite non-negative data, subnormals included, up to 1e300
+DATA = st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True)
+ORIGINS = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
+PITCHES = st.floats(min_value=1e-300, max_value=1e290)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    pitch=PITCHES,
+    first=st.integers(-1000, 1000),
+    intensities=st.lists(DATA, min_size=2, max_size=40),
+)
+def test_trace_csv_round_trip_is_bit_exact(pitch, first, intensities):
+    # integer multiples of one pitch form a grid that Trace accepts
+    positions = pitch * (first + np.arange(len(intensities), dtype=float))
+    trace = Trace(positions, np.array(intensities))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_trace_csv(path, trace, {"velocity_m_s": 220.0})
+        back, _ = read_trace_csv(path)
+    assert _same_bits(back.positions, trace.positions)
+    assert _same_bits(back.intensities, trace.intensities)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    values=st.integers(1, 4).flatmap(
+        lambda nx: st.lists(st.lists(DATA, min_size=nx, max_size=nx), min_size=1, max_size=4)
+    ),
+    pitches=st.tuples(PITCHES, PITCHES),
+    origins=st.tuples(ORIGINS, ORIGINS),
+)
+def test_interferogram_round_trip_is_bit_exact(values, pitches, origins):
+    image = Interferogram(np.array(values), *pitches, *origins)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "i.f64"
+        write_interferogram(path, image)
+        back = read_interferogram(path)
+    assert _same_bits(back.values, image.values)
+    assert _same_bits(
+        [back.pixel_pitch_x, back.pixel_pitch_y, back.x_min, back.y_min],
+        [image.pixel_pitch_x, image.pixel_pitch_y, image.x_min, image.y_min],
+    )
+
+
 def test_write_pixmap_requires_p6(tmp_path):
     with pytest.raises(ConfigurationError):
         write_pixmap(tmp_path / "x.ppm", b"P5\n1 1\n255\n\x00")

@@ -1,4 +1,9 @@
-"""The package namespace re-exports every module's public names once."""
+"""The package namespace re-exports every module's public names once, and
+each of them is read somewhere."""
+
+import ast
+import re
+from pathlib import Path
 
 import nanograting
 from nanograting import diffraction, domain, errors, gravity, imaging, limits, presets, vdwfit
@@ -29,3 +34,28 @@ def test_all_is_the_sorted_union_of_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(nanograting, name) is getattr(module, name)
+
+
+def _loaded_names(source):
+    """Every name a module reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_read_by_the_package_or_the_readme():
+    # a public name that only its own tests call is surface nobody uses
+    package = Path(nanograting.__file__).parent
+    loaded = set()
+    for path in package.glob("*.py"):
+        loaded |= _loaded_names(path.read_text(encoding="utf-8"))
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    unused = [
+        name for name in nanograting.__all__
+        if name not in loaded and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unused == []

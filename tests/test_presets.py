@@ -8,8 +8,6 @@ from nanograting import (
     grating_preset_names,
     molecule_preset,
     molecule_preset_names,
-    opening_fraction,
-    preset_notes,
 )
 
 EXPECTED_GEOMETRY = {
@@ -57,19 +55,13 @@ def test_molecule_preset_mass():
     assert "pch2" in molecule_preset_names()
 
 
-def test_opening_fractions_are_slit_over_period():
-    for name in grating_preset_names():
-        g = grating_preset(name)
-        assert opening_fraction(g) == g.slit_width / g.period
-
-
 def test_scroll_notes_carry_diameter():
-    notes = preset_notes("scroll")
+    notes = GRATING_PRESETS["scroll"]["notes"]
     assert notes["scroll_diameter_m"] == 8e-9
 
 
 def test_slg_notes_carry_vibration_bound():
-    assert preset_notes("slg")["vibration_sigma_m"] == 1e-10
+    assert GRATING_PRESETS["slg"]["notes"]["vibration_sigma_m"] == 1e-10
 
 
 def test_bilayer_has_two_layers():
@@ -82,7 +74,7 @@ def test_unknown_preset_raises():
     with pytest.raises(ConfigurationError):
         molecule_preset("made-up")
     with pytest.raises(ConfigurationError):
-        preset_notes("made-up")
+        bar_mass("made-up")
 
 
 def test_presets_are_frozen_instances():

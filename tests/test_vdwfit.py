@@ -84,8 +84,8 @@ class TestBandAveragedTrace:
         np.testing.assert_allclose(trace.intensities, expected, rtol=1e-12)
 
     def test_zero_weight_classes_are_skipped(self):
-        one = VelocityDistribution("discrete", [220.0], [1.0])
-        padded = VelocityDistribution("discrete", [180.0, 220.0], [0.0, 1.0])
+        one = VelocityDistribution([220.0], [1.0])
+        padded = VelocityDistribution([180.0, 220.0], [0.0, 1.0])
         a = band_averaged_trace(SINX, PCH2, one, SOURCE, GEOMETRY, self.RAW_GRID)
         b = band_averaged_trace(SINX, PCH2, padded, SOURCE, GEOMETRY, self.RAW_GRID)
         np.testing.assert_allclose(a.intensities, b.intensities, rtol=1e-15)
