@@ -18,6 +18,7 @@ timestamps and are byte-identical across reruns of the same configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,15 +29,14 @@ import numpy as np
 from .config import RunConfig, load_run_config
 from .diffraction import (
     Trace,
-    coherence,
-    detector_convolve,
+    _slit_envelope,
     far_field_orders,
-    kirchhoff_pattern,
-    wave_number,
+    gaussian_kernel,
+    symmetric_convolve,
 )
 from .domain import Grating, de_broglie_wavelength
 from .errors import ConfigurationError, NanogratingError
-from .gravity import fit_velocity, stripe_velocity_profile, synthesize_image
+from .gravity import _class_terms, fit_velocity, stripe_velocity_profile, synthesize_image
 from .imaging import render_image
 from .io import (
     format_report,
@@ -116,16 +116,15 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
         header["velocity_kind"] = config.require("velocity.kind")
     else:
         velocity = config.require("simulate.velocity_m_s")
-        wavelength = de_broglie_wavelength(molecule, velocity)
-        n_slits = coherence(source, geometry, wavelength, grating.period, prefactor).n_coherent_slits
-        raw = kirchhoff_pattern(
-            grating, wave_number(molecule, velocity), geometry.L2, n_slits, grid,
-            window=window,
+        [(_, terms)] = _class_terms(
+            [(velocity, 1.0)], grating, molecule, source, geometry, grid, prefactor, window
         )
+        raw = Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width))
         header = _simulation_header(config, velocity)
-        header["n_slits"] = n_slits
+        header["n_slits"] = terms.n_slits
 
-    convolved = detector_convolve(raw, grid.psf_sigma)
+    kernel = gaussian_kernel(grid.psf_sigma, raw.pixel_pitch)
+    convolved = Trace(raw.positions, symmetric_convolve(raw.intensities, kernel))
     header["psf_sigma_m"] = grid.psf_sigma
     wavelength = header["wavelength_m"]
     positions = far_field_orders(wavelength, grating.period, geometry.L2, 1)
@@ -309,11 +308,13 @@ def cmd_fit_velocity(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _position_sigma(config: RunConfig) -> tuple[float, str]:
+def _position_sigma(config: RunConfig, grating: Grating) -> tuple[float, str]:
     """Transverse position uncertainty of a grating bar: explicit config
     value, else the preset's measured vibration note, else the thermal
     bending amplitude of a bar sized by the limits.beam_* keys or the preset
-    table. config.grating() must have checked the preset name."""
+    table. The table's bar width (or scroll diameter) holds only for the
+    table's period and slit width, so ``grating`` (config.grating(), which
+    checked the preset name) must keep both."""
     sigma = config.get("limits.sigma_nm")
     if sigma is not None:
         return sigma, "configured"
@@ -323,8 +324,16 @@ def _position_sigma(config: RunConfig) -> tuple[float, str]:
     if "vibration_sigma_m" in notes:
         return float(notes["vibration_sigma_m"]), "preset-vibration-note"
     length = config.get("limits.beam_length_nm", entry.get("bar_length"))
-    width = notes.get("scroll_diameter_m", entry.get("bar_width"))
-    diameter = config.get("limits.beam_diameter_nm", width)
+    diameter = config.get("limits.beam_diameter_nm")
+    if diameter is None and entry:
+        # an override given in nm may differ from the table's metres in the last bit
+        if not (math.isclose(grating.period, entry["period"], rel_tol=1e-12)
+                and math.isclose(grating.slit_width, entry["slit_width"], rel_tol=1e-12)):
+            raise ConfigurationError(
+                f"the {name} bar width holds only for the preset's period and slit "
+                "width; set limits.beam_diameter_nm (or limits.sigma_nm)"
+            )
+        diameter = notes.get("scroll_diameter_m", entry["bar_width"])
     if length is None or diameter is None:
         raise ConfigurationError(
             "the thermal position estimate of a custom grating needs "
@@ -338,7 +347,7 @@ def _position_sigma(config: RunConfig) -> tuple[float, str]:
 
 def cmd_limits(config: RunConfig, args: argparse.Namespace) -> int:
     grating = config.grating()
-    sigma, sigma_source = _position_sigma(config)
+    sigma, sigma_source = _position_sigma(config, grating)
     report_obj = limits_report(
         grating.effective_slit_width,
         sigma,

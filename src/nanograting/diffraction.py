@@ -1,5 +1,6 @@
 """Forward diffraction: scalar Kirchhoff integral over coherently illuminated
-slits, spatial-coherence estimate, and detector point-spread convolution.
+slits, spatial-coherence estimate, and the Gaussian point-spread kernel with
+the one edge-mirrored blur that applies it.
 
 The detector coordinate is the transverse position x' in the detection plane a
 distance L2 downstream of the grating; the grating coordinate x runs over the
@@ -23,7 +24,6 @@ __all__ = [
     "DetectorGrid",
     "Trace",
     "coherence",
-    "detector_convolve",
     "far_field_orders",
     "gaussian_kernel",
     "kirchhoff_pattern",
@@ -517,15 +517,3 @@ def symmetric_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     rows = padded.reshape(-1, padded.shape[-1])
     return np.array([np.convolve(row, kernel, mode="valid") for row in rows]).reshape(values.shape)
 
-
-def detector_convolve(trace: Trace, sigma: float) -> Trace:
-    """Convolve a trace with the detector's Gaussian point-spread function.
-
-    The kernel is normalized to unit sum and applied with edge-mirrored
-    boundaries, so the total intensity is preserved. ``sigma = 0`` returns
-    the trace unchanged; negative sigma raises.
-    """
-    if sigma < 0.0:
-        raise DomainError(f"psf sigma must be non-negative, got {sigma!r}")
-    blurred = symmetric_convolve(trace.intensities, gaussian_kernel(sigma, trace.pixel_pitch))
-    return Trace(trace.positions, blurred)

@@ -18,17 +18,7 @@ from dataclasses import dataclass
 from .domain import CONSTANTS
 from .errors import DomainError
 
-__all__ = [
-    "LimitsReport",
-    "adsorption_coverage",
-    "coherence_check",
-    "diffraction_momentum_spread",
-    "grating_momentum_uncertainty",
-    "limits_report",
-    "min_coherent_slit",
-    "momentum_transfer_hk",
-    "thermal_scroll_amplitude",
-]
+__all__ = ["LimitsReport", "adsorption_coverage", "limits_report", "thermal_scroll_amplitude"]
 
 # Fraction prefactor of the single-slit FWHM momentum spread, dp = 0.89 h / s.
 CENTRAL_LOBE_FRACTION = 0.89
@@ -44,22 +34,6 @@ NANOTUBE_YOUNGS_MODULUS = 1.0e12
 DEFAULT_MOLECULE_FOOTPRINT = 1.7e-18
 
 
-def diffraction_momentum_spread(slit_width: float) -> float:
-    """FWHM transverse momentum spread imprinted by a slit of the given
-    width: 0.89 h / s (kg m/s)."""
-    if slit_width <= 0.0:
-        raise DomainError(f"slit width must be positive, got {slit_width!r}")
-    return CENTRAL_LOBE_FRACTION * CONSTANTS.h / slit_width
-
-
-def grating_momentum_uncertainty(position_sigma: float) -> float:
-    """Minimum momentum uncertainty of a grating localized to
-    ``position_sigma``: hbar / (2 sigma)."""
-    if position_sigma <= 0.0:
-        raise DomainError(f"position sigma must be positive, got {position_sigma!r}")
-    return CONSTANTS.hbar / (2.0 * position_sigma)
-
-
 def thermal_scroll_amplitude(
     length: float,
     diameter: float,
@@ -67,55 +41,26 @@ def thermal_scroll_amplitude(
     youngs_modulus: float = NANOTUBE_YOUNGS_MODULUS,
 ) -> float:
     """RMS thermal displacement of a doubly clamped beam of circular
-    cross-section: sqrt(k_B T L^3 / (192 Y I)) with I = pi d^4 / 64."""
+    cross-section: sqrt(k_B T L^3 / (192 Y I)) with I = pi d^4 / 64.
+    A length or diameter so far out of range that the amplitude is not
+    finite raises DomainError."""
     if length <= 0.0 or diameter <= 0.0:
         raise DomainError("beam length and diameter must be positive")
     if youngs_modulus <= 0.0:
         raise DomainError(f"Young's modulus must be positive, got {youngs_modulus!r}")
     if temperature < 0.0:
         raise DomainError(f"temperature must be non-negative, got {temperature!r}")
-    if temperature == 0.0:
-        return 0.0
-    moment = math.pi * diameter**4 / 64.0
-    return math.sqrt(
-        CONSTANTS.k_B * temperature * length**3 / (192.0 * youngs_modulus * moment)
-    )
-
-
-def min_coherent_slit(position_sigma: float) -> float:
-    """Smallest slit width whose diffraction kick still dominates the
-    grating's momentum uncertainty at the given positional sigma:
-    s_min = 3.56 pi sigma."""
-    if position_sigma < 0.0:
-        raise DomainError(f"position sigma must be non-negative, got {position_sigma!r}")
-    return MIN_SLIT_PREFACTOR * math.pi * position_sigma
-
-
-def coherence_check(position_sigma: float, slit_width: float) -> tuple[bool, float]:
-    """Whether diffraction at the slit stays coherent against which-way
-    momentum kicks, and by what margin.
-
-    margin = dp_grating / dp_diff = (s / sigma) / (3.56 pi). The boolean is
-    evaluated in the exactly equivalent form s > 3.56 pi sigma.
-    """
-    if position_sigma <= 0.0:
-        raise DomainError(f"position sigma must be positive, got {position_sigma!r}")
-    if slit_width <= 0.0:
-        raise DomainError(f"slit width must be positive, got {slit_width!r}")
-    coherent = slit_width > MIN_SLIT_PREFACTOR * math.pi * position_sigma
-    margin = (slit_width / position_sigma) / (MIN_SLIT_PREFACTOR * math.pi)
-    return coherent, margin
-
-
-def momentum_transfer_hk(period: float, max_order: int) -> float:
-    """Transverse momentum splitting between the +n_max and -n_max
-    diffraction arms, in units of the photon recoil h / lambda_ref of the
-    780.241 nm reference line (``CONSTANTS.lambda_ref``): 2 n_max lambda_ref / d."""
-    if period <= 0.0:
-        raise DomainError(f"period must be positive, got {period!r}")
-    if max_order < 0:
-        raise DomainError(f"max order must be non-negative, got {max_order!r}")
-    return 2.0 * max_order * CONSTANTS.lambda_ref / period
+    try:
+        moment = math.pi * diameter**4 / 64.0
+        amplitude = math.sqrt(
+            CONSTANTS.k_B * temperature * length**3 / (192.0 * youngs_modulus * moment)
+        )
+    except (OverflowError, ZeroDivisionError):
+        amplitude = math.inf
+    if not math.isfinite(amplitude):
+        raise DomainError(f"beam length {length!r} m and diameter {diameter!r} m "
+                          "give a thermal amplitude that is not finite")
+    return amplitude
 
 
 def adsorption_coverage(
@@ -153,33 +98,48 @@ class LimitsReport:
 
 
 def limits_report(
-    slit_width: float,
-    position_sigma: float,
-    *,
-    period: float,
-    max_order: int,
+    slit_width: float, position_sigma: float, *, period: float, max_order: int
 ) -> LimitsReport:
-    """Assemble the full coherence-limit report for one slit/sigma pair.
+    """The coherence budget of slits of width s on a grating whose bars are
+    localized to sigma = ``position_sigma`` (measured, or from
+    ``thermal_scroll_amplitude``), with the momentum transfer of diffraction
+    order n_max = ``max_order`` at the grating ``period`` d:
 
-    ``position_sigma`` may come from a measurement or from
-    ``thermal_scroll_amplitude``; ``period`` and ``max_order`` set the
-    momentum-transfer entry. A perfectly localized-in-momentum grating
-    (sigma = 0, e.g. at zero temperature) is reported as coherent with
-    infinite margin and an infinite momentum uncertainty.
+    - dp_diff = 0.89 h / s, the FWHM transverse momentum spread that the
+      slit imprints (``CENTRAL_LOBE_FRACTION`` of the single-slit lobe);
+    - dp_grating = hbar / (2 sigma), the least momentum uncertainty of a
+      grating localized to sigma;
+    - s_min = 3.56 pi sigma, the narrowest slit for which dp_grating still
+      exceeds dp_diff (``MIN_SLIT_PREFACTOR`` = 4 x 0.89);
+    - margin = dp_grating / dp_diff = (s / sigma) / (3.56 pi), and
+      ``coherent`` is s > s_min, the exactly equivalent form (the boundary
+      itself is not coherent);
+    - momentum_transfer_hk = 2 n_max lambda_ref / d, the momentum splitting
+      between the +n_max and -n_max arms in photon recoils h / lambda_ref of
+      the 780.241 nm reference line (``CONSTANTS.lambda_ref``).
+
+    Refusals, each a DomainError: s <= 0; sigma not finite and positive, or
+    so small that the margin overflows; d <= 0; n_max < 0.
     """
-    if position_sigma == 0.0:
-        coherent, margin = True, math.inf
-        dp_grating = math.inf
-    else:
-        coherent, margin = coherence_check(position_sigma, slit_width)
-        dp_grating = grating_momentum_uncertainty(position_sigma)
+    if not slit_width > 0.0:
+        raise DomainError(f"slit width must be positive, got {slit_width!r}")
+    if not (math.isfinite(position_sigma) and position_sigma > 0.0):
+        raise DomainError(f"position sigma must be positive and finite, got {position_sigma!r}")
+    if not period > 0.0:
+        raise DomainError(f"period must be positive, got {period!r}")
+    if max_order < 0:
+        raise DomainError(f"max order must be non-negative, got {max_order!r}")
+    s_min = MIN_SLIT_PREFACTOR * math.pi * position_sigma
+    margin = (slit_width / position_sigma) / (MIN_SLIT_PREFACTOR * math.pi)
+    if not math.isfinite(margin):
+        raise DomainError(f"position sigma {position_sigma!r} m is too small: the margin overflows")
     return LimitsReport(
         slit_width=slit_width,
         sigma_thermal=position_sigma,
-        dp_diff=diffraction_momentum_spread(slit_width),
-        dp_grating=dp_grating,
-        s_min=min_coherent_slit(position_sigma),
-        coherent=coherent,
+        dp_diff=CENTRAL_LOBE_FRACTION * CONSTANTS.h / slit_width,
+        dp_grating=CONSTANTS.hbar / (2.0 * position_sigma),
+        s_min=s_min,
+        coherent=slit_width > s_min,
         margin=margin,
-        momentum_transfer_hk=momentum_transfer_hk(period, max_order),
+        momentum_transfer_hk=2.0 * max_order * CONSTANTS.lambda_ref / period,
     )

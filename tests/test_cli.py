@@ -74,6 +74,30 @@ class TestSimulate:
             raw.intensities.sum(), rel=1e-9
         )
 
+    def test_single_velocity_raw_csv_is_the_kirchhoff_pattern(self, capsys, tmp_path):
+        # the one-class path gives the public engine's pattern bit for bit
+        out = tmp_path / "trace.csv"
+        overrides = ("--set", "simulate.band=false", "--set", "simulate.window=gaussian",
+                     "--set", "simulate.velocity_m_s=140", *SMALL_DETECTOR)
+        code, stdout, _ = run_cli(capsys, "simulate", "--preset", "bilayer", *overrides,
+                                  "--out", str(out))
+        assert code == 0
+        raw, _ = read_trace_csv(tmp_path / "trace.raw.csv")
+        config = load_run_config(preset="bilayer", overrides=overrides[1::2])
+        grating, molecule, geometry = config.grating(), config.molecule(), config.geometry()
+        wavelength = nanograting.de_broglie_wavelength(molecule, 140.0)
+        n_slits = nanograting.coherence(
+            config.source(), geometry, wavelength, grating.period,
+            config.require("source.coherence_prefactor"),
+        ).n_coherent_slits
+        expected = nanograting.kirchhoff_pattern(
+            grating, nanograting.wave_number(molecule, 140.0), geometry.L2, n_slits,
+            config.detector_grid(), window="gaussian",
+        )
+        assert parse_report(stdout)["n_slits"] == str(n_slits)
+        assert np.array_equal(raw.positions, expected.positions)
+        assert np.array_equal(raw.intensities, expected.intensities)
+
     def test_band_mode_reports_classes(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "simulate",
@@ -577,6 +601,56 @@ class TestLimits:
         )
         assert code == 0
         assert parse_report(stdout)["position_sigma_source"] == "thermal"
+
+    @pytest.mark.parametrize("key, value", [
+        # a zero position sigma, configured or thermal, once reported margin = inf
+        ("limits.sigma_nm", "0"),
+        ("limits.sigma_nm", "-0"),
+        ("limits.temperature_K", "0"),
+        ("limits.temperature_K", "-0"),
+        ("limits.temperature_K", "1e-300"),
+        ("limits.beam_length_nm", "1e-300"),
+        # a sigma so small that s / sigma overflows
+        ("limits.sigma_nm", "1e-314"),
+        # the thermal amplitude once raised OverflowError or ZeroDivisionError
+        ("limits.beam_length_nm", "1e300"),
+        ("limits.beam_diameter_nm", "1e-300"),
+        ("limits.beam_diameter_nm", "1e300"),
+    ])
+    def test_a_sigma_that_is_not_finite_and_positive_exits_with_a_message(
+        self, capsys, key, value
+    ):
+        code, stdout, stderr = run_cli(
+            capsys, "limits", "--preset", "sinx", "--set", f"{key}={value}"
+        )
+        assert code in (2, 3)
+        assert "error:" in stderr
+        assert "Traceback" not in stderr
+        assert "inf" not in stdout
+
+    def test_overridden_preset_geometry_needs_the_beam_diameter(self, capsys):
+        # the overridden bars are 35 nm wide, not the table's 55 nm
+        override = ("--preset", "sinx", "--set", "grating.slit_width_nm=70")
+        code, stdout, stderr = run_cli(capsys, "limits", *override)
+        assert code == 2
+        assert "limits.beam_diameter_nm" in stderr
+        assert stdout == ""
+        code, stdout, _ = run_cli(
+            capsys, "limits", *override, "--set", "limits.beam_diameter_nm=35"
+        )
+        assert code == 0
+        report = parse_report(stdout)
+        assert report["position_sigma_source"] == "thermal"
+        assert report["position_sigma_m"] != "6.477809385546572e-12"
+
+    def test_preset_geometry_given_again_keeps_the_table_bar(self, capsys):
+        # 50 nm read from a key is 5.0000000000000004e-08 m, one bit off the table
+        code, stdout, _ = run_cli(
+            capsys, "limits", "--preset", "sinx",
+            "--set", "grating.period_nm=105", "--set", "grating.slit_width_nm=50",
+        )
+        assert code == 0
+        assert parse_report(stdout)["position_sigma_m"] == "6.477809385546572e-12"
 
     def test_configured_sigma_overrides(self, capsys):
         code, stdout, _ = run_cli(

@@ -18,7 +18,6 @@ from nanograting import (
     Trace,
     coherence,
     de_broglie_wavelength,
-    detector_convolve,
     far_field_orders,
     gaussian_kernel,
     grating_preset,
@@ -215,11 +214,18 @@ def test_symmetric_convolve_conserves_total():
             assert blurred.sum() == pytest.approx(row.sum(), rel=1e-12)
 
 
+def _detector_convolve(trace, sigma):
+    """The detector blur of ``simulate``: the trace's own pitch sets the kernel."""
+    return Trace(trace.positions, symmetric_convolve(
+        trace.intensities, gaussian_kernel(sigma, trace.pixel_pitch)
+    ))
+
+
 def test_detector_convolve_delta_becomes_gaussian():
     x = 0.5e-6 * np.arange(201) - 50e-6
     y = np.zeros(201)
     y[100] = 1.0
-    out = detector_convolve(Trace(x, y), 3.5e-6)
+    out = _detector_convolve(Trace(x, y), 3.5e-6)
     peak = out.intensities.max()
     i68 = np.abs(x - x[100]) <= 3.5e-6
     profile = out.intensities / peak
@@ -229,7 +235,7 @@ def test_detector_convolve_delta_becomes_gaussian():
 
 def test_detector_convolve_identity_at_zero_sigma():
     t = Trace(np.arange(5.0), np.array([0.0, 1.0, 4.0, 1.0, 0.0]))
-    out = detector_convolve(t, 0.0)
+    out = _detector_convolve(t, 0.0)
     assert np.array_equal(out.intensities, t.intensities)
 
 
@@ -241,13 +247,13 @@ def test_detector_convolve_preserves_total_and_integral():
         sigma = float(rng.uniform(0.5e-6, 6e-6))
         # arbitrary signals: the pixel sum is conserved exactly
         noisy = Trace(x, rng.uniform(0.0, 2.0, 400))
-        out = detector_convolve(noisy, sigma)
+        out = _detector_convolve(noisy, sigma)
         assert out.intensities.sum() == pytest.approx(
             noisy.intensities.sum(), rel=1e-12
         )
         # edge-vanishing signals: the trapezoid integral is conserved too
         bump = Trace(x, np.exp(-0.5 * ((x - center) / 8e-6) ** 2))
-        out = detector_convolve(bump, sigma)
+        out = _detector_convolve(bump, sigma)
         area_in, area_out = (
             float(np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2.0)
             for y in (bump.intensities, out.intensities)

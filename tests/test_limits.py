@@ -7,12 +7,7 @@ from nanograting import (
     DomainError,
     LimitsReport,
     adsorption_coverage,
-    coherence_check,
-    diffraction_momentum_spread,
-    grating_momentum_uncertainty,
     limits_report,
-    min_coherent_slit,
-    momentum_transfer_hk,
     thermal_scroll_amplitude,
 )
 from nanograting.limits import (
@@ -23,30 +18,34 @@ from nanograting.limits import (
 )
 
 
+def _report(slit_width=59e-9, sigma=0.1e-9, period=101e-9, max_order=9):
+    return limits_report(slit_width, sigma, period=period, max_order=max_order)
+
+
 def test_prefactor_is_four_times_lobe_fraction():
-    # s_min = 3.56 pi sigma arises from requiring dp_grating > 2 dp_diff,
-    # i.e. hbar/(2 sigma) > 2 * 0.89 h / s
+    # s_min = 3.56 pi sigma arises from requiring dp_grating > dp_diff,
+    # i.e. hbar/(2 sigma) = h/(4 pi sigma) > 0.89 h / s
     assert MIN_SLIT_PREFACTOR == 4.0 * CENTRAL_LOBE_FRACTION
 
 
 def test_diffraction_momentum_spread_value():
-    assert diffraction_momentum_spread(59e-9) == 9.995258361864407e-27
+    assert _report(slit_width=59e-9).dp_diff == 9.995258361864407e-27
 
 
 def test_diffraction_momentum_spread_scaling():
-    assert diffraction_momentum_spread(25e-9) == pytest.approx(
-        2.0 * diffraction_momentum_spread(50e-9), rel=1e-15
+    assert _report(slit_width=25e-9).dp_diff == pytest.approx(
+        2.0 * _report(slit_width=50e-9).dp_diff, rel=1e-15
     )
-    with pytest.raises(DomainError):
-        diffraction_momentum_spread(0.0)
+    with pytest.raises(DomainError, match="slit width must be positive"):
+        _report(slit_width=0.0)
 
 
 def test_grating_momentum_uncertainty_values():
-    assert grating_momentum_uncertainty(0.1e-9) == 5.272859088230783e-25
-    assert grating_momentum_uncertainty(0.5e-9) == 1.0545718176461564e-25
+    assert _report(sigma=0.1e-9).dp_grating == 5.272859088230783e-25
+    assert _report(sigma=0.5e-9).dp_grating == 1.0545718176461564e-25
     for bad in (0.0, -1e-10):
-        with pytest.raises(DomainError):
-            grating_momentum_uncertainty(bad)
+        with pytest.raises(DomainError, match="position sigma must be positive"):
+            _report(sigma=bad)
 
 
 def test_thermal_amplitude_published_example():
@@ -56,9 +55,20 @@ def test_thermal_amplitude_published_example():
 
 
 def test_thermal_amplitude_zero_temperature():
+    # the formula itself gives 0 at T = 0; limits_report refuses that sigma
     assert thermal_scroll_amplitude(1.34e-6, 8e-9, 0.0) == 0.0
     with pytest.raises(DomainError):
         thermal_scroll_amplitude(1.34e-6, 8e-9, -1.0)
+
+
+@pytest.mark.parametrize("length, diameter", [
+    (1e291, 55e-9),   # L^3 overflows
+    (956e-9, 1e-309),  # d^4 underflows to a zero moment
+    (956e-9, 1e291),  # d^4 overflows
+])
+def test_thermal_amplitude_refuses_a_result_that_is_not_finite(length, diameter):
+    with pytest.raises(DomainError, match="thermal amplitude that is not finite"):
+        thermal_scroll_amplitude(length, diameter, 300.0)
 
 
 def test_thermal_amplitude_default_modulus():
@@ -77,7 +87,7 @@ def test_thermal_amplitude_scalings():
 
 
 def test_min_coherent_slit_published_example():
-    s_min = min_coherent_slit(0.5e-9)
+    s_min = _report(sigma=0.5e-9).s_min
     assert s_min == 5.592034923389832e-09
     assert abs(s_min - 5.59e-9) < 0.05e-9
 
@@ -85,37 +95,44 @@ def test_min_coherent_slit_published_example():
 def test_min_coherent_slit_from_thermal_sigma():
     sigma = thermal_scroll_amplitude(1.336e-6, 8e-9, 300.0)
     assert sigma == 5.05820490302688e-10
-    assert min_coherent_slit(sigma) == 5.657131693477598e-09
+    assert _report(sigma=sigma).s_min == 5.657131693477598e-09
 
 
 def test_coherence_check_threshold_is_exact():
     sigma = 1e-10
     edge = MIN_SLIT_PREFACTOR * math.pi * sigma
-    ok, margin = coherence_check(sigma, edge * (1.0 + 1e-12))
-    assert ok and margin > 1.0
-    ok, margin = coherence_check(sigma, edge)
-    assert not ok  # boundary itself is not strictly coherent
-    assert margin == pytest.approx(1.0, rel=1e-12)
+    report = _report(slit_width=edge * (1.0 + 1e-12), sigma=sigma)
+    assert report.coherent and report.margin > 1.0
+    report = _report(slit_width=edge, sigma=sigma)
+    assert not report.coherent  # boundary itself is not strictly coherent
+    assert report.margin == pytest.approx(1.0, rel=1e-12)
 
 
 def test_coherence_check_margin_value():
-    ok, margin = coherence_check(0.1e-9, 59e-9)
-    assert ok
-    assert margin == 52.75360473270688
+    report = _report(slit_width=59e-9, sigma=0.1e-9)
+    assert report.coherent
+    assert report.margin == 52.75360473270688
 
 
 def test_momentum_transfer_values():
-    assert momentum_transfer_hk(100e-9, 9) == pytest.approx(140.44338, abs=1e-5)
-    assert momentum_transfer_hk(50e-9, 16) == pytest.approx(499.35424, abs=1e-5)
-    assert momentum_transfer_hk(100e-9, 0) == 0.0
-    with pytest.raises(DomainError):
-        momentum_transfer_hk(0.0, 9)
-    with pytest.raises(DomainError):
-        momentum_transfer_hk(100e-9, -1)
+    assert _report(period=100e-9, max_order=9).momentum_transfer_hk == pytest.approx(
+        140.44338, abs=1e-5
+    )
+    assert _report(period=50e-9, max_order=16).momentum_transfer_hk == pytest.approx(
+        499.35424, abs=1e-5
+    )
+    assert _report(period=100e-9, max_order=0).momentum_transfer_hk == 0.0
+    with pytest.raises(DomainError, match="period must be positive"):
+        _report(period=0.0)
+    with pytest.raises(DomainError, match="max order must be non-negative"):
+        _report(max_order=-1)
 
 
 def test_momentum_transfer_reference_wavelength_default():
-    assert momentum_transfer_hk(100e-9, 9) == 2 * 9 * CONSTANTS.lambda_ref / 100e-9
+    assert (
+        _report(period=100e-9, max_order=9).momentum_transfer_hk
+        == 2 * 9 * CONSTANTS.lambda_ref / 100e-9
+    )
 
 
 def test_adsorption_coverage_values():
@@ -139,21 +156,26 @@ def test_limits_report_combines_everything():
     assert isinstance(report, LimitsReport)
     assert report.slit_width == 59e-9
     assert report.sigma_thermal == 0.1e-9
-    assert report.dp_diff == diffraction_momentum_spread(59e-9)
-    assert report.dp_grating == grating_momentum_uncertainty(0.1e-9)
-    assert report.s_min == min_coherent_slit(0.1e-9)
+    assert report.dp_diff == CENTRAL_LOBE_FRACTION * CONSTANTS.h / 59e-9
+    assert report.dp_grating == CONSTANTS.hbar / (2.0 * 0.1e-9)
+    assert report.s_min == MIN_SLIT_PREFACTOR * math.pi * 0.1e-9
     assert report.coherent
-    assert report.margin == coherence_check(0.1e-9, 59e-9)[1]
-    assert report.momentum_transfer_hk == momentum_transfer_hk(101e-9, 9)
+    assert report.margin == (59e-9 / 0.1e-9) / (MIN_SLIT_PREFACTOR * math.pi)
+    # margin = dp_grating / dp_diff
+    assert report.margin == pytest.approx(report.dp_grating / report.dp_diff, rel=1e-14)
+    assert report.momentum_transfer_hk == 2.0 * 9 * CONSTANTS.lambda_ref / 101e-9
 
 
-def test_limits_report_zero_sigma_is_fully_coherent():
-    report = limits_report(59e-9, 0.0, period=101e-9, max_order=0)
-    assert report.coherent
-    assert report.margin == math.inf
-    assert report.dp_grating == math.inf
-    assert report.s_min == 0.0
-    assert report.momentum_transfer_hk == 0.0  # order 0 transfers nothing
+@pytest.mark.parametrize("sigma", [0.0, -0.0, math.inf, math.nan])
+def test_limits_report_refuses_a_sigma_that_is_not_finite_and_positive(sigma):
+    with pytest.raises(DomainError, match="position sigma must be positive and finite"):
+        limits_report(59e-9, sigma, period=101e-9, max_order=0)
+
+
+def test_limits_report_refuses_a_sigma_whose_margin_overflows():
+    # a subnormal sigma: hbar / (2 sigma) is finite, s / sigma is not
+    with pytest.raises(DomainError, match="margin overflows"):
+        limits_report(15e-9, 1e-323, period=105e-9, max_order=9)
 
 
 def test_limits_report_incoherent_when_sigma_large():
