@@ -101,7 +101,6 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     geometry = config.geometry()
     source = config.source()
     grid = config.detector_grid()
-    window = config.require("simulate.window")
     prefactor = config.require("source.coherence_prefactor")
 
     if config.require("simulate.band"):
@@ -109,7 +108,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
         center = float(np.average(band.velocities, weights=band.weights))
         raw = band_averaged_trace(
             grating, molecule, band, source, geometry, replace(grid, psf_sigma=0.0),
-            coherence_prefactor=prefactor, window=window,
+            coherence_prefactor=prefactor,
         )
         header = _simulation_header(config, center)
         header["velocity_classes"] = len(band)
@@ -117,7 +116,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     else:
         velocity = config.require("simulate.velocity_m_s")
         [(_, terms)] = _class_terms(
-            [(velocity, 1.0)], grating, molecule, source, geometry, grid, prefactor, window
+            [(velocity, 1.0)], grating, molecule, source, geometry, grid, prefactor
         )
         raw = Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width))
         header = _simulation_header(config, velocity)
@@ -154,7 +153,6 @@ def cmd_synth_image(config: RunConfig, args: argparse.Namespace) -> int:
     result = synthesize_image(
         distribution, grating, source, geometry, grid, molecule,
         coherence_prefactor=config.require("source.coherence_prefactor"),
-        window=config.require("simulate.window"),
     )
     out = Path(args.out) if args.out is not None else Path("interferogram.f64")
     write_interferogram(out, result.image)

@@ -69,7 +69,6 @@ KNOWN_KEYS: dict[str, tuple[str, float, str | None]] = {
     "image.pixel_pitch_y_um": ("float", 1e-6, "2.5"),
     "simulate.velocity_m_s": ("float", 1.0, "220"),
     "simulate.band": ("bool", 1.0, "true"),
-    "simulate.window": ("str", 1.0, "hard"),
     "fit.lower_bound_nm": ("float", 1e-9, "1"),
     "fit.coarse_step_nm": ("float", 1e-9, "1"),
     "fit.tolerance_nm": ("float", 1e-9, "0.1"),

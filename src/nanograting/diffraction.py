@@ -129,11 +129,9 @@ class Trace:
 
 @dataclass(frozen=True)
 class CoherenceResult:
-    """Transverse coherence at the grating plane."""
+    """Transverse coherence at the grating plane: the slits it spans."""
 
-    coherence_angle: float             # rad
-    coherence_width_at_grating: float  # m
-    n_coherent_slits: int              # >= 1
+    n_coherent_slits: int  # >= 1
 
 
 def wave_number(molecule: Molecule, velocity: float) -> float:
@@ -162,9 +160,7 @@ def coherence(
     angle = prefactor * wavelength / source.source_width
     width = angle * geometry.L1
     n = max(1, int(math.floor(width / period)))
-    return CoherenceResult(
-        coherence_angle=angle, coherence_width_at_grating=width, n_coherent_slits=n
-    )
+    return CoherenceResult(n_coherent_slits=n)
 
 
 def far_field_orders(
@@ -255,7 +251,6 @@ def _slit_terms(
     n_slits: int,
     period: float,
     grid: DetectorGrid,
-    window: str,
     *,
     max_width: float,
 ) -> _SlitTerms:
@@ -270,9 +265,9 @@ def _slit_terms(
     sampled at M Chebyshev nodes c^_m across the centres c_j (Lagrange basis
     ell[m, j]) instead of at every centre:
 
-        s sum_j a_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)
+        s sum_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)
           = s sum_m W_m sinc(k s delta^'_m / 2 pi),
-        W_m = exp(i k R(c^_m - x')) sum_j ell[m, j] a_j exp(i k u_j^2 / 2 L2)
+        W_m = exp(i k R(c^_m - x')) sum_j ell[m, j] exp(i k u_j^2 / 2 L2)
 
     M is the least m <= n_slits with 2 (z/2)^m / (m! (m+1)) <=
     ``NODE_TOLERANCE``, z = h k w / (2 L2) + h k u_max^3 / (2 L2^3): the
@@ -288,7 +283,7 @@ def _slit_terms(
     k u_jp^2 / (2 L2) = k c_j (c_j / 2 - x_0) / L2 - beta j^2 / 2
     + beta (p - j)^2 / 2 + (terms in p alone). Those last are a unit phasor
     per pixel, common to every node, and |amplitude|^2 drops them. The slit
-    factors fold into q[m, j] = ell[m, j] a_j exp(i k c_j (c_j / 2 - x_0) / L2
+    factors fold into q[m, j] = ell[m, j] exp(i k c_j (c_j / 2 - x_0) / L2
     - i beta j^2 / 2), and F_m(p) = sum_j q[m, j] exp(i beta (p - j)^2 / 2)
     for all M rows is one FFT convolution over a power of two >= P + N - 1
     points: the chirp-z transform (Rabiner, Schafer and Rader, 1969) on
@@ -307,19 +302,17 @@ def _slit_terms(
     Error, against the per-slit sum with its phase in long double: at most
     3.7e-13 of the in-window peak on the README presets at 50 and 1000 m/s
     and at L2 = 5 mm (1.3e-12 for a float64 pixels x slits phase), and 4e-14
-    of the global peak (s sum_j a_j)^2 over 400 random cases the gates
+    of the global peak (s N)^2 over 400 random cases the gates
     accept, off axis included; the tests bound it at 1e-12. Without the
     exact reduction the chirp reads 2.6e-12 at L2 = 5 mm.
 
     Refuses with a ResolutionError, before allocating, a pattern of more than
     ``MAX_PIXEL_SLITS`` pixel x slit terms.
     """
-    if k <= 0.0 or L2 <= 0.0:
-        raise DomainError("wave number and L2 must be positive")
+    if not (0.0 < k < math.inf and L2 > 0.0):
+        raise DomainError(f"need a positive, finite wave number and L2 > 0, got k={k!r}, L2={L2!r}")
     if n_slits < 1:
         raise DomainError(f"need at least one slit, got {n_slits!r}")
-    if window not in ("hard", "gaussian"):
-        raise DomainError(f"unknown window {window!r}; expected 'hard' or 'gaussian'")
     n_pixels = grid.n_pixels
     work = n_pixels * n_slits
     if work > MAX_PIXEL_SLITS:
@@ -330,18 +323,11 @@ def _slit_terms(
 
     positions = grid.positions
     centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * period
-
-    if window == "gaussian":
-        sigma_w = max(n_slits * period / 4.0, period)
-        slit_amps = np.exp(-0.5 * (centers / sigma_w) ** 2)
-    else:
-        slit_amps = np.ones_like(centers)
-
     half_span = float(centers[-1])
     reach = float(max(-positions[0], positions[-1])) + half_span
     nodes, basis = _node_basis(centers, _node_count(k, L2, half_span, n_slits, max_width, reach))
     chirp = _chirp(k * period * grid.pixel_pitch / L2, np.arange(max(n_pixels, n_slits)))
-    slits = slit_amps * np.exp((1j * k / L2) * centers * (centers / 2.0 - positions[0]))
+    slits = np.exp((1j * k / L2) * centers * (centers / 2.0 - positions[0]))
     slits *= chirp[:n_slits].conj()
     size = 1 << (n_pixels + n_slits - 2).bit_length()
     gap = np.zeros(size - n_pixels - n_slits + 1)
@@ -425,7 +411,7 @@ def _envelope_scan(terms: _SlitTerms, widths: np.ndarray) -> np.ndarray:
     its width (450 random scans on the presets at 50-1000 m/s read at most
     1.7e-14; without the recompute, row 9,998 reads 6.5e-13). Off axis, 80
     random scans of the gated domain read at most 7.9e-18 of the global peak
-    (s sum_j a_j)^2."""
+    (s N)^2."""
     for s in widths:
         _check_width(terms, float(s))
     step = np.exp((1j * (widths[-1] - widths[0]) / (widths.size - 1)) * terms.rate)
@@ -449,11 +435,9 @@ def kirchhoff_pattern(
     L2: float,
     n_slits: int,
     grid: DetectorGrid,
-    *,
-    window: str = "hard",
 ) -> Trace:
-    """Scalar Kirchhoff diffraction pattern of ``n_slits`` coherently
-    illuminated slits of the grating's *effective* width s.
+    """Scalar Kirchhoff diffraction pattern of ``n_slits`` coherently and
+    equally illuminated slits of the grating's *effective* width s.
 
     The path from slit center c_j to pixel x' is kept exact: with
     u = c_j - x', the excess over L2 is delta_j = u^2 / (L2 + sqrt(L2^2 + u^2))
@@ -462,13 +446,13 @@ def kirchhoff_pattern(
     with slope delta'_j = u / sqrt(L2^2 + u^2), so each slit integrates in
     closed form and the amplitude is
 
-        s * sum_j a_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)
+        s * sum_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)
 
     with np.sinc(x) = sin(pi x) / (pi x): Fraunhofer within a slit, Fresnel
     between slits. Intensity is the squared modulus.
 
     Only the sinc depends on s. ``_slit_terms`` builds everything else once
-    per (k, L2, n_slits, period, grid, window), with the envelope sampled at
+    per (k, L2, n_slits, period, grid), with the envelope sampled at
     a few nodes and the slit sum taken as a chirp-z transform; its docstring
     is the full account, with the error bound. ``_slit_envelope`` then
     evaluates the pattern for one s. Band traces and ``fit_effective_slit``
@@ -480,13 +464,8 @@ def kirchhoff_pattern(
     the slit edges above ``MAX_SLIT_PHASE`` radians. Every sum runs in one
     fixed order (element-wise reductions, einsum and numpy's single-threaded
     FFT, no threaded BLAS product), so results repeat bit for bit.
-
-    window:
-        "hard" illuminates all slits equally (a_j = 1); "gaussian" applies an
-        amplitude taper a_j = exp(-c_j^2 / (2 sigma_w^2)) over slit centers,
-        with sigma_w one quarter of the illuminated span (at least one period).
     """
-    terms = _slit_terms(k, L2, n_slits, grating.period, grid, window, max_width=grating.slit_width)
+    terms = _slit_terms(k, L2, n_slits, grating.period, grid, max_width=grating.slit_width)
     return Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width))
 
 

@@ -151,7 +151,12 @@ class SourceModel:
 
 
 def de_broglie_wavelength(molecule: Molecule, velocity: float) -> float:
-    """Matter wavelength h/(m v) in m for a molecule at forward speed v."""
-    if not (velocity > 0.0 and math.isfinite(velocity)):
-        raise DomainError(f"velocity must be positive and finite, got {velocity!r}")
-    return CONSTANTS.h / (molecule.mass * velocity)
+    """Matter wavelength h/(m v) in m for a molecule at forward speed v; a
+    momentum m v that is not positive and finite raises DomainError."""
+    momentum = molecule.mass * velocity
+    if not 0.0 < momentum < math.inf:
+        raise DomainError(
+            f"momentum m v = {momentum!r} kg m/s at velocity {velocity!r} m/s "
+            "must be positive and finite"
+        )
+    return CONSTANTS.h / momentum

@@ -299,7 +299,7 @@ def _blurred_image(
 def _class_terms(
     classes: Iterable[tuple[float, float]], grating: Grating, molecule: Molecule,
     source: SourceModel, geometry: BeamlineGeometry, grid: DetectorGrid,
-    coherence_prefactor: float, window: str,
+    coherence_prefactor: float,
 ) -> Iterator[tuple[float, _SlitTerms]]:
     """(weight, slit-width-independent terms) per positive-weight (velocity,
     weight) class, one class at a time, with its own wave number and coherent
@@ -311,7 +311,7 @@ def _class_terms(
         coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
         yield float(w), _slit_terms(
             2.0 * math.pi / wavelength, geometry.L2, coh.n_coherent_slits, grating.period,
-            grid, window, max_width=grating.slit_width,
+            grid, max_width=grating.slit_width,
         )
 
 
@@ -330,7 +330,6 @@ def synthesize_image(
     molecule: Molecule,
     *,
     coherence_prefactor: float = 1.5,
-    window: str = "hard",
 ) -> SynthesisResult:
     """Incoherent sum of per-velocity-class diffraction rows under gravity.
 
@@ -389,7 +388,7 @@ def synthesize_image(
 
     classes = _class_terms(
         on_grid_classes, grating, molecule, source, geometry, grid.detector_grid(),
-        coherence_prefactor, window,
+        coherence_prefactor,
     )
     rows = [_class_row(terms, grating.effective_slit_width) for _, terms in classes]
     values = _blurred_image(

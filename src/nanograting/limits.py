@@ -13,6 +13,7 @@ information and destroys the pattern.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .domain import CONSTANTS
@@ -119,7 +120,8 @@ def limits_report(
       the 780.241 nm reference line (``CONSTANTS.lambda_ref``).
 
     Refusals, each a DomainError: s <= 0; sigma not finite and positive, or
-    so small that the margin overflows; d <= 0; n_max < 0.
+    so small that the margin overflows; d <= 0; n_max < 0, or so large that
+    the momentum transfer is not finite.
     """
     if not slit_width > 0.0:
         raise DomainError(f"slit width must be positive, got {slit_width!r}")
@@ -133,6 +135,12 @@ def limits_report(
     margin = (slit_width / position_sigma) / (MIN_SLIT_PREFACTOR * math.pi)
     if not math.isfinite(margin):
         raise DomainError(f"position sigma {position_sigma!r} m is too small: the margin overflows")
+    # an int past the float range would raise OverflowError in the product
+    transfer = (2.0 * max_order * CONSTANTS.lambda_ref / period
+                if max_order <= sys.float_info.max else math.inf)
+    if not math.isfinite(transfer):
+        raise DomainError(f"max order {max_order!r} at period {period!r} m gives a "
+                          "momentum transfer that is not finite")
     return LimitsReport(
         slit_width=slit_width,
         sigma_thermal=position_sigma,
@@ -141,5 +149,5 @@ def limits_report(
         s_min=s_min,
         coherent=slit_width > s_min,
         margin=margin,
-        momentum_transfer_hk=2.0 * max_order * CONSTANTS.lambda_ref / period,
+        momentum_transfer_hk=transfer,
     )

@@ -56,16 +56,11 @@ def suppression_ratio(slit_width: float, effective_slit_width: float) -> float:
     return slit_width / effective_slit_width
 
 
-def _band_sum(
-    classes: Iterable[tuple[float, _SlitTerms]], s: float, grid: DetectorGrid,
-    kernel: np.ndarray,
-) -> np.ndarray:
+def _band_sum(classes: Iterable[tuple[float, _SlitTerms]], s: float) -> np.ndarray:
     """Weighted sum of the classes' unit-sum patterns at slit width ``s``,
-    convolved with ``kernel``."""
-    acc = np.zeros(grid.n_pixels)
-    for w, terms in classes:
-        acc += w * _class_row(terms, s)
-    return symmetric_convolve(acc, kernel)
+    one class at a time: the first class's terms, which check the work
+    budget, are built before any array of the grid's size."""
+    return sum(w * _class_row(terms, s) for w, terms in classes)
 
 
 def band_averaged_trace(
@@ -77,7 +72,6 @@ def band_averaged_trace(
     grid: DetectorGrid,
     *,
     coherence_prefactor: float = 1.5,
-    window: str = "hard",
 ) -> Trace:
     """Incoherent velocity-band average of convolved diffraction patterns.
 
@@ -89,10 +83,11 @@ def band_averaged_trace(
     """
     classes = _class_terms(
         zip(velocity_band.velocities, velocity_band.weights),
-        grating, molecule, source, geometry, grid, coherence_prefactor, window,
+        grating, molecule, source, geometry, grid, coherence_prefactor,
     )
+    band = _band_sum(classes, grating.effective_slit_width)
     kernel = gaussian_kernel(grid.psf_sigma, grid.pixel_pitch)
-    return Trace(grid.positions, _band_sum(classes, grating.effective_slit_width, grid, kernel))
+    return Trace(grid.positions, symmetric_convolve(band, kernel))
 
 
 @dataclass(frozen=True)
@@ -263,7 +258,7 @@ def fit_effective_slit(
     kernel = gaussian_kernel(psf_sigma, grid.pixel_pitch)
     classes = list(_class_terms(
         zip(velocity_band.velocities, velocity_band.weights),
-        grating, molecule, source, geometry, grid, coherence_prefactor, "hard",
+        grating, molecule, source, geometry, grid, coherence_prefactor,
     ))
     # coarse scan guards against secondary minima near envelope-zero crossings
     n_coarse = max(2, int(steps) + 1)
@@ -279,7 +274,7 @@ def fit_effective_slit(
     def objective(s_eff: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return float(_registered_rms(y, _band_sum(classes, s_eff, grid, kernel)))
+        return float(_registered_rms(y, symmetric_convolve(_band_sum(classes, s_eff), kernel)))
 
     best = int(np.argmin(coarse_values))
     a = float(coarse[max(0, best - 1)])

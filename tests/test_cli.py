@@ -77,8 +77,8 @@ class TestSimulate:
     def test_single_velocity_raw_csv_is_the_kirchhoff_pattern(self, capsys, tmp_path):
         # the one-class path gives the public engine's pattern bit for bit
         out = tmp_path / "trace.csv"
-        overrides = ("--set", "simulate.band=false", "--set", "simulate.window=gaussian",
-                     "--set", "simulate.velocity_m_s=140", *SMALL_DETECTOR)
+        overrides = ("--set", "simulate.band=false", "--set", "simulate.velocity_m_s=140",
+                     *SMALL_DETECTOR)
         code, stdout, _ = run_cli(capsys, "simulate", "--preset", "bilayer", *overrides,
                                   "--out", str(out))
         assert code == 0
@@ -92,7 +92,7 @@ class TestSimulate:
         ).n_coherent_slits
         expected = nanograting.kirchhoff_pattern(
             grating, nanograting.wave_number(molecule, 140.0), geometry.L2, n_slits,
-            config.detector_grid(), window="gaussian",
+            config.detector_grid(),
         )
         assert parse_report(stdout)["n_slits"] == str(n_slits)
         assert np.array_equal(raw.positions, expected.positions)
@@ -446,7 +446,7 @@ def test_bad_values_in_input_files_exit_2(capsys, tmp_path, command, key, flaw):
         # a 50-70 m/s band: up to 229 slits per class on the 921-pixel grid
         (
             ("simulate", "--preset", "sinx", "--set", "velocity.center_m_s=60",
-             "--set", "simulate.window=gaussian", "--out", "trace.csv"),
+             "--out", "trace.csv"),
             ("trace.csv", "trace.raw.csv"),
         ),
         (("fit-seff", *FIT_ARGS, "--seed", "7", "--out", "fit.txt"), ("fit.txt", "fit.bestfit.csv")),
@@ -706,12 +706,54 @@ class TestErrorHandling:
         "limits.lambda_ref_nm",
         "grating.bar_length_nm",
         "grating.bar_width_nm",
+        "simulate.window",
     ])
     def test_removed_key_exits_2(self, capsys, key):
         # aliases of another key, or keys that reached no output
         code, _, stderr = run_cli(capsys, "simulate", "--preset", "sinx", "--set", f"{key}=1")
         assert code == 2
         assert stderr == f"error: unknown configuration key {key!r}\n"
+
+    @pytest.mark.parametrize("args, fragment", [
+        # m v underflows to 0: h / (m v) once raised ZeroDivisionError
+        (("simulate", "--set", "simulate.band=false", "--set", "simulate.velocity_m_s=1e-300"),
+         "momentum"),
+        # k = 2 pi / lambda overflows to inf: the chirp once raised OverflowError
+        (("simulate", "--set", "simulate.band=false", "--set", "simulate.velocity_m_s=1e300"),
+         "wave number"),
+        (("simulate", "--set", "molecule.mass_u=1e300"), "wave number"),
+        (("simulate", "--set", "simulate.band=false", "--set", "molecule.mass_u=1e300"),
+         "wave number"),
+        (("synth-image", "--set", "molecule.mass_u=1e300"), "wave number"),
+        (("fit-seff", "--set", "fit.target_s_eff_nm=12", "--set", "molecule.mass_u=1e300"),
+         "wave number"),
+        (("simulate", "--set", "velocity.center_m_s=1e300"), "wave number"),
+        (("fit-seff", "--set", "fit.target_s_eff_nm=12", "--set", "velocity.center_m_s=1e300"),
+         "wave number"),
+        # grid-sized arrays once came before the pixel x slit budget check
+        (("simulate", "--set", "detector.x_max_um=1e300"), "pixel x slit terms exceeds"),
+        (("simulate", "--set", "detector.pixel_pitch_um=1e-300"), "pixel x slit terms exceeds"),
+        (("fit-seff", "--set", "fit.target_s_eff_nm=12", "--set", "detector.x_max_um=1e300"),
+         "pixel x slit terms exceeds"),
+        (("fit-seff", "--set", "fit.target_s_eff_nm=12",
+          "--set", "detector.pixel_pitch_um=1e-300"), "pixel x slit terms exceeds"),
+        # 2 n lambda_ref / d overflows to inf, or n is past the float range
+        (("limits", "--set", "limits.max_order=1" + "0" * 308), "momentum transfer"),
+        (("limits", "--set", "limits.max_order=1" + "0" * 400), "momentum transfer"),
+    ], ids=[
+        "velocity-1e-300", "velocity-1e300", "mass-band", "mass-single", "mass-synth-image",
+        "mass-fit-seff", "center-band", "center-fit-seff", "x-max-band", "pitch-band",
+        "x-max-fit-seff", "pitch-fit-seff", "max-order-1e308", "max-order-1e400",
+    ])
+    def test_out_of_range_values_exit_with_a_message(self, capsys, tmp_path, args, fragment):
+        command, *overrides = args
+        code, stdout, stderr = run_cli(
+            capsys, command, "--preset", "sinx", *overrides, "--out", str(tmp_path / "out")
+        )
+        assert code in (2, 3)
+        assert stderr.startswith("error:") and fragment in stderr
+        assert "Traceback" not in stderr
+        assert "inf" not in stdout
 
     @pytest.mark.parametrize("case", [
         "non-ascii-trace", "non-ascii-sidecar", "non-utf8-config", "directory-config",

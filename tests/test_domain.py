@@ -45,9 +45,12 @@ def test_wavelength_reciprocal_in_velocity():
 
 def test_wavelength_rejects_nonpositive_velocity():
     molecule = Molecule("test", 8.5e-25)
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    # 1e-300 is finite, but m v underflows to 0
+    for bad in (0.0, -1.0, math.inf, math.nan, 1e-300):
         with pytest.raises(DomainError):
             de_broglie_wavelength(molecule, bad)
+    with pytest.raises(DomainError, match="momentum"):
+        de_broglie_wavelength(Molecule("heavy", 1e300), 1e10)
 
 
 def test_molecule_validation():

@@ -126,6 +126,10 @@ def test_momentum_transfer_values():
         _report(period=0.0)
     with pytest.raises(DomainError, match="max order must be non-negative"):
         _report(max_order=-1)
+    # a transfer that overflows, and an int past the float range
+    for max_order in (10**308, 10**400):
+        with pytest.raises(DomainError, match="momentum transfer that is not finite"):
+            _report(max_order=max_order)
 
 
 def test_momentum_transfer_reference_wavelength_default():

@@ -297,10 +297,9 @@ class TestFitEffectiveSlit:
         calls, scored = [], []
         band_sum, registered_rms = vdwfit._band_sum, vdwfit._registered_rms
 
-        def recording_sum(classes, s, grid, kernel):
-            values = band_sum(classes, s, grid, kernel)
-            calls.append((s, grid, values))
-            return values
+        def recording_sum(classes, s):
+            calls.append(s)
+            return band_sum(classes, s)
 
         def recording_rms(reference, candidates):
             scored.extend(np.array(candidates, ndmin=2))
@@ -319,14 +318,15 @@ class TestFitEffectiveSlit:
 
         n_coarse = math.floor((SINX.slit_width - 1e-9) / 2e-9) + 1
         assert result.evaluations == n_coarse + len(calls) == len(scored)
-        grid = calls[0][1]
-        for (s, call_grid, values), candidate in zip(calls, scored[n_coarse:]):
-            assert call_grid == grid
-            assert np.array_equal(candidate, values)
+        # the grid the fit rebuilds from the measured trace
+        grid = DetectorGrid(
+            float(measured.positions[0]), float(measured.positions[-1]), measured.pixel_pitch
+        )
+        for s, candidate in zip(calls, scored[n_coarse:]):
             expected = band_averaged_trace(
                 replace(SINX, effective_slit_width=s), PCH2, self.BAND, SOURCE, GEOMETRY, grid
             )
-            assert np.array_equal(values, expected.intensities)
+            assert np.array_equal(candidate, expected.intensities)
         for row, s in zip(scored[:n_coarse], np.linspace(1e-9, SINX.slit_width, n_coarse)):
             expected = band_averaged_trace(
                 replace(SINX, effective_slit_width=float(s)), PCH2, self.BAND, SOURCE,
@@ -443,7 +443,7 @@ class TestFitEffectiveSlit:
             classes = list(
                 gravity._class_terms(
                     zip(band.velocities, band.weights), SINX, PCH2, SOURCE, GEOMETRY, grid,
-                    1.5, "hard",
+                    1.5,
                 )
             )
             held = tracemalloc.get_traced_memory()[0]
