@@ -81,20 +81,6 @@ def _simulation_header(config: RunConfig, velocity: float) -> dict[str, Any]:
     }
 
 
-def _band_trace(config: RunConfig, grating: Grating) -> Trace:
-    """band_averaged_trace of ``grating`` over the configured beamline,
-    molecule, velocity distribution and detector."""
-    return band_averaged_trace(
-        grating,
-        config.molecule(),
-        config.velocity_distribution(),
-        config.source(),
-        config.geometry(),
-        config.detector_grid(),
-        coherence_prefactor=config.require("source.coherence_prefactor"),
-    )
-
-
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     grating = config.grating()
     molecule = config.molecule()
@@ -199,7 +185,11 @@ def _measured_trace(config: RunConfig, seed: int) -> tuple[Trace, dict[str, Any]
     noise = config.require("fit.noise_fraction")
     if noise < 0.0:
         raise ConfigurationError(f"fit.noise_fraction must be non-negative, got {noise!r}")
-    trace = _band_trace(config, replace(config.grating(), effective_slit_width=target))
+    trace = band_averaged_trace(
+        replace(config.grating(), effective_slit_width=target), config.molecule(),
+        config.velocity_distribution(), config.source(), config.geometry(),
+        config.detector_grid(), coherence_prefactor=config.require("source.coherence_prefactor"),
+    )
     provenance: dict[str, Any] = {"target_effective_slit_width_m": target}
     if noise > 0.0:
         rng = np.random.default_rng(seed)
@@ -239,11 +229,8 @@ def cmd_fit_seff(config: RunConfig, args: argparse.Namespace) -> int:
     }
     if args.out is not None:
         out = Path(args.out)
-        best = _band_trace(
-            config, replace(grating, effective_slit_width=result.effective_slit_width)
-        )
         best_path = _sibling(out, "bestfit", ".csv")
-        write_trace_csv(best_path, best, report)
+        write_trace_csv(best_path, result.model, report)
         write_report(out, report)
         report = dict(report, report_path=str(out), bestfit_csv=str(best_path))
     _echo(report)

@@ -275,8 +275,6 @@ def load_run_config(
     raw = dict(DEFAULTS)
     if config_path is not None:
         path = Path(config_path)
-        if not path.exists():
-            raise ConfigurationError(f"config file {path} does not exist")
         raw.update(parse_config_text(_read_file(path, "utf-8"), str(path)))
     if preset is not None:
         raw["grating.preset"] = preset

@@ -39,6 +39,14 @@ MAX_SLIT_PHASE = 0.05
 # 3 B per term with few nodes, up to 140 B (0.56 GB) where M reaches n_slits
 MAX_PIXEL_SLITS = 4_000_000
 
+# most multiply-adds (rows x pixels x taps) one blur may take, and most values
+# it may hold (its rows x (pixels + 2 radius) padded values, or its kernel's
+# taps): 0.6-1.8 ns per multiply-add and 23-24 B per value (2-core VM), so at
+# most 1.8 s and 0.48 GB; a 10,000-point coarse scan on 921 pixels with 71
+# taps takes 6.5e8 multiply-adds and 9.9e6 values
+MAX_BLUR_TERMS = 1_000_000_000
+MAX_BLUR_VALUES = 20_000_000
+
 # interpolation error of the slit envelope across the slit centres, relative
 # to the peak amplitude, that sets the node count of _slit_terms
 NODE_TOLERANCE = 1e-15
@@ -49,6 +57,16 @@ def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     arr.flags.writeable = False
     return arr
+
+
+def _pixel_count(lo: float, hi: float, pitch: float) -> int:
+    """Pixels of a detector or image axis from ``lo`` at ``pitch`` up to ``hi``."""
+    count = (hi - lo) / pitch + 1e-9
+    if not math.isfinite(count):
+        raise WorkBudgetError(
+            f"a span of {hi - lo!r} m at a pitch of {pitch!r} m has too many pixels"
+        )
+    return int(math.floor(count)) + 1
 
 
 @dataclass(frozen=True)
@@ -78,8 +96,7 @@ class DetectorGrid:
 
     @property
     def n_pixels(self) -> int:
-        span = self.x_max - self.x_min
-        return int(math.floor(span / self.pixel_pitch + 1e-9)) + 1
+        return _pixel_count(self.x_min, self.x_max, self.pixel_pitch)
 
     @property
     def positions(self) -> np.ndarray:
@@ -314,10 +331,10 @@ def _slit_terms(
     if n_slits < 1:
         raise DomainError(f"need at least one slit, got {n_slits!r}")
     n_pixels = grid.n_pixels
-    work = n_pixels * n_slits
+    work = float(n_pixels) * n_slits  # :.3e cannot format an int past the float range
     if work > MAX_PIXEL_SLITS:
         raise WorkBudgetError(
-            f"{n_pixels} pixels x {n_slits} coherent slits = {work:.3e} "
+            f"{n_pixels:.3e} pixels x {n_slits:.3e} coherent slits = {work:.3e} "
             f"pixel x slit terms exceeds the budget of {MAX_PIXEL_SLITS:.0e}"
         )
 
@@ -472,11 +489,16 @@ def kirchhoff_pattern(
 def gaussian_kernel(sigma: float, pitch: float) -> np.ndarray:
     """Unit-sum Gaussian kernel sampled on the pixel pitch, truncated at
     +-5 sigma. Returns a length-1 identity kernel when sigma is too small to
-    span a pixel."""
+    span a pixel. More than ``MAX_BLUR_VALUES`` taps is refused before any is built."""
     if sigma < 0.0:
         raise DomainError(f"sigma must be non-negative, got {sigma!r}")
     if pitch <= 0.0:
         raise DomainError(f"pitch must be positive, got {pitch!r}")
+    if 10.0 * sigma / pitch + 1.0 > MAX_BLUR_VALUES:
+        raise WorkBudgetError(
+            f"a blur of sigma {sigma!r} at pitch {pitch!r} takes {10.0 * sigma / pitch + 1.0:.3e} "
+            f"taps, more than the budget of {MAX_BLUR_VALUES:.0e}"
+        )
     radius = int(math.ceil(5.0 * sigma / pitch))
     if sigma == 0.0 or radius == 0:
         return np.ones(1)
@@ -490,8 +512,17 @@ def symmetric_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     symmetric kernel under edge-mirrored boundary handling, which conserves
     each row's total exactly (every kernel tap falling off an edge is folded
     back inside; ``np.pad`` reflects again where the kernel is wider than the
-    row). The one blur of the package: traces, image rows and placements."""
+    row). The one blur of the package: traces, image rows and placements.
+    More than ``MAX_BLUR_VALUES`` padded values or ``MAX_BLUR_TERMS``
+    multiply-adds is refused before any padding."""
     radius = kernel.size // 2
+    padded_size = math.prod(values.shape[:-1]) * (values.shape[-1] + 2 * radius)
+    if padded_size > MAX_BLUR_VALUES or values.size * kernel.size > MAX_BLUR_TERMS:
+        raise WorkBudgetError(
+            f"blurring {values.size} values with {kernel.size} taps holds {padded_size:.3e} "
+            f"padded values and takes {values.size * kernel.size:.3e} multiply-adds, over the "
+            f"budgets of {MAX_BLUR_VALUES:.0e} values and {MAX_BLUR_TERMS:.0e} multiply-adds"
+        )
     padded = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(radius, radius)], mode="symmetric")
     rows = padded.reshape(-1, padded.shape[-1])
     return np.array([np.convolve(row, kernel, mode="valid") for row in rows]).reshape(values.shape)

@@ -23,6 +23,7 @@ import numpy as np
 from .diffraction import (
     DetectorGrid,
     _frozen_array,
+    _pixel_count,
     _slit_envelope,
     _slit_terms,
     _SlitTerms,
@@ -68,7 +69,15 @@ MAX_IMAGE_PIXELS = 5_000_000
 
 
 def _ballistic_coefficient(geometry: BeamlineGeometry) -> float:
-    return geometry.g * (geometry.L * geometry.L1 - geometry.L**2) / 2.0
+    try:
+        coefficient = geometry.g * (geometry.L * geometry.L1 - geometry.L**2) / 2.0
+    except OverflowError:  # from L**2, where L * L would round to inf
+        coefficient = math.inf
+    if not math.isfinite(coefficient):
+        raise DomainError(
+            f"free-fall coefficient g (L L1 - L^2) / 2 overflows at L = {geometry.L!r} m"
+        )
+    return coefficient
 
 
 def _check_class_count(n_classes: int) -> None:
@@ -159,7 +168,7 @@ class VelocityDistribution:
 
 @dataclass(frozen=True)
 class ImageGrid:
-    """Uniform 2D pixel grid for interferogram synthesis, y positive up."""
+    """Uniform 2D pixel grid, y positive up; ``detector_grid()`` is its columns and checks them."""
 
     x_min: float
     x_max: float
@@ -170,28 +179,17 @@ class ImageGrid:
     psf_sigma: float = 3.5e-6
 
     def __post_init__(self) -> None:
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise DomainError("image grid needs x_max > x_min and y_max > y_min")
-        if self.pixel_pitch_x <= 0.0 or self.pixel_pitch_y <= 0.0:
-            raise DomainError("pixel pitches must be positive")
-        if self.psf_sigma < 0.0:
-            raise DomainError("psf sigma must be non-negative")
+        self.detector_grid()
+        if not (self.y_max > self.y_min and self.pixel_pitch_y > 0.0):
+            raise DomainError("image grid needs y_max > y_min and a positive y pitch")
 
     @property
     def nx(self) -> int:
-        return int(math.floor((self.x_max - self.x_min) / self.pixel_pitch_x + 1e-9)) + 1
+        return self.detector_grid().n_pixels
 
     @property
     def ny(self) -> int:
-        return int(math.floor((self.y_max - self.y_min) / self.pixel_pitch_y + 1e-9)) + 1
-
-    @property
-    def x_positions(self) -> np.ndarray:
-        return self.x_min + self.pixel_pitch_x * np.arange(self.nx)
-
-    @property
-    def y_positions(self) -> np.ndarray:
-        return self.y_min + self.pixel_pitch_y * np.arange(self.ny)
+        return _pixel_count(self.y_min, self.y_max, self.pixel_pitch_y)
 
     def detector_grid(self) -> DetectorGrid:
         return DetectorGrid(self.x_min, self.x_max, self.pixel_pitch_x, self.psf_sigma)
@@ -344,11 +342,13 @@ def synthesize_image(
     ``MAX_IMAGE_PIXELS`` is refused before any array is built.
     """
     nx, ny, n_classes = grid.nx, grid.ny, len(distribution)
-    size = nx * ny + n_classes * (nx + ny)
+    # in floats: :.3e cannot format an int past the float range
+    size = float(nx) * ny + n_classes * (float(nx) + ny)
     if size > MAX_IMAGE_PIXELS:
         raise WorkBudgetError(
-            f"{ny} x {nx} image pixels plus {n_classes} classes x ({ny} + {nx}) rows "
-            f"and placements = {size:.3e} values exceeds the budget of {MAX_IMAGE_PIXELS:.0e}"
+            f"{ny:.3e} x {nx:.3e} image pixels plus {n_classes:.3e} classes x ({ny:.3e} + "
+            f"{nx:.3e}) rows and placements = {size:.3e} values exceeds the budget of "
+            f"{MAX_IMAGE_PIXELS:.0e}"
         )
     v_lo = float(distribution.velocities.min())
     v_hi = float(distribution.velocities.max())
@@ -474,6 +474,7 @@ def stripe_velocity_profile(
     if image.ny < n_stripes:
         raise DomainError(f"image has {image.ny} rows, fewer than {n_stripes} stripes")
 
+    coefficient = _ballistic_coefficient(geometry)
     x = image.x_positions
     y_rows = image.y_positions
     pitch = image.pixel_pitch_x
@@ -513,8 +514,14 @@ def stripe_velocity_profile(
         intercept = math.nan
     else:
         ys, vs = np.array(raw).T
+        with np.errstate(divide="ignore", over="ignore"):
+            drops = coefficient / vs**2
+        if not np.isfinite(drops).all():
+            raise DomainError(
+                f"fall term A / v^2 overflows at a stripe velocity of {float(vs.min())!r} m/s"
+            )
         # exact least squares of y = intercept + A / v^2
-        intercept = float(np.mean(ys - _ballistic_coefficient(geometry) / vs**2))
+        intercept = float(np.mean(ys - drops))
 
     # residuals against the fitted line, level at the intercept (NaN if underdetermined)
     stripes: list[StripeVelocity] = []

@@ -178,7 +178,7 @@ def render_image(image: Interferogram, vertical_stretch: float = 1.0) -> bytes:
     out_rows = max(1, int(round(vertical_stretch * ny)))
     if out_rows * nx > MAX_IMAGE_PIXELS:
         raise WorkBudgetError(
-            f"{out_rows} x {nx} pixmap = {out_rows * nx:.3e} pixels exceeds the "
+            f"{out_rows:.3e} x {nx:.3e} pixmap = {out_rows * nx:.3e} pixels exceeds the "
             f"budget of {MAX_IMAGE_PIXELS:.0e}"
         )
     values = image.values

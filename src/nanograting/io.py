@@ -98,8 +98,6 @@ def read_trace_csv(path: str | Path) -> tuple[Trace, dict[str, str]]:
     xs: list[float] = []
     ys: list[float] = []
     source = Path(path)
-    if not source.exists():
-        raise ConfigurationError(f"trace file {source} does not exist")
     for line in _read_file(source, "ascii").splitlines():
         line = line.strip()
         if not line:
@@ -166,11 +164,7 @@ def _check_sidecar(meta: Any, sidecar_path: Path) -> None:
 def read_interferogram(path: str | Path) -> Interferogram:
     """Read an interferogram written by :func:`write_interferogram`."""
     target = Path(path)
-    if not target.exists():
-        raise ConfigurationError(f"interferogram file {target} does not exist")
     sidecar_path = target.with_name(target.name + ".json")
-    if not sidecar_path.exists():
-        raise ConfigurationError(f"missing interferogram sidecar {sidecar_path}")
     try:
         meta = json.loads(_read_file(sidecar_path, "ascii"))
     except json.JSONDecodeError as exc:

@@ -171,6 +171,7 @@ class SlitFitResult:
     suppression_ratio: float   # geometric / effective
     evaluations: int
     bracket: tuple[float, float]
+    model: Trace               # the blurred band trace at that width, measured positions
 
 
 def _registered_rms(reference: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -215,9 +216,9 @@ def fit_effective_slit(
     evaluation within 1e-13 of its peak of ``band_averaged_trace`` (at most
     5.4e-16 on the presets at 100-540 m/s). Golden-section search then refines it to ``tolerance``
     (0.1 nm by default) on ``band_averaged_trace``'s own path, bit for bit,
-    as is the final residual. A step that is not positive, a tolerance below
-    the float spacing at the slit width, or a scan of more than
-    ``MAX_COARSE_POINTS`` points is refused.
+    as is the returned model, which the residual scores. A step that is not
+    positive, a tolerance below the float spacing at the slit width, or a
+    scan of more than ``MAX_COARSE_POINTS`` points is refused.
     """
     # golden section cannot shrink a bracket below the float spacing of its widths
     if not (tolerance >= math.ulp(grating.slit_width) and coarse_step > 0.0):
@@ -271,10 +272,13 @@ def fit_effective_slit(
     coarse_values = _registered_rms(y, symmetric_convolve(scan, kernel))
     evaluations = n_coarse
 
-    def objective(s_eff: float) -> float:
+    def model(s_eff: float) -> np.ndarray:
         nonlocal evaluations
         evaluations += 1
-        return float(_registered_rms(y, symmetric_convolve(_band_sum(classes, s_eff), kernel)))
+        return symmetric_convolve(_band_sum(classes, s_eff), kernel)
+
+    def objective(s_eff: float) -> float:
+        return float(_registered_rms(y, model(s_eff)))
 
     best = int(np.argmin(coarse_values))
     a = float(coarse[max(0, best - 1)])
@@ -294,12 +298,13 @@ def fit_effective_slit(
             d = a + _INV_PHI * (b - a)
             fd = objective(d)
     s_fit = (a + b) / 2.0
-    residual = objective(s_fit)
+    fitted = model(s_fit)
 
     return SlitFitResult(
         effective_slit_width=s_fit,
-        residual=residual,
+        residual=float(_registered_rms(y, fitted)),
         suppression_ratio=suppression_ratio(grating.slit_width, s_fit),
         evaluations=evaluations,
         bracket=bracket,
+        model=Trace(measured.positions, fitted),
     )

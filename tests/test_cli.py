@@ -335,6 +335,33 @@ class TestFitSeff:
         assert header["effective_slit_width_m"] == "2.0355544254750526e-08"
         assert len(trace) == 161
 
+    def test_csv_fit_writes_the_fitted_model_on_the_measured_positions(self, capsys, tmp_path):
+        # the measured trace has 161 pixels, the configured detector 921
+        measured_csv = tmp_path / "sim.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--preset", "sinx", "--set", "simulate.band=false",
+            *SMALL_DETECTOR, "--out", str(measured_csv),
+        )
+        assert code == 0
+        code, stdout, _ = run_cli(
+            capsys, "fit-seff", "--preset", "sinx", "--set", f"fit.measured_csv={measured_csv}",
+            "--set", "velocity.kind=discrete", "--set", "velocity.list_m_s=220",
+            "--out", str(tmp_path / "fit.txt"),
+        )
+        assert code == 0
+        bestfit_csv = tmp_path / "fit.bestfit.csv"
+
+        def position_column(path):
+            lines = path.read_text().splitlines()
+            return [line.split(",")[0] for line in lines[lines.index("position_m,intensity") + 1 :]]
+
+        assert len(position_column(measured_csv)) == 161
+        assert position_column(bestfit_csv) == position_column(measured_csv)
+        measured, _ = read_trace_csv(measured_csv)
+        best, _ = read_trace_csv(bestfit_csv)
+        residual = float(vdwfit._registered_rms(measured.intensities, best.intensities))
+        assert residual == float(parse_report(stdout)["residual_rms"])
+
     def test_both_sources_rejected(self, capsys, tmp_path):
         csv = tmp_path / "m.csv"
         csv.write_text("position_m,intensity\n")
@@ -731,7 +758,7 @@ class TestErrorHandling:
         (("fit-seff", "--set", "fit.target_s_eff_nm=12", "--set", "velocity.center_m_s=1e300"),
          "wave number"),
         # grid-sized arrays once came before the pixel x slit budget check
-        (("simulate", "--set", "detector.x_max_um=1e300"), "pixel x slit terms exceeds"),
+        (("simulate", "--set", "detector.x_max_um=1e300"), "2.000e+300 pixels x"),
         (("simulate", "--set", "detector.pixel_pitch_um=1e-300"), "pixel x slit terms exceeds"),
         (("fit-seff", "--set", "fit.target_s_eff_nm=12", "--set", "detector.x_max_um=1e300"),
          "pixel x slit terms exceeds"),
@@ -740,10 +767,36 @@ class TestErrorHandling:
         # 2 n lambda_ref / d overflows to inf, or n is past the float range
         (("limits", "--set", "limits.max_order=1" + "0" * 308), "momentum transfer"),
         (("limits", "--set", "limits.max_order=1" + "0" * 400), "momentum transfer"),
+        # span / pitch overflows: the pixel count once raised OverflowError
+        (("simulate", "--set", "detector.x_max_um=1e300", "--set", "detector.pixel_pitch_um=1e-300"),
+         "a span of 1e+294 m at a pitch of 1e-306 m"),
+        (("synth-image", "--set", "detector.x_max_um=1e300",
+          "--set", "detector.pixel_pitch_um=1e-300"), "a span of 1e+294 m at a pitch of 1e-306 m"),
+        (("synth-image", "--set", "image.y_max_um=1e300", "--set", "image.pixel_pitch_y_um=1e-300"),
+         "a span of 1e+294 m at a pitch of 1e-306 m"),
+        # a 301-digit pixel count was once printed in full
+        (("synth-image", "--set", "detector.x_max_um=1e300"), "x 2.000e+300 image pixels"),
+        # products past the float range: :.3e once raised OverflowError on the int
+        (("simulate", "--set", "detector.x_max_um=1e300", "--set", "source.width_um=1e-300"),
+         "= inf pixel x slit terms"),
+        (("synth-image", "--set", "detector.x_max_um=1e300", "--set", "image.y_max_um=1e300"),
+         "= inf values"),
+        # L**2 once raised OverflowError
+        (("fit-velocity", "--set", "fit.y2_um=-127", "--set", "geometry.L2_m=1e300"),
+         "free-fall coefficient"),
+        (("synth-image", "--set", "geometry.L2_m=1e300"), "free-fall coefficient"),
+        # numpy once raised ValueError for a kernel of 2e301 taps
+        (("simulate", "--set", "detector.psf_sigma_um=1e300"), "taps, more than the budget"),
+        (("fit-seff", "--set", "fit.target_s_eff_nm=12", "--set", "detector.psf_sigma_um=1e300"),
+         "taps, more than the budget"),
+        (("synth-image", "--set", "detector.psf_sigma_um=1e300"), "taps, more than the budget"),
     ], ids=[
         "velocity-1e-300", "velocity-1e300", "mass-band", "mass-single", "mass-synth-image",
         "mass-fit-seff", "center-band", "center-fit-seff", "x-max-band", "pitch-band",
         "x-max-fit-seff", "pitch-fit-seff", "max-order-1e308", "max-order-1e400",
+        "pixel-count-simulate", "pixel-count-synth-image", "row-count-synth-image",
+        "x-max-synth-image", "slit-product-overflow", "image-product-overflow", "L2-fall-height",
+        "L2-synth-image", "psf-simulate", "psf-fit-seff", "psf-synth-image",
     ])
     def test_out_of_range_values_exit_with_a_message(self, capsys, tmp_path, args, fragment):
         command, *overrides = args
@@ -755,10 +808,39 @@ class TestErrorHandling:
         assert "Traceback" not in stderr
         assert "inf" not in stdout
 
+    @pytest.mark.parametrize("command, key, value, fragment", [
+        # the first-order wavelength once underflowed: ZeroDivisionError
+        ("fit-velocity", "geometry.L2_m", "1e300", "free-fall coefficient"),
+        # v^2 underflowed and the profile printed intercept_m = inf
+        ("fit-velocity", "molecule.mass_u", "1e300", "fall term A / v^2 overflows"),
+        ("fit-velocity", "grating.period_nm", "1e300", "fall term A / v^2 overflows"),
+        ("render", "render.vertical_stretch", "1e300", "4.900e+301 x 1.610e+02 pixmap"),
+    ], ids=["L2-profile", "mass-profile", "period-profile", "stretch-render"])
+    def test_out_of_range_values_on_an_image_exit_with_a_message(
+        self, capsys, tmp_path, command, key, value, fragment
+    ):
+        image_path = tmp_path / "img.f64"
+        code, _, _ = run_cli(
+            capsys, "synth-image", "--preset", "sinx", "--set", "velocity.n_classes=5",
+            "--set", "velocity.half_width_m_s=30", "--set", "image.y_min_um=-180",
+            "--set", "image.y_max_um=-60", *SMALL_DETECTOR, "--out", str(image_path),
+        )
+        assert code == 0
+        code, stdout, stderr = run_cli(
+            capsys, command, "--preset", "sinx", "--set", f"profile.image_path={image_path}",
+            "--set", f"render.image_path={image_path}", "--set", f"{key}={value}",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code in (2, 3)
+        assert stderr.startswith("error:") and fragment in stderr
+        assert "Traceback" not in stderr
+        assert "inf" not in stdout
+
     @pytest.mark.parametrize("case", [
         "non-ascii-trace", "non-ascii-sidecar", "non-utf8-config", "directory-config",
         "directory-trace", "directory-image", "out-in-missing-directory",
-        "csv-out-in-missing-directory",
+        "csv-out-in-missing-directory", "missing-config", "missing-trace", "missing-image",
+        "missing-sidecar",
     ])
     def test_unreadable_input_or_unwritable_output_exits_2(self, tmp_path, case):
         trace_csv = tmp_path / "trace.csv"
@@ -785,6 +867,12 @@ class TestErrorHandling:
                 "--set", "simulate.band=false", "--out", str(missing / "trace.csv"))),
             "csv-out-in-missing-directory": (missing / "limits.csv", (
                 "limits", "--preset", "slg", "--out", str(missing / "limits.csv"))),
+            "missing-config": (missing / "run.cfg", ("limits", "--config", str(missing / "run.cfg"))),
+            "missing-trace": (missing / "trace.csv", (
+                "fit-seff", "--preset", "sinx", "--set", f"fit.measured_csv={missing / 'trace.csv'}")),
+            "missing-image": (image, ("render", "--set", f"render.image_path={image}")),
+            "missing-sidecar": (tmp_path / "image.f64.json",
+                                ("render", "--set", f"render.image_path={image}")),
         }[case]
         if case.startswith("non-ascii"):
             data = path.read_bytes()
@@ -792,6 +880,8 @@ class TestErrorHandling:
         if case == "directory-image":
             image.unlink()
             image.mkdir()
+        if case in ("missing-image", "missing-sidecar"):
+            path.unlink()
         src = os.path.dirname(os.path.dirname(os.path.abspath(nanograting.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "nanograting", *args],

@@ -16,6 +16,7 @@ from nanograting import (
     ResolutionError,
     SourceModel,
     Trace,
+    WorkBudgetError,
     coherence,
     de_broglie_wavelength,
     far_field_orders,
@@ -28,6 +29,7 @@ from nanograting import (
     wave_number,
 )
 from nanograting.config import load_run_config
+from nanograting.diffraction import MAX_BLUR_TERMS, MAX_BLUR_VALUES
 from nanograting.diffraction import MAX_PIXEL_SLITS, MAX_SLIT_PHASE, _slit_terms
 from nanograting.diffraction import _contract, _envelope_scan, _slit_envelope
 from nanograting.gravity import VELOCITY_SUPPORT
@@ -195,6 +197,26 @@ def test_symmetric_convolve_conserves_total():
         for row, blurred in zip(image, out):
             assert np.array_equal(blurred, symmetric_convolve(row, kernel))
             assert blurred.sum() == pytest.approx(row.sum(), rel=1e-12)
+
+
+def test_blur_over_budget_is_refused_before_any_padding():
+    # broadcast views hold no data: np.pad would be the first copy
+    kernel = gaussian_kernel(3.0, 1.0)  # 31 taps
+    rows = np.broadcast_to(0.0, (MAX_BLUR_VALUES // 10, 10))
+    with pytest.raises(WorkBudgetError) as excinfo:
+        symmetric_convolve(rows, kernel)
+    assert f"holds {rows.shape[0] * (10 + 30):.3e} padded values" in str(excinfo.value)
+    # one long row within the padded values, over the multiply-adds
+    wide = gaussian_kernel(10.0, 1.0)  # 101 taps
+    row = np.broadcast_to(0.0, (MAX_BLUR_VALUES - 100,))
+    assert row.size * wide.size > MAX_BLUR_TERMS
+    with pytest.raises(WorkBudgetError) as excinfo:
+        symmetric_convolve(row, wide)
+    assert f"holds {MAX_BLUR_VALUES:.3e} padded values" in str(excinfo.value)
+    assert f"takes {row.size * 101:.3e} multiply-adds" in str(excinfo.value)
+    with pytest.raises(WorkBudgetError) as excinfo:
+        gaussian_kernel(MAX_BLUR_VALUES / 10.0, 1.0)
+    assert f"more than the budget of {MAX_BLUR_VALUES:.0e}" in str(excinfo.value)
 
 
 def _detector_convolve(trace, sigma):

@@ -165,16 +165,17 @@ class TestImageGrid:
         grid = ImageGrid(-50e-6, 50e-6, -200e-6, -100e-6, 1e-6, 2.5e-6)
         assert grid.nx == 101
         assert grid.ny == 41
-        assert grid.x_positions[0] == pytest.approx(-50e-6)
-        assert grid.x_positions[-1] == pytest.approx(50e-6)
-        assert grid.y_positions[-1] == pytest.approx(-100e-6)
+        x = grid.detector_grid().positions
+        assert x[0] == pytest.approx(-50e-6)
+        assert x[-1] == pytest.approx(50e-6)
+        assert grid.y_min + grid.pixel_pitch_y * (grid.ny - 1) == pytest.approx(-100e-6)
 
     def test_detector_grid_shares_axis(self):
         grid = ImageGrid(-50e-6, 50e-6, -200e-6, -100e-6, 1e-6, 2.5e-6, psf_sigma=4e-6)
         det = grid.detector_grid()
         assert det.n_pixels == grid.nx
         assert det.psf_sigma == 4e-6
-        np.testing.assert_allclose(det.positions, grid.x_positions)
+        np.testing.assert_allclose(det.positions, grid.x_min + grid.pixel_pitch_x * np.arange(grid.nx))
 
     def test_validation(self):
         with pytest.raises(DomainError):
