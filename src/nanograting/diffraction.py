@@ -503,8 +503,23 @@ def gaussian_kernel(sigma: float, pitch: float) -> np.ndarray:
     if sigma == 0.0 or radius == 0:
         return np.ones(1)
     u = (np.arange(2 * radius + 1) - radius) * pitch
-    kernel = np.exp(-0.5 * (u / sigma) ** 2)
+    with np.errstate(over="ignore"):  # pitch / sigma past 1e154: the outer taps are exp(-inf) = 0
+        kernel = np.exp(-0.5 * (u / sigma) ** 2)
     return kernel / kernel.sum()
+
+
+def _check_blur_budget(shape: tuple[int, ...], taps: int) -> None:
+    """Refuse a blur of an array of ``shape`` by ``taps`` taps that holds more
+    than ``MAX_BLUR_VALUES`` padded values or takes more than
+    ``MAX_BLUR_TERMS`` multiply-adds."""
+    size = math.prod(shape)
+    padded_size = math.prod(shape[:-1]) * (shape[-1] + 2 * (taps // 2))
+    if padded_size > MAX_BLUR_VALUES or size * taps > MAX_BLUR_TERMS:
+        raise WorkBudgetError(
+            f"blurring {size} values with {taps} taps holds {padded_size:.3e} "
+            f"padded values and takes {size * taps:.3e} multiply-adds, over the "
+            f"budgets of {MAX_BLUR_VALUES:.0e} values and {MAX_BLUR_TERMS:.0e} multiply-adds"
+        )
 
 
 def symmetric_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -513,16 +528,9 @@ def symmetric_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     each row's total exactly (every kernel tap falling off an edge is folded
     back inside; ``np.pad`` reflects again where the kernel is wider than the
     row). The one blur of the package: traces, image rows and placements.
-    More than ``MAX_BLUR_VALUES`` padded values or ``MAX_BLUR_TERMS``
-    multiply-adds is refused before any padding."""
+    ``_check_blur_budget`` refuses an oversized blur before any padding."""
+    _check_blur_budget(values.shape, kernel.size)
     radius = kernel.size // 2
-    padded_size = math.prod(values.shape[:-1]) * (values.shape[-1] + 2 * radius)
-    if padded_size > MAX_BLUR_VALUES or values.size * kernel.size > MAX_BLUR_TERMS:
-        raise WorkBudgetError(
-            f"blurring {values.size} values with {kernel.size} taps holds {padded_size:.3e} "
-            f"padded values and takes {values.size * kernel.size:.3e} multiply-adds, over the "
-            f"budgets of {MAX_BLUR_VALUES:.0e} values and {MAX_BLUR_TERMS:.0e} multiply-adds"
-        )
     padded = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(radius, radius)], mode="symmetric")
     rows = padded.reshape(-1, padded.shape[-1])
     return np.array([np.convolve(row, kernel, mode="valid") for row in rows]).reshape(values.shape)

@@ -505,7 +505,10 @@ def stripe_velocity_profile(
         angle = math.atan2(x1 - x0, geometry.L2)
         # x1 > x0 + exclusion - pitch / 2 > x0: the angle and wavelength are positive
         wavelength = period * math.sin(angle)
-        velocity = CONSTANTS.h / (molecule.mass * wavelength)
+        momentum = molecule.mass * wavelength  # h / v
+        if not 0.0 < momentum < math.inf:
+            raise DomainError(f"stripe momentum m lambda = {momentum!r} kg m is not positive and finite")
+        velocity = CONSTANTS.h / momentum
         y_center = float(y_rows[lo : hi].mean())
         raw.append((y_center, velocity))
 

@@ -24,8 +24,8 @@ __all__ = ["LimitsReport", "adsorption_coverage", "limits_report", "thermal_scro
 # Fraction prefactor of the single-slit FWHM momentum spread, dp = 0.89 h / s.
 CENTRAL_LOBE_FRACTION = 0.89
 
-# Minimum coherent slit width prefactor; equals 4 * CENTRAL_LOBE_FRACTION.
-MIN_SLIT_PREFACTOR = 3.56
+# Minimum coherent slit width prefactor.
+MIN_SLIT_PREFACTOR = 4.0 * CENTRAL_LOBE_FRACTION
 
 # Young's modulus of a single-wall carbon nanotube, the default stiffness for
 # thermal-amplitude estimates of rolled-up carbon structures.
@@ -110,9 +110,9 @@ def limits_report(
       slit imprints (``CENTRAL_LOBE_FRACTION`` of the single-slit lobe);
     - dp_grating = hbar / (2 sigma), the least momentum uncertainty of a
       grating localized to sigma;
-    - s_min = 3.56 pi sigma, the narrowest slit for which dp_grating still
-      exceeds dp_diff (``MIN_SLIT_PREFACTOR`` = 4 x 0.89);
-    - margin = dp_grating / dp_diff = (s / sigma) / (3.56 pi), and
+    - s_min = 4 x 0.89 pi sigma, the narrowest slit for which dp_grating
+      still exceeds dp_diff (4 x 0.89 is ``MIN_SLIT_PREFACTOR``);
+    - margin = dp_grating / dp_diff = (s / sigma) / (4 x 0.89 pi), and
       ``coherent`` is s > s_min, the exactly equivalent form (the boundary
       itself is not coherent);
     - momentum_transfer_hk = 2 n_max lambda_ref / d, the momentum splitting

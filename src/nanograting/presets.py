@@ -1,11 +1,11 @@
 """Built-in presets: five ultra-thin gratings and the test molecule.
 
-Preset values are data, not code. Each grating entry carries the
-``Grating`` fields; the bar geometry (``bar_length``, ``bar_width``) and
-material (``layers``, ``areal_density`` per layer and, for rolled bars, the
-unrolled ``ribbon_width``) that ``bar_mass`` and the thermal estimate of
-``limits`` read; and a ``notes`` dict with material info,
-recorded-but-unused raw values, and inconsistency flags where the
+Preset values are data, not code. Each grating entry, keyed by its label,
+carries the other ``Grating`` fields; the bar geometry (``bar_length``,
+``bar_width``) and material (``layers``, ``areal_density`` per layer and,
+for rolled bars, the unrolled ``ribbon_width``) that ``bar_mass`` and the
+thermal estimate of ``limits`` read; and a ``notes`` dict with material
+info, recorded-but-unused raw values, and inconsistency flags where the
 underlying characterization data disagree with themselves.
 """
 
@@ -41,7 +41,6 @@ BIPHENYL_AREAL_DENSITY = 8.3e-7  # kg/m^2
 
 GRATING_PRESETS: dict[str, dict[str, Any]] = {
     "sinx": {
-        "label": "sinx",
         "period": 105e-9,
         "slit_width": 50e-9,
         "effective_slit_width": 15e-9,
@@ -63,7 +62,6 @@ GRATING_PRESETS: dict[str, dict[str, Any]] = {
         },
     },
     "slg": {
-        "label": "slg",
         "period": 101e-9,
         "slit_width": 59e-9,
         "effective_slit_width": 35e-9,
@@ -80,7 +78,6 @@ GRATING_PRESETS: dict[str, dict[str, Any]] = {
         },
     },
     "scroll": {
-        "label": "scroll",
         "period": 88e-9,
         "slit_width": 65e-9,
         "effective_slit_width": 49e-9,
@@ -101,7 +98,6 @@ GRATING_PRESETS: dict[str, dict[str, Any]] = {
         },
     },
     "bilayer": {
-        "label": "bilayer",
         "period": 113e-9,
         "slit_width": 62e-9,
         "effective_slit_width": 28e-9,
@@ -122,7 +118,6 @@ GRATING_PRESETS: dict[str, dict[str, Any]] = {
         },
     },
     "biphenyl": {
-        "label": "biphenyl",
         "period": 107e-9,
         "slit_width": 54e-9,
         "effective_slit_width": 28e-9,
@@ -172,7 +167,7 @@ def _grating_entry(name: str) -> dict[str, Any]:
 def grating_preset(name: str) -> Grating:
     """Build the named grating preset. Unknown names raise ConfigurationError."""
     entry = _grating_entry(name)
-    return Grating(**{f.name: entry[f.name] for f in fields(Grating) if f.name in entry})
+    return Grating(label=name, **{f.name: entry[f.name] for f in fields(Grating) if f.name in entry})
 
 
 def bar_mass(name: str) -> float:

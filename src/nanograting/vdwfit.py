@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .diffraction import DetectorGrid, Trace, _SlitTerms, _envelope_scan, far_field_orders
-from .diffraction import gaussian_kernel, symmetric_convolve
+from .diffraction import _check_blur_budget, gaussian_kernel, symmetric_convolve
 from .domain import BeamlineGeometry, Grating, Molecule, SourceModel
 from .errors import DomainError, FitError, WorkBudgetError
 from .gravity import VelocityDistribution, _class_row, _class_terms, _local_maxima
@@ -255,14 +255,15 @@ def fit_effective_slit(
     if grid.n_pixels != len(measured):
         raise DomainError("measured trace grid is not reconstructible; cannot fit")
 
-    # everything but the sinc is independent of s_eff: build it once per fit
+    # coarse scan guards against secondary minima near envelope-zero crossings
+    n_coarse = max(2, int(steps) + 1)
     kernel = gaussian_kernel(psf_sigma, grid.pixel_pitch)
+    _check_blur_budget((n_coarse, grid.n_pixels), kernel.size)
+    # everything but the sinc is independent of s_eff: build it once per fit
     classes = list(_class_terms(
         zip(velocity_band.velocities, velocity_band.weights),
         grating, molecule, source, geometry, grid, coherence_prefactor,
     ))
-    # coarse scan guards against secondary minima near envelope-zero crossings
-    n_coarse = max(2, int(steps) + 1)
     coarse = np.linspace(lo, hi, n_coarse)
     scan = np.zeros((n_coarse, grid.n_pixels))
     for w, terms in classes:

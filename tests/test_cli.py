@@ -1,21 +1,25 @@
 """End-to-end tests of the command-line interface: exit codes, report echoes,
 file outputs, and byte determinism."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nanograting
 from nanograting import band_averaged_trace, vdwfit
 from nanograting.cli import main
-from nanograting.config import load_run_config
+from nanograting.config import KNOWN_KEYS, load_run_config
 from nanograting.gravity import Interferogram
 from nanograting.io import (
     read_interferogram,
@@ -23,7 +27,7 @@ from nanograting.io import (
     write_interferogram,
     write_trace_csv,
 )
-from nanograting.diffraction import MAX_PIXEL_SLITS, DetectorGrid, Trace
+from nanograting.diffraction import MAX_BLUR_TERMS, MAX_PIXEL_SLITS, DetectorGrid, Trace
 from nanograting.gravity import MAX_IMAGE_PIXELS, MAX_VELOCITY_CLASSES
 
 
@@ -181,7 +185,12 @@ class TestWorkBudgets:
         # a 4-row image stretched to 4e12 pixmap rows
         (("render", "--set", "render.vertical_stretch=1e12"),
          r"= (\S+) pixels", MAX_IMAGE_PIXELS),
-    ], ids=["image-rows", "velocity-classes", "render-stretch"])
+        # a 4,900 x 921 coarse scan blurred by 1401 taps: refused before any scan row
+        (("fit-seff", "--preset", "sinx", "--set", "fit.target_s_eff_nm=15",
+          "--set", "fit.coarse_step_nm=0.01", "--set", "detector.psf_sigma_um=70"),
+         r"blurring 4512900 values with 1401 taps holds 1\.137e\+07 padded values and "
+         r"takes (\S+) multiply-adds", MAX_BLUR_TERMS),
+    ], ids=["image-rows", "velocity-classes", "render-stretch", "fit-seff-blur"])
     def test_runaway_size_exits_2_before_allocating(
         self, capsys, tmp_path, args, estimate_pattern, budget
     ):
@@ -808,16 +817,23 @@ class TestErrorHandling:
         assert "Traceback" not in stderr
         assert "inf" not in stdout
 
-    @pytest.mark.parametrize("command, key, value, fragment", [
+    @pytest.mark.parametrize("command, overrides, fragment", [
         # the first-order wavelength once underflowed: ZeroDivisionError
-        ("fit-velocity", "geometry.L2_m", "1e300", "free-fall coefficient"),
+        ("fit-velocity", ("geometry.L2_m=1e300",), "free-fall coefficient"),
         # v^2 underflowed and the profile printed intercept_m = inf
-        ("fit-velocity", "molecule.mass_u", "1e300", "fall term A / v^2 overflows"),
-        ("fit-velocity", "grating.period_nm", "1e300", "fall term A / v^2 overflows"),
-        ("render", "render.vertical_stretch", "1e300", "4.900e+301 x 1.610e+02 pixmap"),
-    ], ids=["L2-profile", "mass-profile", "period-profile", "stretch-render"])
+        ("fit-velocity", ("molecule.mass_u=1e300",), "fall term A / v^2 overflows"),
+        ("fit-velocity", ("grating.period_nm=1e300",), "fall term A / v^2 overflows"),
+        ("render", ("render.vertical_stretch=1e300",), "4.900e+301 x 1.610e+02 pixmap"),
+        # stretch x rows overflowed to inf: int() once raised OverflowError
+        ("render", ("render.vertical_stretch=1e308",), "inf x 1.610e+02 pixmap = inf pixels"),
+        # m lambda underflowed to 0: h / (m lambda) once raised ZeroDivisionError
+        ("fit-velocity", ("grating.period_nm=1e-300", "grating.slit_width_nm=1e-301",
+                          "grating.effective_slit_width_nm=1e-302"),
+         "stripe momentum m lambda = 0.0 kg m"),
+    ], ids=["L2-profile", "mass-profile", "period-profile", "stretch-render",
+            "stretch-overflow-render", "momentum-underflow-profile"])
     def test_out_of_range_values_on_an_image_exit_with_a_message(
-        self, capsys, tmp_path, command, key, value, fragment
+        self, capsys, tmp_path, command, overrides, fragment
     ):
         image_path = tmp_path / "img.f64"
         code, _, _ = run_cli(
@@ -828,7 +844,8 @@ class TestErrorHandling:
         assert code == 0
         code, stdout, stderr = run_cli(
             capsys, command, "--preset", "sinx", "--set", f"profile.image_path={image_path}",
-            "--set", f"render.image_path={image_path}", "--set", f"{key}={value}",
+            "--set", f"render.image_path={image_path}",
+            *(arg for override in overrides for arg in ("--set", override)),
             "--out", str(tmp_path / "out"),
         )
         assert code in (2, 3)
@@ -952,3 +969,61 @@ class TestErrorHandling:
         )
         assert proc.returncode == 0
         assert "min_coherent_slit_m" in proc.stdout
+
+
+# every value that config accepts must run or be refused with a message
+BOUNDARY_VALUES = ("0", "-0", "-1", "1e-300", "1e300", "0.5", "3", "1e6", "nan", "", "abc")
+# the profile's documented NaNs: an underdetermined fit, no finite residual
+NAN_REPORT_KEYS = ("intercept_m", "rms_relative")
+
+
+def _keys(*prefixes):
+    # molecule.name is free text, echoed as given
+    return tuple(k for k in KNOWN_KEYS if k.startswith(prefixes) and k != "molecule.name")
+
+
+@pytest.fixture(scope="module")
+def stored_image(tmp_path_factory):
+    path = tmp_path_factory.mktemp("stored") / "img.f64"
+    code = main([
+        "synth-image", "--preset", "sinx", "--set", "velocity.n_classes=5",
+        "--set", "velocity.half_width_m_s=30", "--set", "image.y_min_um=-180",
+        "--set", "image.y_max_um=-60", *SMALL_DETECTOR, "--out", str(path),
+    ])
+    assert code == 0
+    return path
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_one_value_runs_or_exits_with_a_message(stored_image, data):
+    bases = [
+        (("limits", "--preset", "sinx"), _keys("grating.", "molecule.", "limits.")),
+        (("fit-velocity", "--preset", "sinx", "--set", "fit.y2_um=-127"),
+         _keys("geometry.", "molecule.", "fit.y2_um")),
+        (("simulate", "--preset", "sinx", "--set", "simulate.band=false", *SMALL_DETECTOR),
+         _keys("grating.", "molecule.", "geometry.", "source.", "detector.", "simulate.")),
+        (("render", "--set", f"render.image_path={stored_image}"), _keys("render.")),
+        (("fit-velocity", "--preset", "sinx", "--set", f"profile.image_path={stored_image}"),
+         _keys("grating.", "molecule.", "geometry.", "detector.psf_sigma_um", "profile.")),
+    ]
+    args, keys = data.draw(st.sampled_from(bases))
+    key = data.draw(st.sampled_from(keys))
+    value = data.draw(
+        st.sampled_from(BOUNDARY_VALUES) | st.floats(-300, 300).map(lambda e: repr(10.0**e))
+    )
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([*args, "--set", f"{key}={value}", "--out", str(stored_image.parent / "out")])
+    stdout, stderr = stdout.getvalue(), stderr.getvalue()
+    assert "Traceback" not in stderr
+    if code != 0:
+        assert code in (2, 3) and stderr.startswith("error:"), (code, stderr)
+        return
+    assert "inf" not in stdout
+    for line in stdout.splitlines():
+        if line.startswith(NAN_REPORT_KEYS):
+            continue
+        if line.count(",") == 2:  # a stripe row: y, velocity, then a residual that may be NaN
+            line = line.rpartition(",")[0]
+        assert "nan" not in line, line

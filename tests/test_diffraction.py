@@ -179,6 +179,12 @@ def test_gaussian_kernel_unit_sum_and_extent():
     assert gaussian_kernel(0.0, 0.5e-6).tolist() == [1.0]
 
 
+def test_gaussian_kernel_far_below_a_pixel_is_the_identity_without_warning():
+    # (pitch / sigma)^2 overflows: the outer taps are exp(-inf) = 0, and the
+    # RuntimeWarning it once raised is an error under this suite's filters
+    assert gaussian_kernel(1e-161, 0.5e-6).tolist() == [0.0, 1.0, 0.0]
+
+
 def test_symmetric_convolve_conserves_total():
     rng = np.random.default_rng(33)
     for _ in range(20):
