@@ -64,7 +64,8 @@ MAX_VELOCITY_CLASSES = 2_000
 
 # largest image one call may hold, in pixels: synthesize_image's ny x nx image
 # plus its class rows and placements, and render_image's output rows x nx; a
-# render peaks at about 82 B per output pixel (0.41 GB), a synthesis at 19 B
+# render peaks at about 29 B per output pixel at a stretch of 1 or less and
+# 12 B at a stretch of 3 (at most 0.15 GB), a synthesis at 19 B
 MAX_IMAGE_PIXELS = 5_000_000
 
 

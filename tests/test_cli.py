@@ -817,6 +817,21 @@ class TestErrorHandling:
         assert "Traceback" not in stderr
         assert "inf" not in stdout
 
+    @pytest.mark.parametrize("args", [
+        # once asked for 7.30 GiB (target-mode fit-seff) and 3.13 GiB (synth-image)
+        ("fit-seff", "--set", "fit.target_s_eff_nm=12"),
+        ("synth-image",),
+    ], ids=["fit-seff", "synth-image"])
+    def test_a_1_m_psf_exits_2_on_the_tap_budget(self, capsys, tmp_path, args):
+        command, *overrides = args
+        code, _, stderr = run_cli(
+            capsys, command, "--preset", "sinx", *overrides,
+            "--set", "detector.psf_sigma_um=1e6", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert stderr.startswith("error:") and "taps, more than the budget" in stderr
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command, overrides, fragment", [
         # the first-order wavelength once underflowed: ZeroDivisionError
         ("fit-velocity", ("geometry.L2_m=1e300",), "free-fall coefficient"),

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from render_oracle import render_oracle
 
 from nanograting import (
     DomainError,
@@ -8,7 +13,8 @@ from nanograting import (
     hot_color_inverse,
     render_image,
 )
-from nanograting.imaging import _HOT_SIGNALS, _HOT_TABLE, _hot_rgb
+from nanograting.config import load_run_config
+from nanograting.imaging import _BINS, _HOT_SIGNALS, _HOT_TABLE, _byte_table, _hot_rgb
 
 
 def test_colormap_has_100_rows_knot_exact():
@@ -89,3 +95,82 @@ def test_render_quantization_is_round_255():
     img = _image(np.array([[1.0]]))
     data = render_image(img)
     assert data[-3:] == bytes(int(np.rint(255 * c)) for c in hot_color(1.0))
+
+
+def _bytes(signal):
+    return np.rint(255.0 * _hot_rgb(signal)).T  # (3, n): the bytes a render writes
+
+
+def test_byte_table_bins_hold_at_most_one_step_and_bases_never_fall():
+    base, thresholds = _byte_table()
+    starts = np.arange(_BINS + 1) / _BINS
+    ends = np.nextafter(starts[1:], 0.0)
+    assert base.shape == thresholds.shape == (3, _BINS + 1)
+    assert np.array_equal(base, _bytes(starts))
+    assert np.all(np.diff(base.astype(int), axis=1) >= 0)
+    # a channel's byte is monotone inside a bin, so a bin whose last float
+    # is at most one above its first holds at most one step
+    steps = _bytes(ends) - base[:, :-1]
+    assert np.all((steps == 0) | (steps == 1))
+    inside = thresholds[:, :-1]
+    assert np.array_equal(np.isfinite(inside), steps == 1)
+    assert np.all(np.isinf(thresholds[:, -1]))
+    channel, bin_ = np.nonzero(np.isfinite(inside))
+    at = inside[channel, bin_]
+    assert np.all((starts[bin_] < at) & (at <= ends[bin_]))
+    assert np.array_equal(_bytes(at)[channel, np.arange(at.size)], base[channel, bin_] + 1)
+    below = np.nextafter(at, 0.0)
+    assert np.array_equal(_bytes(below)[channel, np.arange(at.size)], base[channel, bin_])
+
+
+def _probe_row(signals):
+    """One-row image whose signal is ``signals`` exactly: its peak is 1."""
+    return _image(np.append(signals, 1.0)[None, :])
+
+
+def test_render_matches_oracle_near_every_bin_edge_threshold_and_knot():
+    _, thresholds = _byte_table()
+    points = np.concatenate([
+        np.arange(_BINS + 1) / _BINS, thresholds[np.isfinite(thresholds)], _HOT_SIGNALS,
+    ])
+    near = (points.view(np.int64)[:, None] + np.arange(-40, 41)).view(np.float64).ravel()
+    near = near[(near >= 0.0) & (near <= 1.0)]
+    image = _probe_row(np.concatenate([near, [0.0, np.nextafter(1.0, 0.0)]]))
+    assert render_image(image) == render_oracle(image)
+
+
+def test_render_matches_oracle_on_uniform_draws():
+    image = _probe_row(np.random.default_rng(406).uniform(0.0, 1.0, 1_000_000))
+    assert render_image(image) == render_oracle(image)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    values=st.integers(1, 5).flatmap(lambda nx: st.lists(
+        st.lists(st.floats(0.0, 1e300, allow_subnormal=True), min_size=nx, max_size=nx),
+        min_size=1, max_size=5,
+    )),
+    stretch=st.floats(0.1, 4.0),
+)
+@example(values=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], stretch=1.0)
+@example(values=[[0.0, 0.0, 0.0], [0.0, 3.7, 0.0], [0.0, 0.0, 0.0]], stretch=2.5)
+@example(values=[[5e-324, 0.0], [1e-310, 2.5e-320]], stretch=0.1)
+def test_render_matches_oracle_on_small_images(values, stretch):
+    image = _image(values)
+    assert render_image(image, vertical_stretch=stretch) == render_oracle(image, stretch)
+
+
+def test_render_peak_memory_on_the_readme_grid_at_stretch_3():
+    grid = load_run_config(preset="slg").image_grid()
+    ny, nx = grid.ny, grid.nx
+    image = _image(np.outer(np.hanning(ny) + 0.1, np.hanning(nx) + 0.1))
+    render_image(_image([[1.0]]))  # builds the byte table outside the measurement
+    tracemalloc.start()
+    try:
+        data = render_image(image, vertical_stretch=3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == render_oracle(image, 3.0)
+    # gravity.MAX_IMAGE_PIXELS: about 12 B per output pixel at stretch 3
+    assert peak <= 13 * (3 * ny) * nx
