@@ -35,8 +35,8 @@ __all__ = [
 # the per-slit linearization of kirchhoff_pattern
 MAX_SLIT_PHASE = 0.05
 
-# largest pixel x slit product one pattern may build; its arrays peak at about
-# 3 B per term with few nodes, up to 140 B (0.56 GB) where M reaches n_slits
+# largest pixel x slit product of one pattern's full grid; it peaks at 2-3 B
+# per term with few nodes (4-5 B unfolded), 140 B (0.56 GB) where M = n_slits
 MAX_PIXEL_SLITS = 4_000_000
 
 # most multiply-adds (rows x pixels x taps) one blur may take, and most values
@@ -141,7 +141,8 @@ class Trace:
 
     @property
     def pixel_pitch(self) -> float:
-        return float(self.positions[1] - self.positions[0])
+        # the mean step: one step carries x_0's rounding, which a rebuilt grid accumulates
+        return float(self.positions[-1] - self.positions[0]) / (self.positions.size - 1)
 
 
 @dataclass(frozen=True)
@@ -199,12 +200,11 @@ def far_field_orders(
 
 @dataclass(frozen=True)
 class _SlitTerms:
-    """The s-independent part of ``kirchhoff_pattern`` for one wave number:
-    per envelope node (rows) and pixel (columns) the sine rate rho_m and the
-    sine weight V_m, held as two contiguous real planes (``weights[0]`` the
-    real part, ``weights[1]`` the imaginary), per pixel the on-node weight
-    W0, plus k/L2/n_slits/period/pitch and the widest width the nodes serve,
-    for the checks."""
+    """The s-independent part of ``kirchhoff_pattern`` for one wave number: per
+    node (rows) and computed pixel (columns) the sine rate rho_m and weight V_m
+    (``weights``, contiguous real and imaginary planes), per computed pixel the
+    on-node weight W0, ``mirror[p]``, the computed pixel serving pixel p (the
+    fold of ``_slit_terms``), and k/L2/n_slits/period/pitch/max width for checks."""
 
     k: float
     L2: float
@@ -215,6 +215,7 @@ class _SlitTerms:
     weights: np.ndarray
     rate: np.ndarray
     on_node: np.ndarray
+    mirror: np.ndarray
 
 
 def _node_count(
@@ -308,13 +309,24 @@ def _slit_terms(
     about 5e4 rad) mod 2 pi exactly. R and delta' are evaluated at the M x P
     (node, pixel) points only, so the work scales with pixels x nodes.
 
+    Mirror fold. Slit terms are even in u and c_{N-1-j} = -c_j, so the
+    intensity is even in x'. If max_p |x_p + x_{P-1-p}| <= 8 eps max|x|
+    (eps = 2^-52), only the P' = ceil(P/2) pixels p >= P // 2 are built and
+    ``_contract`` maps them back through ``mirror``, |2 p - (P - 1)| // 2.
+    An x_min = -x_max grid of whole pixels read from decimal text passes:
+    rounding x_0 + p pitch twice puts a pair within 3 eps max|x|, and reading
+    x_max and the pitch parts the exact ends by up to 4 eps (30,000 random
+    grids: 3.9). A shift of 8 eps is the order of the chirp-z grid's own
+    1.5 eps: three folding grids read 1.7e-13 in the error below at 50-1000
+    m/s (2.1e-13 unfolded). Any other grid keeps P' = P.
+
     Sines. With rho_m = k delta^'_m / 2 the envelope sum equals
     sum_m V_m sin(s rho_m) + s W0 exactly, where V_m = W_m / rho_m (0 where
     rho_m = 0) and W0 sums W_m over the nodes with rho_m = 0. The terms hold
-    V (``weights``, real and imaginary planes of M x P), rho (``rate``,
-    M x P) and W0 (``on_node``): 24 B per pixel and node, 0.22 MB for 921
-    pixels and 10 nodes. Node-major rows keep each node's pixels contiguous,
-    so the contraction over nodes runs on unit-stride rows.
+    V (``weights``, planes of M x P'), rho (``rate``) and W0 (``on_node``): 24 B
+    per computed pixel and node, 0.11 MB for 921 folded pixels and 10 nodes.
+    Node-major rows keep each node's pixels contiguous, so the contraction
+    over nodes runs on unit-stride rows.
 
     Error, against the per-slit sum with its phase in long double: at most
     3.7e-13 of the in-window peak on the README presets at 50 and 1000 m/s
@@ -324,7 +336,7 @@ def _slit_terms(
     exact reduction the chirp reads 2.6e-12 at L2 = 5 mm.
 
     Refuses with a ResolutionError, before allocating, a pattern of more than
-    ``MAX_PIXEL_SLITS`` pixel x slit terms.
+    ``MAX_PIXEL_SLITS`` pixel x slit terms, counted on the full grid.
     """
     if not (0.0 < k < math.inf and L2 > 0.0):
         raise DomainError(f"need a positive, finite wave number and L2 > 0, got k={k!r}, L2={L2!r}")
@@ -339,9 +351,14 @@ def _slit_terms(
         )
 
     positions = grid.positions
+    widest = float(np.abs(positions).max())
+    mirror = np.arange(n_pixels)  # the mirror fold, stated in the docstring
+    if np.abs(positions + positions[::-1]).max() <= 8.0 * math.ulp(1.0) * widest:
+        positions, mirror = positions[n_pixels // 2 :], np.abs(2 * mirror - (n_pixels - 1)) // 2
+        n_pixels = positions.size
     centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * period
     half_span = float(centers[-1])
-    reach = float(max(-positions[0], positions[-1])) + half_span
+    reach = widest + half_span
     nodes, basis = _node_basis(centers, _node_count(k, L2, half_span, n_slits, max_width, reach))
     chirp = _chirp(k * period * grid.pixel_pitch / L2, np.arange(max(n_pixels, n_slits)))
     slits = np.exp((1j * k / L2) * centers * (centers / 2.0 - positions[0]))
@@ -366,7 +383,8 @@ def _slit_terms(
     np.divide(weights, rate, out=weights, where=~on)
     weights[on] = 0.0
     planes = np.stack((weights.real, weights.imag))
-    return _SlitTerms(k, L2, n_slits, period, grid.pixel_pitch, max_width, planes, rate, on_node)
+    return _SlitTerms(k, L2, n_slits, period, grid.pixel_pitch, max_width, planes, rate, on_node,
+                      mirror)
 
 
 def _check_width(terms: _SlitTerms, s: float) -> None:
@@ -402,7 +420,7 @@ def _contract(terms: _SlitTerms, sines: np.ndarray, s: float | np.ndarray) -> np
     im = np.einsum("mp,...mp->...p", terms.weights[1], sines)
     re += s * terms.on_node.real
     im += s * terms.on_node.imag
-    return re * re + im * im
+    return (re * re + im * im).take(terms.mirror, axis=-1)
 
 
 def _slit_envelope(terms: _SlitTerms, s: float) -> np.ndarray:
@@ -420,8 +438,8 @@ def _envelope_scan(terms: _SlitTerms, widths: np.ndarray) -> np.ndarray:
     and step = exp(i Delta rho): one complex multiply per pixel and node, no
     sine (Press et al., Numerical Recipes, 3rd ed., 5.4). The rounding grows
     linearly with i, so z is recomputed by np.exp every 64 rows. The sines
-    of 16 rows at a time go to one ``_contract`` call (a 16 x M x P buffer,
-    0.32 MB at 281 pixels and 9 nodes), which sums each row in the order a
+    of 16 rows at a time go to one ``_contract`` call (a 16 x M x P' buffer,
+    0.16 MB at 281 pixels and 9 nodes), which sums each row in the order a
     lone row would: the rows equal a row-at-a-time scan's, bit for bit.
     Bound: on a window that holds the zeroth order, each row of a scan of up
     to 10,000 widths is within 1e-13 of its peak of ``_slit_envelope`` at
@@ -432,7 +450,7 @@ def _envelope_scan(terms: _SlitTerms, widths: np.ndarray) -> np.ndarray:
     for s in widths:
         _check_width(terms, float(s))
     step = np.exp((1j * (widths[-1] - widths[0]) / (widths.size - 1)) * terms.rate)
-    rows = np.empty((widths.size, terms.rate.shape[1]))
+    rows = np.empty((widths.size, terms.mirror.size))
     block = np.empty((min(16, widths.size),) + terms.rate.shape)
     for i, s in enumerate(widths):
         if i % 64:
@@ -526,12 +544,13 @@ def symmetric_convolve(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Convolve a 1D signal, or each row of a 2D array, with a unit-sum
     symmetric kernel under edge-mirrored boundary handling, which conserves
     each row's total exactly (every kernel tap falling off an edge is folded
-    back inside; ``np.pad`` reflects again where the kernel is wider than the
-    row). The one blur of the package: traces, image rows and placements.
+    back inside, repeatedly where the kernel is wider than the row, as np.pad's
+    "symmetric" mode does, in one gather). The one blur: traces, image rows, placements.
     ``_check_blur_budget`` refuses an oversized blur before any padding."""
     _check_blur_budget(values.shape, kernel.size)
     radius = kernel.size // 2
-    padded = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(radius, radius)], mode="symmetric")
+    reflect = np.arange(-radius, values.shape[-1] + radius) % (2 * values.shape[-1])
+    padded = values.take(np.minimum(reflect, 2 * values.shape[-1] - 1 - reflect), axis=-1)
     rows = padded.reshape(-1, padded.shape[-1])
     return np.array([np.convolve(row, kernel, mode="valid") for row in rows]).reshape(values.shape)
 

@@ -57,9 +57,9 @@ MIN_STRIPE_SIGNAL = 1e-3  # least stripe peak, relative to the image peak
 MIN_PEAK_FRACTION = 0.02  # least first-order peak, relative to its stripe's zeroth order
 
 # most classes a Maxwell beam, uniform band or discrete list may hold: each
-# class builds one pattern's terms, about 1.3 ms (2-core VM) and 0.24 MB on the
+# class builds one pattern's terms, about 0.38 ms (2-core VM) and 0.13 MB on the
 # README 921-pixel grid, and a fit keeps every class's terms, so 2,000 classes
-# take 2.6 s and 0.47 GB there
+# take 0.8 s and 0.25 GB there
 MAX_VELOCITY_CLASSES = 2_000
 
 # largest image one call may hold, in pixels: synthesize_image's ny x nx image

@@ -38,11 +38,11 @@ __all__ = [
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # most points a coarse scan may take: on the fit-seff grid (281 pixels, 5
-# classes of 9 nodes) a point costs about 0.11 ms (2-core VM, where one row
-# at a time took 0.21 ms) and 10.7 kB, 38 B per pixel for its row of the
-# scan while the rows are scored, so 10,000 points take 1.1 s and 0.11 GB
-# there (0.35 GB on the README 921-pixel grid), plus the scan's constant
-# 16 x M x P x 8 B block buffer (0.32 MB there)
+# classes of 9 nodes) a point costs about 0.044 ms (2-core VM, 0.059 ms
+# unfolded) and 10.7 kB, 38 B per pixel for its row of the scan while the rows
+# are scored, so 10,000 points take 0.44 s and 0.11 GB there (0.35 GB on the
+# README 921-pixel grid), plus the scan's constant 16 x M x P' x 8 B block
+# buffer on the computed pixels (0.16 MB there)
 MAX_COARSE_POINTS = 10_000
 
 

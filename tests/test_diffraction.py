@@ -32,7 +32,9 @@ from nanograting.config import load_run_config
 from nanograting.diffraction import MAX_BLUR_TERMS, MAX_BLUR_VALUES
 from nanograting.diffraction import MAX_PIXEL_SLITS, MAX_SLIT_PHASE, _slit_terms
 from nanograting.diffraction import _contract, _envelope_scan, _slit_envelope
-from nanograting.gravity import VELOCITY_SUPPORT
+from nanograting import gravity
+from nanograting.gravity import VELOCITY_SUPPORT, synthesize_image
+from nanograting.vdwfit import band_averaged_trace, fit_effective_slit
 
 from far_field_oracle import fraunhofer_multislit
 
@@ -132,7 +134,7 @@ def test_kirchhoff_symmetry_on_symmetric_grid():
     grid = DetectorGrid.symmetric(40e-6, 0.5e-6)
     trace = kirchhoff_pattern(g, wave_number(M85, 220.0), 0.586, 11, grid)
     y = trace.intensities
-    assert np.max(np.abs(y - y[::-1])) / y.max() < 1e-10
+    assert np.array_equal(y, y[::-1])
 
 
 def test_kirchhoff_matches_fraunhofer_few_slits():
@@ -205,8 +207,26 @@ def test_symmetric_convolve_conserves_total():
             assert blurred.sum() == pytest.approx(row.sum(), rel=1e-12)
 
 
+def test_symmetric_convolve_equals_the_np_pad_convolution():
+    # the reflected gather is np.pad's "symmetric" extension, also where the
+    # kernel is wider than the row and reflects more than once
+    rng = np.random.default_rng(35)
+    cases = [(n, radius) for n in range(1, 8) for radius in range(20)] + [(281, 18), (921, 35)]
+    for n, radius in cases:
+        kernel = rng.uniform(0.1, 1.0, 2 * radius + 1)
+        kernel = (kernel + kernel[::-1]) / (2.0 * kernel.sum())
+        for shape in [(n,), (3, n)]:
+            values = rng.uniform(0.0, 3.0, shape)
+            padded = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(radius, radius)],
+                            mode="symmetric")
+            expected = np.array([
+                np.convolve(row, kernel, mode="valid") for row in padded.reshape(-1, n + 2 * radius)
+            ]).reshape(shape)
+            assert np.array_equal(symmetric_convolve(values, kernel), expected), (n, radius)
+
+
 def test_blur_over_budget_is_refused_before_any_padding():
-    # broadcast views hold no data: np.pad would be the first copy
+    # broadcast views hold no data: the padding gather would be the first copy
     kernel = gaussian_kernel(3.0, 1.0)  # 31 taps
     rows = np.broadcast_to(0.0, (MAX_BLUR_VALUES // 10, 10))
     with pytest.raises(WorkBudgetError) as excinfo:
@@ -499,7 +519,8 @@ def test_pixel_on_a_node_takes_the_on_node_term(n_slits):
         k, GEO.L2, n_slits, grating.period, grid, max_width=grating.slit_width
     )
     assert terms.weights.shape[1] == n_slits  # the nodes are the centres
-    assert terms.rate[n_slits // 2, centre] == 0.0
+    assert terms.rate[n_slits // 2, terms.mirror[centre]] == 0.0
+    assert terms.on_node[terms.mirror[centre]] != 0.0
     for s in (grating.effective_slit_width, grating.slit_width):
         engine = _slit_envelope(terms, s)
         reference = _per_slit_reference(k, GEO.L2, n_slits, grating.period, grid, s)
@@ -653,3 +674,87 @@ def test_envelope_scan_blocks_equal_the_row_at_a_time_scan(preset, grid, n_slits
     )
     widths = np.linspace(1e-9, grating.slit_width, n_widths)
     assert np.array_equal(_envelope_scan(terms, widths), _row_at_a_time_scan(terms, widths))
+
+
+@needs_long_double
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    preset=st.sampled_from(grating_preset_names()),
+    velocity=st.floats(*VELOCITY_SUPPORT),
+    half_span_px=st.integers(1, 150),
+    even=st.booleans(),
+    pitch_share=st.floats(0.05, 1.0),
+    width_share=st.floats(0.01, 1.0),
+)
+def test_folded_terms_match_the_per_slit_sum_on_both_halves(
+    preset, velocity, half_span_px, even, pitch_share, width_share
+):
+    # a grid symmetric about x = 0, odd or even pixel count: the terms hold
+    # ceil(P/2) pixels, the pattern is its own mirror bit for bit, and both
+    # halves of the envelope and of a scan row match the per-slit sum
+    grating = grating_preset(preset)
+    k = wave_number(PCH2, velocity)
+    n_slits = coherence(SOURCE, GEO, 2.0 * math.pi / k, grating.period).n_coherent_slits
+    pitch = pitch_share * (2.0 * math.pi / k * GEO.L2 / grating.period / 2.0)
+    grid = DetectorGrid.symmetric((half_span_px + 0.5 * even) * pitch, pitch)
+    assert grid.n_pixels == 2 * half_span_px + 1 + even
+    terms = _slit_terms(k, GEO.L2, n_slits, grating.period, grid, max_width=grating.slit_width)
+    assert terms.rate.shape[1] == half_span_px + 1
+    s = width_share * grating.slit_width
+    engine = _slit_envelope(terms, s)
+    assert np.array_equal(engine, engine[::-1])
+    row = _envelope_scan(terms, np.linspace(s / 3.0, s, 3))[-1]
+    reference = _per_slit_reference(k, GEO.L2, n_slits, grating.period, grid, s)
+    peak = (s * n_slits) ** 2
+    for half in (slice(None, grid.n_pixels // 2), slice(grid.n_pixels // 2, None)):
+        for values in (engine, row):
+            assert np.abs(values[half] - reference[half]).max() <= 1e-12 * peak, half
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(DetectorGrid(-30e-6, 47e-6, 0.5e-6), id="odd-pixel-count"),
+    pytest.param(DetectorGrid(-39.95e-6, 40.05e-6, 0.5e-6), id="shifted-a-tenth-pixel"),
+])
+def test_asymmetric_grids_are_built_in_full(grid):
+    grating = grating_preset("slg")
+    k = wave_number(PCH2, 540.0)
+    terms = _slit_terms(k, GEO.L2, 20, grating.period, grid, max_width=grating.slit_width)
+    assert terms.rate.shape[1] == grid.n_pixels
+    assert np.array_equal(terms.mirror, np.arange(grid.n_pixels))
+
+
+def test_the_benchmark_classes_fold(monkeypatch):
+    # the fold halves the engine work of perfbench's image-beam and fit-seff
+    # workloads; a change to its condition must not drop their grids
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append((args[4], _slit_terms(*args, **kwargs)))
+        return built[-1][1]
+
+    monkeypatch.setattr(gravity, "_slit_terms", recording)
+    # every slg class that lands on the README image grid
+    config = load_run_config(preset="slg", overrides=[
+        "velocity.kind=maxwell-boltzmann-beam", "velocity.n_classes=40",
+        "velocity.v_min_m_s=60", "velocity.v_max_m_s=540",
+    ])
+    synthesize_image(
+        config.velocity_distribution(), config.grating(), config.source(), config.geometry(),
+        config.image_grid(), config.molecule(),
+        coherence_prefactor=config.require("source.coherence_prefactor"),
+    )
+    assert len(built) == 12
+    # fit-seff's five sinx classes on +-140 microns, for the target trace
+    # and on the grid the fit rebuilds from the trace's positions
+    config = load_run_config(preset="sinx", overrides=[
+        "velocity.kind=uniform-band", "velocity.center_m_s=220", "velocity.half_width_m_s=10",
+        "velocity.n_classes=5", "detector.x_min_um=-140", "detector.x_max_um=140",
+        "detector.pixel_pitch_um=1",
+    ])
+    inputs = (config.grating(), config.molecule(), config.velocity_distribution())
+    measured = band_averaged_trace(*inputs, config.source(), config.geometry(),
+                                   config.detector_grid())
+    fit_effective_slit(measured, *inputs, config.geometry(), config.source())
+    assert len(built) == 12 + 5 + 5
+    for grid, terms in built:
+        assert terms.rate.shape[1] == (grid.n_pixels + 1) // 2, grid
