@@ -295,7 +295,7 @@ def cmd_fit_velocity(config: RunConfig, args: argparse.Namespace) -> int:
 
 def _position_sigma(config: RunConfig, grating: Grating) -> tuple[float, str]:
     """Transverse position uncertainty of a grating bar: explicit config
-    value, else the preset's measured vibration note, else the thermal
+    value, else the preset's measured vibration bound, else the thermal
     bending amplitude of a bar sized by the limits.beam_* keys or the preset
     table. The table's bar width (or scroll diameter) holds only for the
     table's period and slit width, so ``grating`` (config.grating(), which
@@ -305,9 +305,8 @@ def _position_sigma(config: RunConfig, grating: Grating) -> tuple[float, str]:
         return sigma, "configured"
     name = config.get("grating.preset")
     entry = GRATING_PRESETS[name] if name is not None else {}
-    notes = entry.get("notes", {})
-    if "vibration_sigma_m" in notes:
-        return float(notes["vibration_sigma_m"]), "preset-vibration-note"
+    if "vibration_sigma" in entry:
+        return entry["vibration_sigma"], "preset-vibration-note"
     length = config.get("limits.beam_length_nm", entry.get("bar_length"))
     diameter = config.get("limits.beam_diameter_nm")
     if diameter is None and entry:
@@ -318,7 +317,7 @@ def _position_sigma(config: RunConfig, grating: Grating) -> tuple[float, str]:
                 f"the {name} bar width holds only for the preset's period and slit "
                 "width; set limits.beam_diameter_nm (or limits.sigma_nm)"
             )
-        diameter = notes.get("scroll_diameter_m", entry["bar_width"])
+        diameter = entry.get("scroll_diameter", entry["bar_width"])
     if length is None or diameter is None:
         raise ConfigurationError(
             "the thermal position estimate of a custom grating needs "

@@ -25,7 +25,7 @@ from .domain import (
 from .errors import ConfigurationError
 from .gravity import ImageGrid, VelocityDistribution
 from .io import _read_file
-from .presets import grating_preset, molecule_preset
+from .presets import grating_preset
 
 __all__ = [
     "DEFAULTS",
@@ -38,9 +38,8 @@ __all__ = [
 # key -> (type tag, SI scale, default text or None). The scale applies to
 # float-valued keys only; defaults are converted like any other source.
 KNOWN_KEYS: dict[str, tuple[str, float, str | None]] = {
-    "molecule.preset": ("str", 1.0, "pch2"),
-    "molecule.name": ("str", 1.0, None),
-    "molecule.mass_u": ("float", ATOMIC_MASS_KG, None),
+    "molecule.name": ("str", 1.0, "PcH2"),
+    "molecule.mass_u": ("float", ATOMIC_MASS_KG, "514"),
     "grating.preset": ("str", 1.0, None),
     "grating.period_nm": ("float", 1e-9, None),
     "grating.slit_width_nm": ("float", 1e-9, None),
@@ -183,11 +182,7 @@ class RunConfig:
         return value
 
     def molecule(self) -> Molecule:
-        # molecule.preset has a default and refuses an empty value, so every
-        # molecule starts from a preset
-        base = molecule_preset(self.require("molecule.preset"))
-        name = self.get("molecule.name", base.name)
-        return replace(base, name=name, mass=self.get("molecule.mass_u", base.mass))
+        return Molecule(self.require("molecule.name"), self.require("molecule.mass_u"))
 
     def grating(self) -> Grating:
         overrides = {

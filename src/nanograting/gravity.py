@@ -22,6 +22,7 @@ import numpy as np
 
 from .diffraction import (
     DetectorGrid,
+    _envelope_scan,
     _frozen_array,
     _pixel_count,
     _slit_envelope,
@@ -314,10 +315,13 @@ def _class_terms(
         )
 
 
-def _class_row(terms: _SlitTerms, s: float) -> np.ndarray:
-    """One class's pattern at slit width ``s``, normalized to unit pixel sum."""
-    intensities = _slit_envelope(terms, s)
-    return intensities / intensities.sum()
+def _class_row(terms: _SlitTerms, s: float | np.ndarray) -> np.ndarray:
+    """One class's pattern at slit width ``s``, normalized to unit pixel sum;
+    for ascending, uniformly spaced widths ``s``, one such row per width
+    (``_envelope_scan``)."""
+    rows = _envelope_scan(terms, s) if np.ndim(s) else _slit_envelope(terms, s)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return rows
 
 
 def synthesize_image(

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .diffraction import DetectorGrid, Trace, _SlitTerms, _envelope_scan, far_field_orders
+from .diffraction import DetectorGrid, Trace, _SlitTerms, far_field_orders
 from .diffraction import _check_blur_budget, gaussian_kernel, symmetric_convolve
 from .domain import BeamlineGeometry, Grating, Molecule, SourceModel
 from .errors import DomainError, FitError, WorkBudgetError
@@ -39,8 +39,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # most points a coarse scan may take: on the fit-seff grid (281 pixels, 5
 # classes of 9 nodes) a point costs about 0.044 ms (2-core VM, 0.059 ms
-# unfolded) and 10.7 kB, 38 B per pixel for its row of the scan while the rows
-# are scored, so 10,000 points take 0.44 s and 0.11 GB there (0.35 GB on the
+# unfolded) and 9.4 kB, 34 B per pixel for its row of the scan while the rows
+# are blurred, so 10,000 points take 0.44 s and 0.094 GB there (0.31 GB on the
 # README 921-pixel grid), plus the scan's constant 16 x M x P' x 8 B block
 # buffer on the computed pixels (0.16 MB there)
 MAX_COARSE_POINTS = 10_000
@@ -56,11 +56,23 @@ def suppression_ratio(slit_width: float, effective_slit_width: float) -> float:
     return slit_width / effective_slit_width
 
 
-def _band_sum(classes: Iterable[tuple[float, _SlitTerms]], s: float) -> np.ndarray:
-    """Weighted sum of the classes' unit-sum patterns at slit width ``s``,
+def _band_sum(
+    classes: Iterable[tuple[float, _SlitTerms]], s: float | np.ndarray
+) -> np.ndarray:
+    """Weighted sum of the classes' unit-sum patterns at slit width ``s``
+    (one row per width for the coarse scan's widths, ``gravity._class_row``),
     one class at a time: the first class's terms, which check the work
-    budget, are built before any array of the grid's size."""
-    return sum(w * _class_row(terms, s) for w, terms in classes)
+    budget, are built before any array of the grid's size. Each class's rows
+    are scaled and added in place, so the sum holds no temporaries."""
+    total = None
+    for w, terms in classes:
+        rows = _class_row(terms, s)
+        rows *= w
+        if total is None:
+            total = rows
+        else:
+            total += rows
+    return total
 
 
 def band_averaged_trace(
@@ -265,12 +277,7 @@ def fit_effective_slit(
         grating, molecule, source, geometry, grid, coherence_prefactor,
     ))
     coarse = np.linspace(lo, hi, n_coarse)
-    scan = np.zeros((n_coarse, grid.n_pixels))
-    for w, terms in classes:
-        rows = _envelope_scan(terms, coarse)
-        scan += rows * (w / rows.sum(axis=1, keepdims=True))
-    del rows
-    coarse_values = _registered_rms(y, symmetric_convolve(scan, kernel))
+    coarse_values = _registered_rms(y, symmetric_convolve(_band_sum(classes, coarse), kernel))
     evaluations = n_coarse
 
     def model(s_eff: float) -> np.ndarray:

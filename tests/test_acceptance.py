@@ -32,15 +32,16 @@ from nanograting import (
     stripe_velocity_profile,
     synthesize_image,
 )
+from nanograting.config import load_run_config
 from nanograting.imaging import _hot_rgb
 from nanograting.limits import limits_report, thermal_scroll_amplitude
-from nanograting.presets import grating_preset, molecule_preset
+from nanograting.presets import grating_preset
 
 from far_field_oracle import fraunhofer_multislit
 
 GEOMETRY = BeamlineGeometry.from_segments(L1=1.554, L2=0.586, g=9.81)
 SOURCE = SourceModel(source_width=1.5e-6)
-PCH2 = molecule_preset("pch2")
+PCH2 = load_run_config().molecule()
 PRESET_NAMES = ("sinx", "biphenyl", "bilayer", "slg", "scroll")
 
 

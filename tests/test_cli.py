@@ -743,12 +743,21 @@ class TestErrorHandling:
         "grating.bar_length_nm",
         "grating.bar_width_nm",
         "simulate.window",
+        "molecule.preset",
     ])
     def test_removed_key_exits_2(self, capsys, key):
         # aliases of another key, or keys that reached no output
         code, _, stderr = run_cli(capsys, "simulate", "--preset", "sinx", "--set", f"{key}=1")
         assert code == 2
         assert stderr == f"error: unknown configuration key {key!r}\n"
+
+    def test_molecule_preset_is_refused_by_a_command_that_reads_no_molecule(self, capsys):
+        # limits builds no molecule, so it once printed a full report for this key
+        code, stdout, stderr = run_cli(
+            capsys, "limits", "--preset", "sinx", "--set", "molecule.preset=0"
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: unknown configuration key 'molecule.preset'\n"
 
     @pytest.mark.parametrize("args, fragment", [
         # m v underflows to 0: h / (m v) once raised ZeroDivisionError

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nanograting import ConfigurationError, VelocityDistribution
+from nanograting import ATOMIC_MASS_KG, ConfigurationError, VelocityDistribution
 from nanograting.config import (
     DEFAULTS,
     KNOWN_KEYS,
@@ -101,7 +101,10 @@ def test_grating_builder_requires_definition():
 
 
 def test_molecule_builder_default_and_override():
-    assert load_run_config().molecule().name == "PcH2"
+    default = load_run_config().molecule()
+    assert default.name == "PcH2"
+    assert default.mass == 514.0 * ATOMIC_MASS_KG
+    assert default.mass == pytest.approx(8.5e-25, rel=0.005)
     config = load_run_config(overrides=["molecule.mass_u=300", "molecule.name=probe"])
     m = config.molecule()
     assert m.name == "probe"

@@ -24,7 +24,6 @@ from nanograting import (
     grating_preset,
     grating_preset_names,
     kirchhoff_pattern,
-    molecule_preset,
     symmetric_convolve,
     wave_number,
 )
@@ -312,7 +311,7 @@ def test_trace_rejects_non_finite_data():
         Trace(np.array([0.0, 1.0, np.nan]), np.ones(3))
 
 
-PCH2 = molecule_preset("pch2")
+PCH2 = load_run_config().molecule()
 SOURCE = SourceModel(source_width=1.5e-6)
 
 

@@ -3,6 +3,7 @@ each of them is read somewhere."""
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import nanograting
@@ -47,6 +48,26 @@ def _loaded_names(source):
     return names
 
 
+def _loaded_keys(source):
+    """Every string a module reads a mapping with: a subscript, a call
+    argument (``entry.get(key)``) or a membership test (``key in entry``)."""
+    keys = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            operands = [node.slice]
+        elif isinstance(node, ast.Call):
+            operands = node.args
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        else:
+            continue
+        keys.update(
+            op.value for op in operands
+            if isinstance(op, ast.Constant) and isinstance(op.value, str)
+        )
+    return keys
+
+
 def test_every_public_name_is_read_by_the_package_or_the_readme():
     # a public name that only its own tests call is surface nobody uses
     package = Path(nanograting.__file__).parent
@@ -59,3 +80,16 @@ def test_every_public_name_is_read_by_the_package_or_the_readme():
         if name not in loaded and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert unused == []
+
+
+def test_every_grating_preset_key_is_read():
+    # preset data nothing reads is a note that can drift from the code
+    package = Path(nanograting.__file__).parent
+    read = {field.name for field in fields(nanograting.Grating)}
+    for path in package.glob("*.py"):
+        read |= _loaded_keys(path.read_text(encoding="utf-8"))
+    unread = {
+        (name, key) for name, entry in presets.GRATING_PRESETS.items()
+        for key in entry if key not in read
+    }
+    assert unread == set()

@@ -6,8 +6,6 @@ from nanograting import (
     bar_mass,
     grating_preset,
     grating_preset_names,
-    molecule_preset,
-    molecule_preset_names,
 )
 
 EXPECTED_GEOMETRY = {
@@ -47,21 +45,12 @@ def test_preset_masses_within_five_percent():
         assert abs(mass - expected) / expected < 0.05, (name, mass, expected)
 
 
-def test_molecule_preset_mass():
-    m = molecule_preset("pch2")
-    assert m.name == "PcH2"
-    assert m.mass == pytest.approx(514.0 * 1.66053906660e-27, rel=1e-15)
-    assert m.mass == pytest.approx(8.5e-25, rel=0.005)
-    assert "pch2" in molecule_preset_names()
+def test_scroll_carries_diameter():
+    assert GRATING_PRESETS["scroll"]["scroll_diameter"] == 8e-9
 
 
-def test_scroll_notes_carry_diameter():
-    notes = GRATING_PRESETS["scroll"]["notes"]
-    assert notes["scroll_diameter_m"] == 8e-9
-
-
-def test_slg_notes_carry_vibration_bound():
-    assert GRATING_PRESETS["slg"]["notes"]["vibration_sigma_m"] == 1e-10
+def test_slg_carries_vibration_bound():
+    assert GRATING_PRESETS["slg"]["vibration_sigma"] == 1e-10
 
 
 def test_bilayer_has_two_layers():
@@ -71,8 +60,6 @@ def test_bilayer_has_two_layers():
 def test_unknown_preset_raises():
     with pytest.raises(ConfigurationError):
         grating_preset("made-up")
-    with pytest.raises(ConfigurationError):
-        molecule_preset("made-up")
     with pytest.raises(ConfigurationError):
         bar_mass("made-up")
 
