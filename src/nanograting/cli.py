@@ -29,14 +29,16 @@ import numpy as np
 from .config import RunConfig, load_run_config
 from .diffraction import (
     Trace,
-    _slit_envelope,
+    coherence,
     far_field_orders,
     gaussian_kernel,
+    kirchhoff_pattern,
     symmetric_convolve,
+    wave_number,
 )
-from .domain import Grating, de_broglie_wavelength
+from .domain import BeamlineGeometry, Grating, Molecule, de_broglie_wavelength
 from .errors import ConfigurationError, NanogratingError
-from .gravity import _class_terms, fit_velocity, stripe_velocity_profile, synthesize_image
+from .gravity import fit_velocity, stripe_velocity_profile, synthesize_image
 from .imaging import render_image
 from .io import (
     format_report,
@@ -64,10 +66,9 @@ def _echo(report: dict[str, Any]) -> None:
     sys.stdout.write(format_report(report))
 
 
-def _simulation_header(config: RunConfig, velocity: float) -> dict[str, Any]:
-    grating = config.grating()
-    molecule = config.molecule()
-    geometry = config.geometry()
+def _simulation_header(
+    grating: Grating, molecule: Molecule, geometry: BeamlineGeometry, velocity: float
+) -> dict[str, Any]:
     return {
         "grating": grating.label,
         "molecule": molecule.name,
@@ -96,17 +97,17 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
             grating, molecule, band, source, geometry, replace(grid, psf_sigma=0.0),
             coherence_prefactor=prefactor,
         )
-        header = _simulation_header(config, center)
+        header = _simulation_header(grating, molecule, geometry, center)
         header["velocity_classes"] = len(band)
         header["velocity_kind"] = config.require("velocity.kind")
     else:
         velocity = config.require("simulate.velocity_m_s")
-        [(_, terms)] = _class_terms(
-            [(velocity, 1.0)], grating, molecule, source, geometry, grid, prefactor
+        header = _simulation_header(grating, molecule, geometry, velocity)
+        coh = coherence(source, geometry, header["wavelength_m"], grating.period, prefactor)
+        raw = kirchhoff_pattern(
+            grating, wave_number(molecule, velocity), geometry.L2, coh.n_coherent_slits, grid
         )
-        raw = Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width))
-        header = _simulation_header(config, velocity)
-        header["n_slits"] = terms.n_slits
+        header["n_slits"] = coh.n_coherent_slits
 
     kernel = gaussian_kernel(grid.psf_sigma, raw.pixel_pitch)
     convolved = Trace(raw.positions, symmetric_convolve(raw.intensities, kernel))
@@ -279,9 +280,7 @@ def cmd_fit_velocity(config: RunConfig, args: argparse.Namespace) -> int:
             "fit-velocity needs profile.image_path (stripe profile) or fit.y2_um "
             "(single fall-height inversion)"
         )
-    velocity = fit_velocity(
-        y2, config.require("geometry.y0_m"), config.require("geometry.y1_m"), geometry
-    )
+    velocity = fit_velocity(y2, geometry)
     report = {
         "y2_m": y2,
         "velocity_m_s": velocity,

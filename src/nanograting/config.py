@@ -204,7 +204,7 @@ class RunConfig:
         return Grating(label="custom", **present)
 
     def geometry(self) -> BeamlineGeometry:
-        return BeamlineGeometry.from_segments(
+        return BeamlineGeometry(
             L1=self.require("geometry.L1_m"),
             L2=self.require("geometry.L2_m"),
             g=self.require("geometry.g_m_s2"),

@@ -103,18 +103,19 @@ class Grating:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BeamlineGeometry:
     """Source -> grating -> detector beamline.
 
-    ``L1`` is the source-grating distance, ``L`` the total source-detector
-    distance; the grating-detector distance ``L2`` is derived. ``y0`` and
+    ``L1`` is the source-grating distance, ``L2`` the grating-detector
+    distance; the total source-detector distance ``L`` is derived. ``y0`` and
     ``y1`` are the heights of source and grating in a common frame, ``g`` the
-    gravitational acceleration.
+    gravitational acceleration. Every field is keyword-only, so a call cannot
+    pass the total length where ``L2`` belongs by position.
     """
 
     L1: float
-    L: float
+    L2: float
     g: float = 9.81
     y0: float = 0.0
     y1: float = 0.0
@@ -128,14 +129,8 @@ class BeamlineGeometry:
             raise DomainError(f"g must be positive, got {self.g!r}")
 
     @property
-    def L2(self) -> float:
-        return self.L - self.L1
-
-    @classmethod
-    def from_segments(
-        cls, L1: float, L2: float, g: float = 9.81, y0: float = 0.0, y1: float = 0.0
-    ) -> "BeamlineGeometry":
-        return cls(L1=L1, L=L1 + L2, g=g, y0=y0, y1=y1)
+    def L(self) -> float:
+        return self.L1 + self.L2
 
 
 @dataclass(frozen=True)

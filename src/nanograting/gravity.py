@@ -15,7 +15,7 @@ Inverting this relation for v is exactly the velocity fit used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -253,9 +253,9 @@ def fall_position(velocity: float, geometry: BeamlineGeometry) -> float:
     return line + _ballistic_coefficient(geometry) / velocity**2
 
 
-def fit_velocity(y2: float, y0: float, y1: float, geometry: BeamlineGeometry) -> float:
-    """Forward speed from the measured fall height y2 given source and
-    grating heights y0, y1.
+def fit_velocity(y2: float, geometry: BeamlineGeometry) -> float:
+    """Forward speed from the measured fall height y2, the inverse of
+    ``fall_position`` on the geometry's source and grating heights y0, y1.
 
         v = sqrt[ g (L L1 - L^2) / 2 / (y2 - y0 - (y1 - y0) L / L1) ]
 
@@ -264,6 +264,7 @@ def fit_velocity(y2: float, y0: float, y1: float, geometry: BeamlineGeometry) ->
     Invariant under a common offset of y0, y1, y2.
     """
     coefficient = _ballistic_coefficient(geometry)
+    y0, y1 = geometry.y0, geometry.y1
     denominator = y2 - y0 - (y1 - y0) * (geometry.L / geometry.L1)
     if denominator >= 0.0:
         raise GeometryError(
@@ -532,11 +533,12 @@ def stripe_velocity_profile(
         intercept = float(np.mean(ys - drops))
 
     # residuals against the fitted line, level at the intercept (NaN if underdetermined)
+    level = replace(geometry, y0=intercept, y1=intercept)
     stripes: list[StripeVelocity] = []
     relative: list[float] = []
     for y_c, v in raw:
         try:
-            residual = v - fit_velocity(y_c, intercept, intercept, geometry)
+            residual = v - fit_velocity(y_c, level)
         except GeometryError:  # stripe at or above the fitted line
             residual = math.nan
         stripes.append(StripeVelocity(y=y_c, velocity=v, residual=residual))

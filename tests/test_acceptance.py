@@ -39,7 +39,7 @@ from nanograting.presets import grating_preset
 
 from far_field_oracle import fraunhofer_multislit
 
-GEOMETRY = BeamlineGeometry.from_segments(L1=1.554, L2=0.586, g=9.81)
+GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81)
 SOURCE = SourceModel(source_width=1.5e-6)
 PCH2 = load_run_config().molecule()
 PRESET_NAMES = ("sinx", "biphenyl", "bilayer", "slg", "scroll")
@@ -185,7 +185,7 @@ def test_criterion_06_momentum_transfer():
 def test_criterion_07_velocity_fit_closure():
     for v in (145.0, 220.0, 263.0):
         y2 = fall_position(v, GEOMETRY)
-        recovered = fit_velocity(y2, 0.0, 0.0, GEOMETRY)
+        recovered = fit_velocity(y2, GEOMETRY)
         assert abs(recovered - v) / v <= 1e-4, (v, recovered)
 
     slg = grating_preset("slg")

@@ -67,8 +67,8 @@ class TestSimulate:
         assert report["grating"] == "sinx"
         assert report["wavelength_m"] == "3.5287519581467962e-12"
         assert report["n_slits"] == "52"
-        assert report["first_order_position_m"] == "1.9693796653731233e-05"
-        assert report["L2_m"] == "0.5860000000000001"
+        assert report["first_order_position_m"] == "1.969379665373123e-05"
+        assert report["L2_m"] == "0.586"
         raw_path = tmp_path / "trace.raw.csv"
         assert out.exists() and raw_path.exists()
         convolved, header = read_trace_csv(out)

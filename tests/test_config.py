@@ -111,6 +111,12 @@ def test_molecule_builder_default_and_override():
     assert m.mass == pytest.approx(300 * 1.66053906660e-27, rel=1e-15)
 
 
+def test_geometry_holds_the_configured_detector_distance_exactly():
+    # the geometry keeps the configured segments bit for bit
+    assert load_run_config().geometry().L2 == 0.586
+    assert load_run_config(overrides=["geometry.L2_m=0.005"]).geometry().L2 == 0.005
+
+
 def test_geometry_and_source_builders():
     config = load_run_config()
     geo = config.geometry()

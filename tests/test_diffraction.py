@@ -38,7 +38,7 @@ from nanograting.vdwfit import band_averaged_trace, fit_effective_slit
 from far_field_oracle import fraunhofer_multislit
 
 M85 = Molecule("test", 8.5e-25)
-GEO = BeamlineGeometry.from_segments(L1=1.554, L2=0.586)
+GEO = BeamlineGeometry(L1=1.554, L2=0.586)
 
 
 def _grating(period=105e-9, slit=50e-9, s_eff=15e-9):
@@ -459,7 +459,7 @@ def test_node_envelope_matches_the_per_slit_sum(preset, velocity, L2, grid):
     grating = grating_preset(preset)
     k = wave_number(PCH2, velocity)
     wavelength = de_broglie_wavelength(PCH2, velocity)
-    geometry = BeamlineGeometry.from_segments(L1=GEO.L1, L2=L2)
+    geometry = BeamlineGeometry(L1=GEO.L1, L2=L2)
     n_slits = coherence(SOURCE, geometry, wavelength, grating.period).n_coherent_slits
     # the node bound is tightest at the widest width the slit-phase gate accepts
     s_limit = math.sqrt(8.0 * L2 * MAX_SLIT_PHASE / k) * (1.0 - 1e-9)
@@ -490,7 +490,7 @@ def test_nodes_sized_for_the_geometric_width_match_the_per_slit_sum(preset, velo
     grating = grating_preset(preset)
     k = wave_number(PCH2, velocity)
     wavelength = de_broglie_wavelength(PCH2, velocity)
-    geometry = BeamlineGeometry.from_segments(L1=GEO.L1, L2=L2)
+    geometry = BeamlineGeometry(L1=GEO.L1, L2=L2)
     n_slits = coherence(SOURCE, geometry, wavelength, grating.period).n_coherent_slits
     s_limit = math.sqrt(8.0 * L2 * MAX_SLIT_PHASE / k) * (1.0 - 1e-9)
     widths = {min(s, s_limit) for s in (grating.effective_slit_width, grating.slit_width)}

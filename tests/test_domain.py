@@ -76,20 +76,24 @@ def test_grating_validation():
 
 
 def test_geometry_segments_and_total_length():
-    geo = BeamlineGeometry.from_segments(L1=1.554, L2=0.586)
+    geo = BeamlineGeometry(L1=1.554, L2=0.586)
     assert geo.L1 == 1.554
     assert geo.L == pytest.approx(2.14, rel=1e-15)
-    assert geo.L2 == pytest.approx(0.586, rel=1e-12)
+    assert geo.L2 == 0.586
     assert geo.g == 9.81
 
 
 def test_geometry_validation():
     with pytest.raises(DomainError):
-        BeamlineGeometry(L1=2.2, L=2.14)  # grating beyond detector
+        BeamlineGeometry(L1=2.2, L2=-0.06)  # grating beyond detector
     with pytest.raises(DomainError):
-        BeamlineGeometry(L1=0.0, L=2.14)
+        BeamlineGeometry(L1=0.0, L2=2.14)
     with pytest.raises(DomainError):
-        BeamlineGeometry(L1=1.0, L=2.0, g=-9.81)
+        BeamlineGeometry(L1=1.0, L2=1.0, g=-9.81)
+    with pytest.raises(TypeError):
+        BeamlineGeometry(1.554, 2.14)  # a total length passed by position
+    with pytest.raises(TypeError):
+        BeamlineGeometry(L1=1.554, L=2.14)
 
 
 def test_source_model_validation():

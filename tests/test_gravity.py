@@ -1,6 +1,7 @@
 """Tests for ballistic fall, velocity ensembles, 2D synthesis, and stripe profiling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from nanograting.diffraction import gaussian_kernel, symmetric_convolve, wave_nu
 from nanograting.domain import CONSTANTS
 from nanograting.presets import grating_preset
 
-GEOMETRY = BeamlineGeometry.from_segments(L1=1.554, L2=0.586, g=9.81, y0=0.0, y1=0.0)
+GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81, y0=0.0, y1=0.0)
 PCH2 = Molecule(name="pch2", mass=8.5e-25)
 
 
@@ -41,9 +42,7 @@ class TestFallPosition:
         assert fall_position(180.0, GEOMETRY) < fall_position(220.0, GEOMETRY)
 
     def test_high_velocity_limit_approaches_line(self):
-        geometry = BeamlineGeometry.from_segments(
-            L1=1.554, L2=0.586, g=9.81, y0=1e-3, y1=2e-3
-        )
+        geometry = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81, y0=1e-3, y1=2e-3)
         line = 1e-3 + (2e-3 - 1e-3) * (geometry.L / geometry.L1)
         assert fall_position(1e8, geometry) == pytest.approx(line, rel=1e-9)
 
@@ -55,7 +54,7 @@ class TestFallPosition:
 
 class TestFitVelocity:
     def test_frozen_inversion(self):
-        assert fit_velocity(-127.1e-6, 0.0, 0.0, GEOMETRY) == 219.98973940739114
+        assert fit_velocity(-127.1e-6, GEOMETRY) == 219.98973940739114
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(71)
@@ -63,22 +62,27 @@ class TestFitVelocity:
             v = float(rng.uniform(100.0, 400.0))
             y0 = float(rng.uniform(-1e-3, 1e-3))
             y1 = float(rng.uniform(-1e-3, 1e-3))
-            geometry = BeamlineGeometry.from_segments(
-                L1=1.554, L2=0.586, g=9.81, y0=y0, y1=y1
-            )
+            geometry = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81, y0=y0, y1=y1)
             y2 = fall_position(v, geometry)
-            assert fit_velocity(y2, y0, y1, geometry) == pytest.approx(v, rel=1e-12)
+            assert fit_velocity(y2, geometry) == pytest.approx(v, rel=1e-12)
+
+    def test_inverts_the_fall_on_a_sloped_beamline(self):
+        # the fall and its inversion read the same heights, the geometry's
+        geometry = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81, y0=1e-3, y1=2e-3)
+        for v in (145.0, 220.0, 263.0):
+            y2 = fall_position(v, geometry)
+            assert fit_velocity(y2, geometry) == pytest.approx(v, rel=1e-12)
 
     def test_common_offset_invariance(self):
         y2 = fall_position(220.0, GEOMETRY)
-        shifted = fit_velocity(y2 + 0.37, 0.37, 0.37, GEOMETRY)
+        shifted = fit_velocity(y2 + 0.37, replace(GEOMETRY, y0=0.37, y1=0.37))
         assert shifted == pytest.approx(220.0, rel=1e-9)
 
     def test_detection_on_or_above_line_is_degenerate(self):
         with pytest.raises(GeometryError):
-            fit_velocity(0.0, 0.0, 0.0, GEOMETRY)
+            fit_velocity(0.0, GEOMETRY)
         with pytest.raises(GeometryError):
-            fit_velocity(5e-5, 0.0, 0.0, GEOMETRY)
+            fit_velocity(5e-5, GEOMETRY)
 
 
 class TestVelocityDistribution:
@@ -330,7 +334,7 @@ class TestStripeVelocityProfile:
         # peaks drawn from the exact fall curve: row height -> velocity
         y_rows = -160e-6 + 5e-6 * np.arange(9)
         row_peaks = {
-            row: fit_velocity(float(y_rows[row]), 0.0, 0.0, GEOMETRY)
+            row: fit_velocity(float(y_rows[row]), GEOMETRY)
             for row in range(9)
         }
         image = self._build_image(row_peaks)

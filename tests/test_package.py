@@ -48,6 +48,18 @@ def _loaded_names(source):
     return names
 
 
+def _private_imports(source):
+    """Every underscore name a module imports from another package module."""
+    return {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("nanograting"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
 def _loaded_keys(source):
     """Every string a module reads a mapping with: a subscript, a call
     argument (``entry.get(key)``) or a membership test (``key in entry``)."""
@@ -80,6 +92,13 @@ def test_every_public_name_is_read_by_the_package_or_the_readme():
         if name not in loaded and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert unused == []
+
+
+def test_the_cli_imports_no_private_name():
+    # the CLI reaches the engine through its public entry points, so no
+    # second route to it grows beside the first
+    cli = Path(nanograting.__file__).parent / "cli.py"
+    assert _private_imports(cli.read_text(encoding="utf-8")) == set()
 
 
 def test_every_grating_preset_key_is_read():

@@ -21,7 +21,7 @@ def test_library_use_example_runs():
     namespace: dict = {}
     exec(compile(_library_use_block(), str(README), "exec"), namespace)
     fit_velocity = namespace["fit_velocity"]
-    velocity = fit_velocity(namespace["y2"], 0.0, 0.0, namespace["geometry"])
+    velocity = fit_velocity(namespace["y2"], namespace["geometry"])
     assert velocity == pytest.approx(220.0, abs=1e-9)
     assert namespace["trace"].intensities.max() > 0.0
 

@@ -30,7 +30,7 @@ from nanograting.errors import WorkBudgetError
 from nanograting.presets import grating_preset
 from nanograting import gravity, vdwfit
 
-GEOMETRY = BeamlineGeometry.from_segments(L1=1.554, L2=0.586, g=9.81)
+GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81)
 PCH2 = Molecule(name="pch2", mass=8.5e-25)
 SOURCE = SourceModel(source_width=1.5e-6)
 SINX = grating_preset("sinx")
@@ -390,7 +390,7 @@ class TestFitEffectiveSlit:
     def test_coarse_scan_refuses_at_its_first_width_over_the_slit_phase(self):
         # at L2 = 5 mm and 220 m/s the slit-phase gate closes at about 34 nm,
         # inside the default scan over [1 nm, 50 nm]
-        geometry = BeamlineGeometry.from_segments(L1=1.554, L2=0.005, g=9.81)
+        geometry = BeamlineGeometry(L1=1.554, L2=0.005, g=9.81)
         band = VelocityDistribution.discrete([220.0])
         grid = DetectorGrid.symmetric(2e-6, 0.05e-6)
         x = grid.positions
@@ -416,7 +416,7 @@ class TestFitEffectiveSlit:
 
     def test_wide_slit_raises_the_pattern_resolution_error(self):
         # k s^2 / (8 L2) at s = 45 nm and L2 = 5 mm is 0.09 rad > MAX_SLIT_PHASE
-        geometry = BeamlineGeometry.from_segments(L1=1.554, L2=0.005, g=9.81)
+        geometry = BeamlineGeometry(L1=1.554, L2=0.005, g=9.81)
         band = VelocityDistribution.discrete([220.0])
         grid = DetectorGrid.symmetric(2e-6, 0.05e-6)
         x = grid.positions
