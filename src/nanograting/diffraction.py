@@ -1,6 +1,8 @@
 """Forward diffraction: scalar Kirchhoff integral over coherently illuminated
-slits, spatial-coherence estimate, and the Gaussian point-spread kernel with
-the one edge-mirrored blur that applies it.
+slits, spatial-coherence estimate, the per-velocity-class path that images,
+band traces and fits share (``_class_terms``, ``_class_row``, ``_band_sum``),
+and the Gaussian point-spread kernel with the one edge-mirrored blur that
+applies it.
 
 The detector coordinate is the transverse position x' in the detection plane a
 distance L2 downstream of the grating; the grating coordinate x runs over the
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -462,6 +465,53 @@ def _envelope_scan(terms: _SlitTerms, widths: np.ndarray) -> np.ndarray:
         if j == 15 or i == widths.size - 1:
             rows[i - j : i + 1] = _contract(terms, block[: j + 1], widths[i - j : i + 1, None])
     return rows
+
+
+def _class_terms(
+    classes: Iterable[tuple[float, float]], grating: Grating, molecule: Molecule,
+    source: SourceModel, geometry: BeamlineGeometry, grid: DetectorGrid,
+    coherence_prefactor: float,
+) -> Iterator[tuple[float, _SlitTerms]]:
+    """(weight, slit-width-independent terms) per positive-weight (velocity,
+    weight) class, one class at a time, with its own wave number and coherent
+    slit count and the nodes sized for the geometric width, the widest s_eff."""
+    for v, w in classes:
+        if w == 0.0:
+            continue
+        wavelength = de_broglie_wavelength(molecule, float(v))
+        coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
+        yield float(w), _slit_terms(
+            2.0 * math.pi / wavelength, geometry.L2, coh.n_coherent_slits, grating.period,
+            grid, max_width=grating.slit_width,
+        )
+
+
+def _class_row(terms: _SlitTerms, s: float | np.ndarray) -> np.ndarray:
+    """One class's pattern at slit width ``s``, normalized to unit pixel sum;
+    for ascending, uniformly spaced widths ``s``, one such row per width
+    (``_envelope_scan``)."""
+    rows = _envelope_scan(terms, s) if np.ndim(s) else _slit_envelope(terms, s)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return rows
+
+
+def _band_sum(
+    classes: Iterable[tuple[float, _SlitTerms]], s: float | np.ndarray
+) -> np.ndarray:
+    """Weighted sum of the classes' unit-sum patterns at slit width ``s``
+    (one row per width for the coarse scan's widths, ``_class_row``),
+    one class at a time: the first class's terms, which check the work
+    budget, are built before any array of the grid's size. Each class's rows
+    are scaled and added in place, so the sum holds no temporaries."""
+    total = None
+    for w, terms in classes:
+        rows = _class_row(terms, s)
+        rows *= w
+        if total is None:
+            total = rows
+        else:
+            total += rows
+    return total
 
 
 def kirchhoff_pattern(

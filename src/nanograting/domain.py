@@ -7,7 +7,7 @@ I/O boundaries (CLI config keys, CSV headers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
@@ -121,6 +121,10 @@ class BeamlineGeometry:
     y1: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise DomainError(f"{field.name} must be finite, got {value!r}")
         if not 0.0 < self.L1 < self.L:
             raise DomainError(
                 f"distances must satisfy 0 < L1 < L, got L1={self.L1!r}, L={self.L!r}"

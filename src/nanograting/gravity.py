@@ -16,24 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .diffraction import (
     DetectorGrid,
-    _envelope_scan,
+    _class_row,
+    _class_terms,
     _frozen_array,
     _pixel_count,
-    _slit_envelope,
-    _slit_terms,
-    _SlitTerms,
-    coherence,
     gaussian_kernel,
     symmetric_convolve,
 )
 from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, SourceModel
-from .domain import de_broglie_wavelength
 from .errors import DomainError, GeometryError, WorkBudgetError
 
 __all__ = [
@@ -246,11 +241,17 @@ def fall_position(velocity: float, geometry: BeamlineGeometry) -> float:
 
     Strictly increasing in velocity; approaches the extrapolated
     source-grating line as v -> infinity (equal to y0 for a level beamline).
+    Every fall term A / v^2 is computed here: a v * v that rounds to inf
+    lands on the line, and a term that is not finite is refused.
     """
     if not (velocity > 0.0 and math.isfinite(velocity)):
         raise DomainError(f"velocity must be positive and finite, got {velocity!r}")
     line = geometry.y0 + (geometry.y1 - geometry.y0) * (geometry.L / geometry.L1)
-    return line + _ballistic_coefficient(geometry) / velocity**2
+    square = velocity * velocity
+    drop = _ballistic_coefficient(geometry) / square if square else -math.inf
+    if not math.isfinite(drop):
+        raise DomainError(f"fall term A / v^2 overflows at a velocity of {velocity!r} m/s")
+    return line + drop
 
 
 def fit_velocity(y2: float, geometry: BeamlineGeometry) -> float:
@@ -295,34 +296,6 @@ def _blurred_image(
     rows = symmetric_convolve(rows, gaussian_kernel(sigma_x_px, 1.0))
     placements = symmetric_convolve(placements, gaussian_kernel(sigma_y_px, 1.0))
     return np.einsum("cy,cx->yx", placements, rows)
-
-
-def _class_terms(
-    classes: Iterable[tuple[float, float]], grating: Grating, molecule: Molecule,
-    source: SourceModel, geometry: BeamlineGeometry, grid: DetectorGrid,
-    coherence_prefactor: float,
-) -> Iterator[tuple[float, _SlitTerms]]:
-    """(weight, slit-width-independent terms) per positive-weight (velocity,
-    weight) class, one class at a time, with its own wave number and coherent
-    slit count and the nodes sized for the geometric width, the widest s_eff."""
-    for v, w in classes:
-        if w == 0.0:
-            continue
-        wavelength = de_broglie_wavelength(molecule, float(v))
-        coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
-        yield float(w), _slit_terms(
-            2.0 * math.pi / wavelength, geometry.L2, coh.n_coherent_slits, grating.period,
-            grid, max_width=grating.slit_width,
-        )
-
-
-def _class_row(terms: _SlitTerms, s: float | np.ndarray) -> np.ndarray:
-    """One class's pattern at slit width ``s``, normalized to unit pixel sum;
-    for ascending, uniformly spaced widths ``s``, one such row per width
-    (``_envelope_scan``)."""
-    rows = _envelope_scan(terms, s) if np.ndim(s) else _slit_envelope(terms, s)
-    rows /= rows.sum(axis=-1, keepdims=True)
-    return rows
 
 
 def synthesize_image(
@@ -480,7 +453,7 @@ def stripe_velocity_profile(
     if image.ny < n_stripes:
         raise DomainError(f"image has {image.ny} rows, fewer than {n_stripes} stripes")
 
-    coefficient = _ballistic_coefficient(geometry)
+    _ballistic_coefficient(geometry)  # refuse an overflowing A before any stripe
     x = image.x_positions
     y_rows = image.y_positions
     pitch = image.pixel_pitch_x
@@ -519,31 +492,21 @@ def stripe_velocity_profile(
         raw.append((y_center, velocity))
 
     underdetermined = len({round(y_c, 12) for y_c, _ in raw}) < 2
-    if underdetermined:
-        intercept = math.nan
-    else:
-        ys, vs = np.array(raw).T
-        with np.errstate(divide="ignore", over="ignore"):
-            drops = coefficient / vs**2
-        if not np.isfinite(drops).all():
-            raise DomainError(
-                f"fall term A / v^2 overflows at a stripe velocity of {float(vs.min())!r} m/s"
-            )
-        # exact least squares of y = intercept + A / v^2
-        intercept = float(np.mean(ys - drops))
-
-    # residuals against the fitted line, level at the intercept (NaN if underdetermined)
-    level = replace(geometry, y0=intercept, y1=intercept)
-    stripes: list[StripeVelocity] = []
-    relative: list[float] = []
-    for y_c, v in raw:
-        try:
-            residual = v - fit_velocity(y_c, level)
-        except GeometryError:  # stripe at or above the fitted line
-            residual = math.nan
-        stripes.append(StripeVelocity(y=y_c, velocity=v, residual=residual))
-        if math.isfinite(residual):
-            relative.append(residual / v)
+    intercept = math.nan
+    residuals = [math.nan] * len(raw)
+    if not underdetermined:
+        # exact least squares of y = intercept + A / v^2, the drops on a line at 0
+        level = replace(geometry, y0=0.0, y1=0.0)
+        intercept = float(np.mean([y_c - fall_position(v, level) for y_c, v in raw]))
+        # residuals against the fitted line, level at the intercept
+        level = replace(geometry, y0=intercept, y1=intercept)
+        for i, (y_c, v) in enumerate(raw):
+            try:
+                residuals[i] = v - fit_velocity(y_c, level)
+            except GeometryError:  # stripe at or above the fitted line
+                pass
+    stripes = [StripeVelocity(y=y_c, velocity=v, residual=r) for (y_c, v), r in zip(raw, residuals)]
+    relative = [r / v for (_, v), r in zip(raw, residuals) if math.isfinite(r)]
     rms_relative = float(np.sqrt(np.mean(np.square(relative)))) if relative else math.nan
 
     return StripeProfile(

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .diffraction import DetectorGrid, Trace, _SlitTerms, far_field_orders
+from .diffraction import DetectorGrid, Trace, _band_sum, _class_terms, far_field_orders
 from .diffraction import _check_blur_budget, gaussian_kernel, symmetric_convolve
 from .domain import BeamlineGeometry, Grating, Molecule, SourceModel
 from .errors import DomainError, FitError, WorkBudgetError
-from .gravity import VelocityDistribution, _class_row, _class_terms, _local_maxima
-from .gravity import _parabolic_peak
+from .gravity import VelocityDistribution, _local_maxima, _parabolic_peak
 
 __all__ = [
     "OrderPopulation",
@@ -54,25 +52,6 @@ def suppression_ratio(slit_width: float, effective_slit_width: float) -> float:
             f"{effective_slit_width!r} vs {slit_width!r}"
         )
     return slit_width / effective_slit_width
-
-
-def _band_sum(
-    classes: Iterable[tuple[float, _SlitTerms]], s: float | np.ndarray
-) -> np.ndarray:
-    """Weighted sum of the classes' unit-sum patterns at slit width ``s``
-    (one row per width for the coarse scan's widths, ``gravity._class_row``),
-    one class at a time: the first class's terms, which check the work
-    budget, are built before any array of the grid's size. Each class's rows
-    are scaled and added in place, so the sum holds no temporaries."""
-    total = None
-    for w, terms in classes:
-        rows = _class_row(terms, s)
-        rows *= w
-        if total is None:
-            total = rows
-        else:
-            total += rows
-    return total
 
 
 def band_averaged_trace(
@@ -219,7 +198,7 @@ def fit_effective_slit(
     """Fit the effective slit width that best reproduces ``measured``.
 
     The forward model is ``band_averaged_trace`` on the measured trace's own
-    grid; each class's width-independent terms (``gravity._class_terms``)
+    grid; each class's width-independent terms (``diffraction._class_terms``)
     are built once per call. The residual is the RMS difference after
     max-normalization and principal-peak registration. A coarse scan at
     ``coarse_step`` over [lower_bound, slit width] brackets the global

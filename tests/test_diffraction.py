@@ -31,7 +31,7 @@ from nanograting.config import load_run_config
 from nanograting.diffraction import MAX_BLUR_TERMS, MAX_BLUR_VALUES
 from nanograting.diffraction import MAX_PIXEL_SLITS, MAX_SLIT_PHASE, _slit_terms
 from nanograting.diffraction import _contract, _envelope_scan, _slit_envelope
-from nanograting import gravity
+from nanograting import diffraction
 from nanograting.gravity import VELOCITY_SUPPORT, synthesize_image
 from nanograting.vdwfit import band_averaged_trace, fit_effective_slit
 
@@ -722,6 +722,38 @@ def test_asymmetric_grids_are_built_in_full(grid):
     assert np.array_equal(terms.mirror, np.arange(grid.n_pixels))
 
 
+def test_one_wrapper_sees_every_class_on_every_path(monkeypatch):
+    # images, band traces and fits build their classes through diffraction's
+    # class path, so one wrapper there counts every pattern's terms
+    built = []
+
+    def recording(k, *args, **kwargs):
+        built.append(k)
+        return _slit_terms(k, *args, **kwargs)
+
+    monkeypatch.setattr(diffraction, "_slit_terms", recording)
+    config = load_run_config(preset="sinx", overrides=[
+        "velocity.kind=discrete", "velocity.list_m_s=200,220,240",
+        "detector.x_min_um=-40", "detector.x_max_um=40",
+    ])
+    molecule, geometry, source = config.molecule(), config.geometry(), config.source()
+    grating, band = config.grating(), config.velocity_distribution()
+    per_class = [wave_number(molecule, v) for v in (200.0, 220.0, 240.0)]
+
+    result = synthesize_image(band, grating, source, geometry, config.image_grid(), molecule)
+    assert result.clipped_velocities == ()
+    assert built == per_class
+    built.clear()
+    trace = band_averaged_trace(grating, molecule, band, source, geometry, config.detector_grid())
+    assert built == per_class
+    built.clear()
+    fit_effective_slit(trace, grating, molecule, band, geometry, source)
+    assert built == per_class
+    built.clear()
+    kirchhoff_pattern(grating, per_class[1], geometry.L2, 20, config.detector_grid())
+    assert built == per_class[1:2]
+
+
 def test_the_benchmark_classes_fold(monkeypatch):
     # the fold halves the engine work of perfbench's image-beam and fit-seff
     # workloads; a change to its condition must not drop their grids
@@ -731,7 +763,7 @@ def test_the_benchmark_classes_fold(monkeypatch):
         built.append((args[4], _slit_terms(*args, **kwargs)))
         return built[-1][1]
 
-    monkeypatch.setattr(gravity, "_slit_terms", recording)
+    monkeypatch.setattr(diffraction, "_slit_terms", recording)
     # every slg class that lands on the README image grid
     config = load_run_config(preset="slg", overrides=[
         "velocity.kind=maxwell-boltzmann-beam", "velocity.n_classes=40",

@@ -96,6 +96,15 @@ def test_geometry_validation():
         BeamlineGeometry(L1=1.554, L=2.14)
 
 
+@pytest.mark.parametrize("field", ["L1", "L2", "g", "y0", "y1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_geometry_refuses_a_non_finite_field_by_name(field, value):
+    # a non-finite field would carry NaN through the fall law into every velocity
+    values = {"L1": 1.0, "L2": 1.0, "g": 9.81, "y0": 0.0, "y1": 0.0, field: value}
+    with pytest.raises(DomainError, match=rf"^{field} must be finite"):
+        BeamlineGeometry(**values)
+
+
 def test_source_model_validation():
     with pytest.raises(DomainError):
         SourceModel(source_width=0.0)

@@ -22,7 +22,7 @@ from nanograting import (
     stripe_velocity_profile,
     synthesize_image,
 )
-from nanograting import gravity
+from nanograting import diffraction, gravity
 from nanograting.diffraction import gaussian_kernel, symmetric_convolve, wave_number
 from nanograting.domain import CONSTANTS
 from nanograting.presets import grating_preset
@@ -50,6 +50,15 @@ class TestFallPosition:
         for bad in (0.0, -5.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 fall_position(bad, GEOMETRY)
+
+    @pytest.mark.parametrize("velocity", [1e-200, 1e-160])
+    def test_a_fall_term_past_the_float_range_is_refused(self, velocity):
+        # v * v underflows to 0 at 1e-200 and to a subnormal at 1e-160
+        with pytest.raises(DomainError, match=r"fall term A / v\^2 overflows"):
+            fall_position(velocity, GEOMETRY)
+
+    def test_a_velocity_whose_square_overflows_lands_on_the_line(self):
+        assert fall_position(1e200, GEOMETRY) == 0.0
 
 
 class TestFitVelocity:
@@ -253,13 +262,13 @@ class TestSynthesizeImage:
 
     def test_patterns_are_built_for_on_grid_classes_only(self, monkeypatch):
         built = []
-        terms = gravity._slit_terms
+        terms = diffraction._slit_terms
 
         def counting(k, *args, **kwargs):
             built.append(k)
             return terms(k, *args, **kwargs)
 
-        monkeypatch.setattr(gravity, "_slit_terms", counting)
+        monkeypatch.setattr(diffraction, "_slit_terms", counting)
         # 180 m/s falls below the grid floor; 220 and 260 m/s land on it
         dist = VelocityDistribution.discrete([180.0, 220.0, 260.0])
         result = synthesize_image(dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)

@@ -101,6 +101,21 @@ def test_the_cli_imports_no_private_name():
     assert _private_imports(cli.read_text(encoding="utf-8")) == set()
 
 
+def test_only_diffraction_reaches_the_slit_terms():
+    # the term format stays behind the one module that builds and reads it;
+    # every other module goes through the class path
+    terms = {"_SlitTerms", "_slit_terms", "_slit_envelope", "_envelope_scan", "_check_width",
+             "_contract"}
+    package = Path(nanograting.__file__).parent
+    reached = {
+        (path.stem, name)
+        for path in package.glob("*.py")
+        for name in _private_imports(path.read_text(encoding="utf-8"))
+        if name.rpartition(".")[2] in terms
+    }
+    assert reached == set()
+
+
 def test_every_grating_preset_key_is_read():
     # preset data nothing reads is a note that can drift from the code
     package = Path(nanograting.__file__).parent

@@ -28,7 +28,7 @@ from nanograting.diffraction import coherence, kirchhoff_pattern, wave_number
 from nanograting.domain import de_broglie_wavelength
 from nanograting.errors import WorkBudgetError
 from nanograting.presets import grating_preset
-from nanograting import gravity, vdwfit
+from nanograting import diffraction, vdwfit
 
 GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81)
 PCH2 = Molecule(name="pch2", mass=8.5e-25)
@@ -442,7 +442,7 @@ class TestFitEffectiveSlit:
         tracemalloc.start()
         try:
             classes = list(
-                gravity._class_terms(
+                diffraction._class_terms(
                     zip(band.velocities, band.weights), SINX, PCH2, SOURCE, GEOMETRY, grid,
                     1.5,
                 )
