@@ -421,6 +421,21 @@ def _parabolic_peak(x: np.ndarray, y: np.ndarray, i: int) -> float:
     return float(x[i] + shift * (x[1] - x[0]))
 
 
+def _window_peak(
+    x: np.ndarray, y: np.ndarray, center: float, half_width: float
+) -> tuple[int | None, bool]:
+    """(index, found) of y's largest sample (the first, on a tie) at x within
+    center +- half_width, the one rule for where an order is; the index is
+    None for a window of under three samples. found is True when that sample
+    is not one of the window's two edge samples, so it has y[i - 1] < y[i] >=
+    y[i + 1], and y[i] > 0 on a non-negative trace."""
+    idx = np.nonzero((x >= center - half_width) & (x <= center + half_width))[0]
+    if idx.size < 3:
+        return None, False
+    j = int(np.argmax(y[idx]))
+    return int(idx[j]), 0 < j < idx.size - 1
+
+
 def _local_maxima(y: np.ndarray) -> np.ndarray:
     interior = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])
     return np.nonzero(interior)[0] + 1
@@ -439,12 +454,14 @@ def stripe_velocity_profile(
     stripes, followed by a global fall-curve fit.
 
     The image is cut into ``n_stripes`` equal row bands. Per stripe, columns
-    are summed into a trace; the zeroth-order peak is its maximum, the
-    first-order peak the strongest local maximum beyond the zeroth-order
-    exclusion zone (2.5 detection sigmas, at least 3 pixels). The offset
-    x1 - x0 gives the diffraction angle, hence the wavelength and velocity.
-    Stripes with too little signal (``MIN_STRIPE_SIGNAL``) or no detectable
-    first-order peak (``MIN_PEAK_FRACTION``) are skipped and reported.
+    are summed into a trace. x = 0 is the beam axis, as ``synth-image``
+    writes it: the zeroth-order peak is the largest sample within the
+    exclusion zone (2.5 detection sigmas, at least 3 pixels) of x = 0, the
+    first-order peak the strongest local maximum more than the zone to its right.
+    The offset x1 - x0 gives the diffraction angle, hence the wavelength and
+    velocity. Stripes with too little signal (``MIN_STRIPE_SIGNAL``), no
+    interior zeroth order in the zone, or no detectable first-order peak
+    (``MIN_PEAK_FRACTION``) are skipped and reported.
     """
     if period <= 0.0:
         raise DomainError(f"period must be positive, got {period!r}")
@@ -468,10 +485,10 @@ def stripe_velocity_profile(
     for idx in range(n_stripes):
         lo, hi = bounds[idx], bounds[idx + 1]
         profile = image.values[lo:hi].sum(axis=0)
-        if profile.max() <= MIN_STRIPE_SIGNAL * image_peak:
+        i0, found = _window_peak(x, profile, 0.0, exclusion)
+        if not found or profile.max() <= MIN_STRIPE_SIGNAL * image_peak:
             skipped.append(idx)
             continue
-        i0 = int(np.argmax(profile))
         x0 = _parabolic_peak(x, profile, i0)
         peaks = _local_maxima(profile)
         peaks = peaks[(x[peaks] > x0 + exclusion)]

@@ -29,7 +29,6 @@ from .gravity import MAX_IMAGE_PIXELS, Interferogram
 
 __all__ = [
     "hot_color",
-    "hot_color_inverse",
     "render_image",
 ]
 
@@ -66,19 +65,6 @@ def hot_color(value: float) -> tuple[float, float, float]:
     """RGB triple for one normalized signal value in [0, 1]."""
     r, g, b = _hot_rgb(np.float64(value))
     return float(r), float(g), float(b)
-
-
-def hot_color_inverse(rgb: tuple[float, float, float]) -> float:
-    """Signal of the control row nearest to an RGB triple (Euclidean).
-
-    Inverts renders: a channel-quantized color maps back to its generating
-    signal within the table spacing.
-    """
-    probe = np.asarray(rgb, dtype=float)
-    if probe.shape != (3,):
-        raise DomainError("expected an (R, G, B) triple")
-    distances = np.sum((_HOT_TABLE - probe) ** 2, axis=1)
-    return float(_HOT_SIGNALS[int(np.argmin(distances))])
 
 
 # Signal bins of the render's byte table: the least power of two above the

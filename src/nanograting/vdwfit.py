@@ -5,10 +5,15 @@ Attractive molecule-wall forces narrow each slit's effective transmission
 window; in the binary-mask model the full forward simulation depends on a
 single unknown, the effective slit width. The fit minimizes the RMS
 difference between the detector-convolved simulated trace and the measured
-trace (both max-normalized and registered on their principal peak) with a
-coarse scan followed by golden-section refinement — derivative-free, immune
-to the shallow secondary minima that appear when an envelope zero sweeps
-across a diffraction order.
+trace (both max-normalized) with a coarse scan followed by golden-section
+refinement — derivative-free, immune to the shallow secondary minima that
+appear when an envelope zero sweeps across a diffraction order.
+
+The pattern is even, so every model's zeroth order sits at x = 0, the beam
+axis as ``simulate`` writes it. The measured trace is registered once, by its
+zeroth order: its largest sample within half a fringe lambda L2 / d of x = 0.
+A measured zeroth order more than half a fringe off axis registers on another
+order.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ import numpy as np
 
 from .diffraction import DetectorGrid, Trace, _band_sum, _class_terms, far_field_orders
 from .diffraction import _check_blur_budget, gaussian_kernel, symmetric_convolve
-from .domain import BeamlineGeometry, Grating, Molecule, SourceModel
+from .domain import BeamlineGeometry, Grating, Molecule, SourceModel, de_broglie_wavelength
 from .errors import DomainError, FitError, WorkBudgetError
-from .gravity import VelocityDistribution, _local_maxima, _parabolic_peak
+from .gravity import VelocityDistribution, _parabolic_peak, _window_peak
 
 __all__ = [
     "OrderPopulation",
@@ -98,28 +103,6 @@ class OrderPopulation:
     found: bool
 
 
-def _window_peak(
-    trace: Trace, center: float, half_width: float
-) -> tuple[float, float, bool]:
-    """(peak position, raw peak value, found) for the strongest sample within
-    center +- half_width. found is True when that sample (the first, on a
-    tie) is neither of the window's edge samples; a window whose largest
-    sample sits on an edge is not found, even if it holds a smaller interior
-    local maximum. The window is a contiguous run of pixels, so an interior
-    first maximum i has y[i - 1] < y[i] >= y[i + 1], and y[i] > 0 on a
-    non-negative trace."""
-    x = trace.positions
-    y = trace.intensities
-    mask = (x >= center - half_width) & (x <= center + half_width)
-    idx = np.nonzero(mask)[0]
-    if idx.size < 3:
-        return center, 0.0, False
-    j = int(np.argmax(y[idx]))
-    i = int(idx[j])
-    found = 0 < j < idx.size - 1
-    return _parabolic_peak(x, y, i), float(y[i]), found
-
-
 def order_population(
     trace: Trace,
     period: float,
@@ -136,15 +119,18 @@ def order_population(
     edge is reported with found=False; evanescent orders get NaN positions
     and zero height.
     """
+    x, y = trace.positions, trace.intensities
     positions = far_field_orders(wavelength, period, L2, n_max)
     half = wavelength * L2 / period / 4.0
-    peaks = [_window_peak(trace, x, half) for x in positions]
-    h0 = peaks[0][1]
-    if h0 <= 0.0:
+    peaks = [_window_peak(x, y, center, half) for center in positions]
+    heights = [0.0 if i is None else float(y[i]) for i, _ in peaks]  # no window, no height
+    if heights[0] <= 0.0:
         raise FitError("trace has no signal at the zeroth order; cannot normalize")
     records = [
-        OrderPopulation(n, x, xpk, h / h0, found)
-        for n, (x, (xpk, h, found)) in enumerate(zip(positions, peaks))
+        OrderPopulation(
+            n, center, center if i is None else _parabolic_peak(x, y, i), h / heights[0], found
+        )
+        for n, (center, (i, found), h) in enumerate(zip(positions, peaks, heights))
     ]
     records += [
         OrderPopulation(n, math.nan, math.nan, 0.0, False)
@@ -158,27 +144,22 @@ class SlitFitResult:
     """Best-fit effective slit width with search diagnostics."""
 
     effective_slit_width: float
-    residual: float            # RMS on max-normalized, peak-registered traces
+    residual: float            # RMS on max-normalized traces, registered once at x = 0
     suppression_ratio: float   # geometric / effective
     evaluations: int
     bracket: tuple[float, float]
     model: Trace               # the blurred band trace at that width, measured positions
 
 
-def _registered_rms(reference: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+def _registered_rms(reference: np.ndarray, candidates: np.ndarray, shift: int) -> np.ndarray:
     """RMS difference of each candidate row (last axis) from ``reference``
-    after max-normalization and integer-pixel alignment of the principal
-    peaks; one value per row, 0-d for a 1-D candidate."""
+    after max-normalization, over the overlap where reference[i + shift]
+    meets candidate[i]; one value per row, 0-d for a 1-D candidate."""
     a = reference / reference.max()
     b = candidates / candidates.max(axis=-1, keepdims=True)
-    shifts = int(np.argmax(a)) - np.argmax(b, axis=-1)
-    rms = np.empty(shifts.shape)
-    for shift in set(shifts.ravel().tolist()):
-        rows = shifts == shift
-        a_part = a[max(shift, 0) : a.size + min(shift, 0)]
-        b_part = b[rows][..., max(-shift, 0) : b.shape[-1] - max(shift, 0)]
-        rms[rows] = np.sqrt(np.mean((a_part - b_part) ** 2, axis=-1))
-    return rms
+    a_part = a[max(shift, 0) : a.size + min(shift, 0)]
+    b_part = b[..., max(-shift, 0) : b.shape[-1] - max(shift, 0)]
+    return np.sqrt(np.mean((a_part - b_part) ** 2, axis=-1))
 
 
 def fit_effective_slit(
@@ -200,7 +181,12 @@ def fit_effective_slit(
     The forward model is ``band_averaged_trace`` on the measured trace's own
     grid; each class's width-independent terms (``diffraction._class_terms``)
     are built once per call. The residual is the RMS difference after
-    max-normalization and principal-peak registration. A coarse scan at
+    max-normalization, with the measured trace registered once: shifted by
+    the pixel offset from x = 0 of its largest sample within half a fringe
+    lambda L2 / d of x = 0, lambda of the band's fastest class. x = 0 is the
+    beam axis, where every model's zeroth order sits; a measured zeroth
+    order more than half a fringe off it registers on another order, and a
+    window whose largest sample sits on its edge is refused. A coarse scan at
     ``coarse_step`` over [lower_bound, slit width] brackets the global
     minimum: one rotated-phasor pass per class (``diffraction._envelope_scan``)
     and one blur and one scoring call for the summed rows, each row one
@@ -217,12 +203,15 @@ def fit_effective_slit(
             f"need tolerance >= {math.ulp(grating.slit_width)!r} m and coarse step > 0, "
             f"got {tolerance!r}, {coarse_step!r}"
         )
-    y = measured.intensities
+    x, y = measured.positions, measured.intensities
     if y.max() <= 0.0 or y.max() == y.min():
         raise FitError("measured trace is flat; there is nothing to fit")
-    # intensities are non-negative, so a local maximum is also positive
-    if _local_maxima(y).size == 0:
-        raise FitError("measured trace has no interior peak; there is nothing to fit")
+    # the fastest class has the narrowest fringe; every model's zeroth order is nearest x = 0
+    wavelength = de_broglie_wavelength(molecule, float(velocity_band.velocities.max()))
+    i0, found = _window_peak(x, y, 0.0, wavelength * geometry.L2 / grating.period / 2.0)
+    if not found:
+        raise FitError("measured trace has no interior peak within half a fringe of x = 0")
+    shift = i0 - int(np.argmin(np.abs(x)))
 
     lo = max(lower_bound, tolerance)
     hi = grating.slit_width
@@ -256,7 +245,9 @@ def fit_effective_slit(
         grating, molecule, source, geometry, grid, coherence_prefactor,
     ))
     coarse = np.linspace(lo, hi, n_coarse)
-    coarse_values = _registered_rms(y, symmetric_convolve(_band_sum(classes, coarse), kernel))
+    coarse_values = _registered_rms(
+        y, symmetric_convolve(_band_sum(classes, coarse), kernel), shift
+    )
     evaluations = n_coarse
 
     def model(s_eff: float) -> np.ndarray:
@@ -265,7 +256,7 @@ def fit_effective_slit(
         return symmetric_convolve(_band_sum(classes, s_eff), kernel)
 
     def objective(s_eff: float) -> float:
-        return float(_registered_rms(y, model(s_eff)))
+        return float(_registered_rms(y, model(s_eff), shift))
 
     best = int(np.argmin(coarse_values))
     a = float(coarse[max(0, best - 1)])
@@ -289,7 +280,7 @@ def fit_effective_slit(
 
     return SlitFitResult(
         effective_slit_width=s_fit,
-        residual=float(_registered_rms(y, fitted)),
+        residual=float(_registered_rms(y, fitted, shift)),
         suppression_ratio=suppression_ratio(grating.slit_width, s_fit),
         evaluations=evaluations,
         bracket=bracket,

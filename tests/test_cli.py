@@ -368,7 +368,9 @@ class TestFitSeff:
         assert position_column(bestfit_csv) == position_column(measured_csv)
         measured, _ = read_trace_csv(measured_csv)
         best, _ = read_trace_csv(bestfit_csv)
-        residual = float(vdwfit._registered_rms(measured.intensities, best.intensities))
+        # the measured zeroth order sits on the pixel at x = 0, the model's: no shift
+        assert measured.positions[np.argmax(measured.intensities)] == 0.0
+        residual = float(vdwfit._registered_rms(measured.intensities, best.intensities, 0))
         assert residual == float(parse_report(stdout)["residual_rms"])
 
     def test_both_sources_rejected(self, capsys, tmp_path):

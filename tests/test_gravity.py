@@ -25,6 +25,7 @@ from nanograting import (
 from nanograting import diffraction, gravity
 from nanograting.diffraction import gaussian_kernel, symmetric_convolve, wave_number
 from nanograting.domain import CONSTANTS
+from nanograting.config import load_run_config
 from nanograting.presets import grating_preset
 
 GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81, y0=0.0, y1=0.0)
@@ -381,6 +382,26 @@ class TestStripeVelocityProfile:
         assert math.isfinite(low.residual)
         # only the finite residual enters the rms
         assert profile.rms_relative == pytest.approx(abs(low.residual / low.velocity), rel=1e-15)
+
+    def test_each_stripe_is_read_on_its_zeroth_order_at_x_0(self):
+        # sinx Maxwell image on a +-40 um window: the edge-mirrored blur lifts
+        # an outer order above the zeroth in some stripes, and their global
+        # maximum read the stripe at y = -120 um as 108 m/s where the fall law
+        # gives 226 m/s (rms_relative 0.217)
+        cfg = load_run_config(preset="sinx", overrides=[
+            "velocity.kind=maxwell-boltzmann-beam", "velocity.n_classes=200",
+            "detector.x_min_um=-40", "detector.x_max_um=40",
+        ])
+        image = synthesize_image(
+            cfg.velocity_distribution(), cfg.grating(), cfg.source(), cfg.geometry(),
+            cfg.image_grid(), cfg.molecule(),
+        ).image
+        profile = stripe_velocity_profile(
+            image, cfg.geometry(), cfg.grating().period, cfg.molecule(),
+            psf_sigma=cfg.require("detector.psf_sigma_um"),
+        )
+        assert profile.skipped == () and len(profile.stripes) == 20
+        assert profile.rms_relative < 0.005
 
     def test_validation(self):
         image = self._build_image({4: 220.0})

@@ -10,7 +10,6 @@ from nanograting import (
     DomainError,
     Interferogram,
     hot_color,
-    hot_color_inverse,
     render_image,
 )
 from nanograting.config import load_run_config
@@ -51,14 +50,6 @@ def test_colormap_monotone_channels():
 def test_colormap_clamps_out_of_range():
     assert hot_color(-0.5) == hot_color(0.0)
     assert hot_color(1.5) == hot_color(0.99)
-
-
-def test_hot_color_inverse_round_trip():
-    rng = np.random.default_rng(405)
-    for _ in range(200):
-        signal = float(rng.uniform(0.0, 0.99))
-        recovered = hot_color_inverse(hot_color(signal))
-        assert abs(recovered - signal) <= 0.01
 
 
 def _image(values):

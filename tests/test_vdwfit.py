@@ -27,7 +27,7 @@ from nanograting.config import load_run_config
 from nanograting.diffraction import coherence, kirchhoff_pattern, wave_number
 from nanograting.domain import de_broglie_wavelength
 from nanograting.errors import WorkBudgetError
-from nanograting.presets import grating_preset
+from nanograting.presets import grating_preset, grating_preset_names
 from nanograting import diffraction, vdwfit
 
 GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81)
@@ -178,7 +178,8 @@ class TestOrderPopulation:
 
 def test_stacked_scoring_equals_the_row_at_a_time_score():
     # rows whose peaks sit right of, left of and on the reference's peak, in
-    # one stack, score as each row does alone; a 1-D candidate gives 0-d
+    # one stack on one shift (positive, negative or none), score as each row
+    # does alone; a 1-D candidate gives 0-d
     x = np.arange(41.0)
     reference = np.exp(-0.5 * ((x - 20.0) / 3.0) ** 2)
     rows = np.array([
@@ -186,10 +187,9 @@ def test_stacked_scoring_equals_the_row_at_a_time_score():
         for centre, width in [(24.0, 3.0), (13.0, 2.5), (20.0, 4.0), (27.0, 3.5), (20.0, 3.0)]
     ])
 
-    def alone(candidate):
+    def alone(candidate, shift):
         a = reference / reference.max()
         b = candidate / candidate.max()
-        shift = int(np.argmax(a)) - int(np.argmax(b))
         if shift > 0:
             a_part, b_part = a[shift:], b[: b.size - shift]
         elif shift < 0:
@@ -200,12 +200,13 @@ def test_stacked_scoring_equals_the_row_at_a_time_score():
 
     shifts = 20 - np.argmax(rows, axis=1)
     assert (shifts < 0).any() and (shifts > 0).any() and (shifts == 0).any()
-    stacked = vdwfit._registered_rms(reference, rows)
-    assert stacked.shape == (len(rows),)
-    assert stacked.tolist() == [alone(row) for row in rows]
-    single = vdwfit._registered_rms(reference, rows[1])
-    assert single.shape == ()
-    assert float(single) == alone(rows[1])
+    for shift in (-7, 0, 4):
+        stacked = vdwfit._registered_rms(reference, rows, shift)
+        assert stacked.shape == (len(rows),)
+        assert stacked.tolist() == [alone(row, shift) for row in rows]
+        single = vdwfit._registered_rms(reference, rows[1], shift)
+        assert single.shape == ()
+        assert float(single) == alone(rows[1], shift)
 
 
 class TestFitEffectiveSlit:
@@ -247,12 +248,16 @@ class TestFitEffectiveSlit:
             )
 
     def test_peakless_trace_rejected(self):
+        # a ramp, and a peak 20 um off axis: half a fringe of x = 0 is 9.9 um
+        # at 230 m/s, so the window's largest sample is on its edge either way
         x = self.GRID.positions
         ramp = np.linspace(0.0, 1.0, x.size)
-        with pytest.raises(FitError):
-            fit_effective_slit(
-                Trace(x, ramp), SINX, PCH2, self.BAND, GEOMETRY, SOURCE
-            )
+        off_axis = np.exp(-0.5 * ((x - 20e-6) / 2e-6) ** 2)
+        for values in (ramp, off_axis):
+            with pytest.raises(FitError, match="half a fringe of x = 0"):
+                fit_effective_slit(
+                    Trace(x, values), SINX, PCH2, self.BAND, GEOMETRY, SOURCE
+                )
 
     def test_empty_search_interval_rejected(self):
         target = replace(SINX, effective_slit_width=20e-9)
@@ -293,8 +298,9 @@ class TestFitEffectiveSlit:
     def test_each_evaluation_equals_the_band_averaged_trace(self, monkeypatch):
         # the coarse rows come from rotated phasors, within the bound the fit
         # states, scored in one call; every later evaluation goes through
-        # _band_sum at one width, bit for bit. Each scored row is one evaluation.
-        calls, scored = [], []
+        # _band_sum at one width, bit for bit. Each scored row is one evaluation,
+        # and every score uses the one registration of the measured trace.
+        calls, scored, shifts = [], [], set()
         band_sum, registered_rms = vdwfit._band_sum, vdwfit._registered_rms
 
         def recording_sum(classes, s):
@@ -302,9 +308,10 @@ class TestFitEffectiveSlit:
                 calls.append(s)
             return band_sum(classes, s)
 
-        def recording_rms(reference, candidates):
+        def recording_rms(reference, candidates, shift):
             scored.extend(np.array(candidates, ndmin=2))
-            return registered_rms(reference, candidates)
+            shifts.add(shift)
+            return registered_rms(reference, candidates, shift)
 
         measured = band_averaged_trace(
             replace(SINX, effective_slit_width=20e-9), PCH2, self.BAND, SOURCE, GEOMETRY,
@@ -319,6 +326,7 @@ class TestFitEffectiveSlit:
 
         n_coarse = math.floor((SINX.slit_width - 1e-9) / 2e-9) + 1
         assert result.evaluations == n_coarse + len(calls) == len(scored)
+        assert shifts == {0}
         # the grid the fit rebuilds from the measured trace
         grid = DetectorGrid(
             float(measured.positions[0]), float(measured.positions[-1]), measured.pixel_pitch
@@ -358,6 +366,56 @@ class TestFitEffectiveSlit:
         assert result.bracket == (1.4270833333333331e-08, 1.6312499999999998e-08)
         assert result.effective_slit_width == pytest.approx(1.504238059965577e-08, rel=1e-12)
         assert result.residual == pytest.approx(0.003559372293497459, rel=1e-12)
+
+    @pytest.mark.parametrize("half_span", [40e-6, 230e-6])
+    def test_seeded_noise_free_closures_land_within_a_tenth_of_a_nanometre(self, half_span):
+        # 25 closures per preset, s_eff in [1 nm, s) drawn before the band
+        # centre in [100, 500] m/s; 3-class +-5% bands. Registering each
+        # candidate on its own global maximum missed 9 of these 250 by
+        # 1.0-19.8 nm, 8 of them on +-40 um, where the edge-mirrored blur can
+        # lift an outer order above the zeroth
+        cfg = load_run_config()
+        molecule, source, geometry = cfg.molecule(), cfg.source(), cfg.geometry()
+        grid = DetectorGrid.symmetric(half_span, 0.5e-6)
+        rng = np.random.default_rng(11)
+        misses = []
+        for name in grating_preset_names():
+            grating = grating_preset(name)
+            for _ in range(25):
+                s_eff = rng.uniform(1e-9, grating.slit_width)
+                centre = rng.uniform(100.0, 500.0)
+                band = VelocityDistribution.uniform_band(centre, 0.05 * centre, 3)
+                measured = band_averaged_trace(
+                    replace(grating, effective_slit_width=s_eff), molecule, band, source,
+                    geometry, grid,
+                )
+                fitted = fit_effective_slit(
+                    measured, grating, molecule, band, geometry, source
+                ).effective_slit_width
+                if abs(fitted - s_eff) > 0.1e-9:
+                    misses.append((name, s_eff, centre, fitted))
+        assert misses == []
+
+    @pytest.mark.parametrize("pixels", [-8, -3, 3, 8])
+    def test_a_trace_shifted_within_half_a_fringe_fits_the_unshifted_width(self, pixels):
+        # the fit-seff grid has 1 um pixels and a half fringe of 9.9 um at the
+        # band's fastest class (230 m/s); the pixels rolled round the trace's
+        # end lie outside the overlap the registered residual scores
+        cfg = load_run_config(preset="sinx", overrides=[
+            "velocity.kind=uniform-band", "velocity.center_m_s=220",
+            "velocity.half_width_m_s=10", "velocity.n_classes=5",
+            "detector.x_min_um=-140", "detector.x_max_um=140", "detector.pixel_pitch_um=1",
+        ])
+        grating, band, molecule = cfg.grating(), cfg.velocity_distribution(), cfg.molecule()
+        fit_args = (grating, molecule, band, cfg.geometry(), cfg.source())
+        measured = band_averaged_trace(
+            replace(grating, effective_slit_width=20e-9), molecule, band, cfg.source(),
+            cfg.geometry(), cfg.detector_grid(),
+        )
+        shifted = Trace(measured.positions, np.roll(measured.intensities, pixels))
+        unshifted_fit = fit_effective_slit(measured, *fit_args)
+        shifted_fit = fit_effective_slit(shifted, *fit_args)
+        assert shifted_fit.effective_slit_width == unshifted_fit.effective_slit_width
 
     def test_coarse_scan_holds_at_most_40_bytes_per_pixel_and_point(self):
         # the fit-seff configuration at coarse steps of 0.1 and 0.01 nm: the
