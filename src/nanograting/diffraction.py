@@ -88,10 +88,10 @@ class DetectorGrid:
     def __post_init__(self) -> None:
         if not self.x_max > self.x_min:
             raise DomainError(f"need x_max > x_min, got [{self.x_min!r}, {self.x_max!r}]")
-        if self.pixel_pitch <= 0.0:
-            raise DomainError(f"pixel pitch must be positive, got {self.pixel_pitch!r}")
-        if self.psf_sigma < 0.0:
-            raise DomainError(f"psf sigma must be non-negative, got {self.psf_sigma!r}")
+        if not 0.0 < self.pixel_pitch < math.inf:
+            raise DomainError(f"pixel pitch must be positive and finite, got {self.pixel_pitch!r}")
+        if not 0.0 <= self.psf_sigma < math.inf:
+            raise DomainError(f"psf sigma must be non-negative and finite, got {self.psf_sigma!r}")
 
     @classmethod
     def symmetric(cls, half_span: float, pixel_pitch: float, psf_sigma: float = 3.5e-6) -> "DetectorGrid":
@@ -172,12 +172,12 @@ def coherence(
     coherence angle = prefactor * lambda / source_width, width = angle * L1,
     slit count = floor(width / period) clamped to at least 1.
     """
-    if wavelength <= 0.0:
-        raise DomainError(f"wavelength must be positive, got {wavelength!r}")
-    if period <= 0.0:
-        raise DomainError(f"period must be positive, got {period!r}")
-    if prefactor <= 0.0:
-        raise DomainError(f"coherence prefactor must be positive, got {prefactor!r}")
+    if not 0.0 < wavelength < math.inf:
+        raise DomainError(f"wavelength must be positive and finite, got {wavelength!r}")
+    if not 0.0 < period < math.inf:
+        raise DomainError(f"period must be positive and finite, got {period!r}")
+    if not 0.0 < prefactor < math.inf:
+        raise DomainError(f"coherence prefactor must be positive and finite, got {prefactor!r}")
     angle = prefactor * wavelength / source.source_width
     width = angle * geometry.L1
     n = max(1, int(math.floor(width / period)))
@@ -193,8 +193,8 @@ def far_field_orders(
     Orders with n*lambda >= d do not propagate, so the tuple stops before the
     first of them; orders len(positions) .. n_max are evanescent.
     """
-    if wavelength <= 0.0 or period <= 0.0 or L2 <= 0.0:
-        raise DomainError("wavelength, period, and L2 must all be positive")
+    if not (0.0 < wavelength < math.inf and 0.0 < period < math.inf and 0.0 < L2 < math.inf):
+        raise DomainError("wavelength, period, and L2 must all be positive and finite")
     if n_max < 0:
         raise DomainError(f"n_max must be non-negative, got {n_max!r}")
     sines = (n * wavelength / period for n in range(n_max + 1))
@@ -206,15 +206,9 @@ class _SlitTerms:
     """The s-independent part of ``kirchhoff_pattern`` for one wave number: per
     node (rows) and computed pixel (columns) the sine rate rho_m and weight V_m
     (``weights``, contiguous real and imaginary planes), per computed pixel the
-    on-node weight W0, ``mirror[p]``, the computed pixel serving pixel p (the
-    fold of ``_slit_terms``), and k/L2/n_slits/period/pitch/max width for checks."""
+    on-node weight W0, and ``mirror[p]``, the computed pixel serving pixel p
+    (the fold of ``_slit_terms``)."""
 
-    k: float
-    L2: float
-    n_slits: int
-    period: float
-    pixel_pitch: float
-    max_width: float
     weights: np.ndarray
     rate: np.ndarray
     on_node: np.ndarray
@@ -295,8 +289,8 @@ def _slit_terms(
     Chebyshev bound, relative to the peak amplitude, for the bandwidths of
     the envelope (delta' taken as linear in c) and of the remainder, with h
     the half-span of the centres, u_max = max|x'| + h and w = ``max_width``
-    (callers pass the geometric width, which bounds s_eff; ``_slit_envelope``
-    refuses a wider s). The README presets at 50-1000 m/s take 9-10 nodes
+    (callers pass the geometric width, which ``Grating`` holds s_eff to and
+    a fit's widths end at). The README presets at 50-1000 m/s take 9-10 nodes
     for 10-274 slits; far off axis M reaches n_slits (nodes at the centres).
 
     Chirp-z sum. For x_p = x_0 + p pitch and c_j = c_0 + j d, Bluestein's
@@ -386,20 +380,20 @@ def _slit_terms(
     np.divide(weights, rate, out=weights, where=~on)
     weights[on] = 0.0
     planes = np.stack((weights.real, weights.imag))
-    return _SlitTerms(k, L2, n_slits, period, grid.pixel_pitch, max_width, planes, rate, on_node,
-                      mirror)
+    return _SlitTerms(planes, rate, on_node, mirror)
 
 
-def _check_width(terms: _SlitTerms, s: float) -> None:
-    """The resolution checks that depend on the slit width s, and s <= max_width."""
-    k, L2, d = terms.k, terms.L2, terms.period
+def _check_width(k: float, L2: float, n_slits: int, d: float, pitch: float, s: float) -> None:
+    """The resolution checks of slits of width s. Each fails at every wider s
+    too: the finest fringe is lambda L2 / d (several slits) or lambda L2 / s
+    (one slit), and k s^2 / (8 L2) grows with s."""
     wavelength = 2.0 * math.pi / k
 
     # the finest transverse feature the pattern can contain
-    feature = wavelength * L2 / d if terms.n_slits > 1 else wavelength * L2 / s
-    if terms.pixel_pitch > feature / 2.0:
+    feature = wavelength * L2 / d if n_slits > 1 else wavelength * L2 / s
+    if pitch > feature / 2.0:
         raise ResolutionError(
-            f"pixel pitch {terms.pixel_pitch:.3e} m cannot resolve the "
+            f"pixel pitch {pitch:.3e} m cannot resolve the "
             f"{feature:.3e} m fringe period; need pitch <= {feature / 2.0:.3e} m"
         )
     slit_phase = k * s * s / (8.0 * L2)
@@ -407,11 +401,6 @@ def _check_width(terms: _SlitTerms, s: float) -> None:
         raise ResolutionError(
             f"quadratic phase across one slit k*s^2/(8*L2) = {slit_phase:.3e} rad "
             f"exceeds {MAX_SLIT_PHASE} rad; the per-slit far-field form does not hold"
-        )
-    if s > terms.max_width:
-        raise DomainError(
-            f"slit width {s!r} m exceeds the width {terms.max_width!r} m the "
-            "envelope nodes were sized for"
         )
 
 
@@ -428,7 +417,6 @@ def _contract(terms: _SlitTerms, sines: np.ndarray, s: float | np.ndarray) -> np
 
 def _slit_envelope(terms: _SlitTerms, s: float) -> np.ndarray:
     """Intensity |sum_m V_m sin(s rho_m) + s W0|^2 of slits of width s."""
-    _check_width(terms, s)
     x = terms.rate * s
     np.sin(x, out=x)
     return _contract(terms, x, s)
@@ -436,22 +424,21 @@ def _slit_envelope(terms: _SlitTerms, s: float) -> np.ndarray:
 
 def _envelope_scan(terms: _SlitTerms, widths: np.ndarray) -> np.ndarray:
     """``_slit_envelope`` at each of the ascending, uniformly spaced
-    ``widths``, one row per width, after ``_check_width`` on every width in
-    ascending order. Row i reads its sines as Im(z step^i), z = exp(i s_0 rho)
-    and step = exp(i Delta rho): one complex multiply per pixel and node, no
-    sine (Press et al., Numerical Recipes, 3rd ed., 5.4). The rounding grows
-    linearly with i, so z is recomputed by np.exp every 64 rows. The sines
-    of 16 rows at a time go to one ``_contract`` call (a 16 x M x P' buffer,
-    0.16 MB at 281 pixels and 9 nodes), which sums each row in the order a
-    lone row would: the rows equal a row-at-a-time scan's, bit for bit.
+    ``widths``, one row per width. The caller checked the widest width, which
+    clears every narrower one (``_check_width``). Row i reads its sines as
+    Im(z step^i), z = exp(i s_0 rho) and step = exp(i Delta rho): one complex
+    multiply per pixel and node, no sine (Press et al., Numerical Recipes,
+    3rd ed., 5.4). The rounding grows linearly with i, so z is recomputed by
+    np.exp every 64 rows. The sines of 16 rows at a time go to one
+    ``_contract`` call (a 16 x M x P' buffer, 0.16 MB at 281 pixels and 9
+    nodes), which sums each row in the order a lone row would: the rows
+    equal a row-at-a-time scan's, bit for bit.
     Bound: on a window that holds the zeroth order, each row of a scan of up
     to 10,000 widths is within 1e-13 of its peak of ``_slit_envelope`` at
     its width (450 random scans on the presets at 50-1000 m/s read at most
     1.7e-14; without the recompute, row 9,998 reads 6.5e-13). Off axis, 80
     random scans of the gated domain read at most 7.9e-18 of the global peak
     (s N)^2."""
-    for s in widths:
-        _check_width(terms, float(s))
     step = np.exp((1j * (widths[-1] - widths[0]) / (widths.size - 1)) * terms.rate)
     rows = np.empty((widths.size, terms.mirror.size))
     block = np.empty((min(16, widths.size),) + terms.rate.shape)
@@ -474,16 +461,18 @@ def _class_terms(
 ) -> Iterator[tuple[float, _SlitTerms]]:
     """(weight, slit-width-independent terms) per positive-weight (velocity,
     weight) class, one class at a time, with its own wave number and coherent
-    slit count and the nodes sized for the geometric width, the widest s_eff."""
+    slit count and the nodes sized for the geometric width, the widest s_eff.
+    Each is checked after its build (a work-budget refusal wins) and only at
+    the effective width, the widest its caller evaluates (``_check_width``)."""
     for v, w in classes:
         if w == 0.0:
             continue
         wavelength = de_broglie_wavelength(molecule, float(v))
         coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
-        yield float(w), _slit_terms(
-            2.0 * math.pi / wavelength, geometry.L2, coh.n_coherent_slits, grating.period,
-            grid, max_width=grating.slit_width,
-        )
+        pattern = (2.0 * math.pi / wavelength, geometry.L2, coh.n_coherent_slits, grating.period)
+        terms = _slit_terms(*pattern, grid, max_width=grating.slit_width)
+        _check_width(*pattern, grid.pixel_pitch, grating.effective_slit_width)
+        yield float(w), terms
 
 
 def _class_row(terms: _SlitTerms, s: float | np.ndarray) -> np.ndarray:
@@ -544,13 +533,15 @@ def kirchhoff_pattern(
     reuse one class's terms for every trial s.
 
     Refusals, each a ResolutionError: more than ``MAX_PIXEL_SLITS`` pixel x
-    slit terms (checked before any array is built); a pixel pitch that cannot
-    resolve the finest fringe; a dropped quadratic phase k s^2 / (8 L2) at
-    the slit edges above ``MAX_SLIT_PHASE`` radians. Every sum runs in one
-    fixed order (element-wise reductions, einsum and numpy's single-threaded
-    FFT, no threaded BLAS product), so results repeat bit for bit.
+    slit terms (checked before any array is built); then, in
+    ``_check_width``, a pixel pitch that cannot resolve the finest fringe,
+    and a dropped quadratic phase k s^2 / (8 L2) at the slit edges above
+    ``MAX_SLIT_PHASE`` radians. Every sum runs in one fixed order
+    (element-wise reductions, einsum and numpy's single-threaded FFT, no
+    threaded BLAS product), so results repeat bit for bit.
     """
     terms = _slit_terms(k, L2, n_slits, grating.period, grid, max_width=grating.slit_width)
+    _check_width(k, L2, n_slits, grating.period, grid.pixel_pitch, grating.effective_slit_width)
     return Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width))
 
 
@@ -558,10 +549,10 @@ def gaussian_kernel(sigma: float, pitch: float) -> np.ndarray:
     """Unit-sum Gaussian kernel sampled on the pixel pitch, truncated at
     +-5 sigma. Returns a length-1 identity kernel when sigma is too small to
     span a pixel. More than ``MAX_BLUR_VALUES`` taps is refused before any is built."""
-    if sigma < 0.0:
-        raise DomainError(f"sigma must be non-negative, got {sigma!r}")
-    if pitch <= 0.0:
-        raise DomainError(f"pitch must be positive, got {pitch!r}")
+    if not 0.0 <= sigma < math.inf:
+        raise DomainError(f"sigma must be non-negative and finite, got {sigma!r}")
+    if not 0.0 < pitch < math.inf:
+        raise DomainError(f"pitch must be positive and finite, got {pitch!r}")
     if 10.0 * sigma / pitch + 1.0 > MAX_BLUR_VALUES:
         raise WorkBudgetError(
             f"a blur of sigma {sigma!r} at pitch {pitch!r} takes {10.0 * sigma / pitch + 1.0:.3e} "

@@ -145,8 +145,8 @@ class SourceModel:
     source_width: float
 
     def __post_init__(self) -> None:
-        if self.source_width <= 0.0:
-            raise DomainError(f"source width must be positive, got {self.source_width!r}")
+        if not 0.0 < self.source_width < math.inf:
+            raise DomainError(f"need a positive, finite source width, got {self.source_width!r}")
 
 
 def de_broglie_wavelength(molecule: Molecule, velocity: float) -> float:

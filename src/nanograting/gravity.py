@@ -103,10 +103,10 @@ class VelocityDistribution:
         w = np.asarray(self.weights, dtype=float)
         if v.ndim != 1 or w.ndim != 1 or v.size != w.size or v.size == 0:
             raise DomainError("velocities and weights must be 1D arrays of equal, non-zero length")
-        if np.any(v <= 0.0):
-            raise DomainError("all velocity classes must be positive")
-        if np.any(w < 0.0):
-            raise DomainError("weights must be non-negative")
+        if not ((v > 0.0) & (v < math.inf)).all():
+            raise DomainError("all velocity classes must be positive and finite")
+        if not ((w >= 0.0) & (w < math.inf)).all():
+            raise DomainError("weights must be non-negative and finite")
         total = float(w.sum())
         if total <= 0.0:
             raise DomainError("at least one weight must be positive")
@@ -120,7 +120,7 @@ class VelocityDistribution:
     def maxwell_beam(
         cls,
         most_probable_velocity: float,
-        n_classes: int = 200,
+        n_classes: int,
         v_min: float | None = None,
         v_max: float | None = None,
     ) -> "VelocityDistribution":
@@ -130,23 +130,23 @@ class VelocityDistribution:
         sqrt(3/2) v_p. Classes are uniform over [v_p/3, 3 v_p] unless
         other bounds are given.
         """
-        if most_probable_velocity <= 0.0:
-            raise DomainError("most probable velocity must be positive")
+        if not 0.0 < most_probable_velocity < math.inf:
+            raise DomainError("most probable velocity must be positive and finite")
         _check_class_count(n_classes)
         lo = most_probable_velocity / 3.0 if v_min is None else v_min
         hi = 3.0 * most_probable_velocity if v_max is None else v_max
-        if not 0.0 < lo < hi:
+        if not 0.0 < lo < hi < math.inf:
             raise DomainError(f"need 0 < v_min < v_max, got [{lo!r}, {hi!r}]")
         v = np.linspace(lo, hi, n_classes) if n_classes > 1 else np.array([(lo + hi) / 2.0])
         w = v**3 * np.exp(-((v / most_probable_velocity) ** 2))
         return cls(v, w)
 
     @classmethod
-    def uniform_band(cls, center: float, half_width: float, n_classes: int = 5) -> "VelocityDistribution":
+    def uniform_band(cls, center: float, half_width: float, n_classes: int) -> "VelocityDistribution":
         """Equal-weight classes spread uniformly over center +- half_width."""
-        if center <= 0.0:
-            raise DomainError("band center must be positive")
-        if half_width < 0.0 or half_width >= center:
+        if not 0.0 < center < math.inf:
+            raise DomainError("band center must be positive and finite")
+        if not 0.0 <= half_width < center:
             raise DomainError("band half-width must satisfy 0 <= half_width < center")
         _check_class_count(n_classes)
         if half_width == 0.0 or n_classes == 1:
@@ -177,8 +177,8 @@ class ImageGrid:
 
     def __post_init__(self) -> None:
         self.detector_grid()
-        if not (self.y_max > self.y_min and self.pixel_pitch_y > 0.0):
-            raise DomainError("image grid needs y_max > y_min and a positive y pitch")
+        if not (self.y_max > self.y_min and 0.0 < self.pixel_pitch_y < math.inf):
+            raise DomainError("image grid needs y_max > y_min and a positive, finite y pitch")
 
     @property
     def nx(self) -> int:
@@ -207,8 +207,8 @@ class Interferogram:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise DomainError("interferogram values must be a non-empty 2D array")
-        if self.pixel_pitch_x <= 0.0 or self.pixel_pitch_y <= 0.0:
-            raise DomainError("pixel pitches must be positive")
+        if not (0.0 < self.pixel_pitch_x < math.inf and 0.0 < self.pixel_pitch_y < math.inf):
+            raise DomainError("pixel pitches must be positive and finite")
         if not np.all(np.isfinite(arr)):
             raise DomainError("interferogram intensities must be finite")
         if np.any(arr < 0.0):
@@ -264,6 +264,8 @@ def fit_velocity(y2: float, geometry: BeamlineGeometry) -> float:
     extrapolated source-grating line); anything else is a degenerate geometry.
     Invariant under a common offset of y0, y1, y2.
     """
+    if not math.isfinite(y2):
+        raise DomainError(f"fall height must be finite, got {y2!r}")
     coefficient = _ballistic_coefficient(geometry)
     y0, y1 = geometry.y0, geometry.y1
     denominator = y2 - y0 - (y1 - y0) * (geometry.L / geometry.L1)
@@ -463,8 +465,10 @@ def stripe_velocity_profile(
     interior zeroth order in the zone, or no detectable first-order peak
     (``MIN_PEAK_FRACTION``) are skipped and reported.
     """
-    if period <= 0.0:
-        raise DomainError(f"period must be positive, got {period!r}")
+    if not 0.0 < period < math.inf:
+        raise DomainError(f"period must be positive and finite, got {period!r}")
+    if not 0.0 <= psf_sigma < math.inf:
+        raise DomainError(f"psf sigma must be non-negative and finite, got {psf_sigma!r}")
     if n_stripes < 1:
         raise DomainError(f"need at least one stripe, got {n_stripes!r}")
     if image.ny < n_stripes:

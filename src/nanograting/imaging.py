@@ -123,8 +123,8 @@ def render_image(image: Interferogram, vertical_stretch: float = 1.0) -> bytes:
     before the stretch repeats it. A pixmap of more than
     ``MAX_IMAGE_PIXELS`` pixels is refused before any array is built.
     """
-    if vertical_stretch <= 0.0:
-        raise DomainError(f"vertical stretch must be positive, got {vertical_stretch!r}")
+    if not 0.0 < vertical_stretch < np.inf:
+        raise DomainError(f"vertical stretch must be positive and finite, got {vertical_stretch!r}")
     ny, nx = image.ny, image.nx
     out_rows = max(1.0, np.rint(vertical_stretch * ny))  # a float: int(inf) would raise
     if out_rows * nx > MAX_IMAGE_PIXELS:

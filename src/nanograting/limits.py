@@ -75,10 +75,10 @@ def adsorption_coverage(
     ``molecule_count`` molecules adsorbed over ``open_area`` (m^2), each
     shading ``footprint`` (m^2).
     """
-    if molecule_count < 0.0:
-        raise DomainError(f"molecule count must be non-negative, got {molecule_count!r}")
-    if open_area <= 0.0 or footprint <= 0.0:
-        raise DomainError("area and footprint must be positive")
+    if not 0.0 <= molecule_count < math.inf:
+        raise DomainError(f"molecule count must be non-negative and finite, got {molecule_count!r}")
+    if not (0.0 < open_area < math.inf and 0.0 < footprint < math.inf):
+        raise DomainError("area and footprint must be positive and finite")
     density_m2 = molecule_count / open_area
     return density_m2 * 1e-4, density_m2 * footprint
 

@@ -19,7 +19,7 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,7 +195,9 @@ def fit_effective_slit(
     (0.1 nm by default) on ``band_averaged_trace``'s own path, bit for bit,
     as is the returned model, which the residual scores. A step that is not
     positive, a tolerance below the float spacing at the slit width, or a
-    scan of more than ``MAX_COARSE_POINTS`` points is refused.
+    scan of more than ``MAX_COARSE_POINTS`` points is refused, as is, before any
+    scan, a class that ``kirchhoff_pattern`` refuses at the slit width, the widest
+    width tried: each of its checks that fails at a width fails at every wider one.
     """
     # golden section cannot shrink a bracket below the float spacing of its widths
     if not (tolerance >= math.ulp(grating.slit_width) and coarse_step > 0.0):
@@ -239,10 +241,11 @@ def fit_effective_slit(
     n_coarse = max(2, int(steps) + 1)
     kernel = gaussian_kernel(psf_sigma, grid.pixel_pitch)
     _check_blur_budget((n_coarse, grid.n_pixels), kernel.size)
-    # everything but the sinc is independent of s_eff: build it once per fit
+    # everything but the sinc is independent of s_eff: build and check it once, at hi
     classes = list(_class_terms(
         zip(velocity_band.velocities, velocity_band.weights),
-        grating, molecule, source, geometry, grid, coherence_prefactor,
+        replace(grating, effective_slit_width=hi), molecule, source, geometry, grid,
+        coherence_prefactor,
     ))
     coarse = np.linspace(lo, hi, n_coarse)
     coarse_values = _registered_rms(

@@ -189,7 +189,7 @@ def test_criterion_07_velocity_fit_closure():
         assert abs(recovered - v) / v <= 1e-4, (v, recovered)
 
     slg = grating_preset("slg")
-    beam = VelocityDistribution.maxwell_beam(180.0)
+    beam = VelocityDistribution.maxwell_beam(180.0, n_classes=200)
     grid = ImageGrid(-230e-6, 230e-6, -330e-6, -75e-6, 0.5e-6, 2.5e-6)
     result = synthesize_image(beam, slg, SOURCE, GEOMETRY, grid, PCH2)
     profile = stripe_velocity_profile(

@@ -527,19 +527,6 @@ def test_pixel_on_a_node_takes_the_on_node_term(n_slits):
         assert np.abs(engine - reference).max() <= 1e-12 * reference.max()
 
 
-def test_width_above_the_node_sizing_is_refused():
-    grating = grating_preset("sinx")
-    grid = DetectorGrid.symmetric(40e-6, 0.5e-6)
-    k = wave_number(PCH2, 220.0)
-    terms = _slit_terms(k, GEO.L2, 20, grating.period, grid, max_width=grating.slit_width)
-    s = 1.01 * grating.slit_width
-    with pytest.raises(DomainError) as excinfo:
-        _slit_envelope(terms, s)
-    message = str(excinfo.value)
-    assert repr(s) in message
-    assert repr(grating.slit_width) in message
-
-
 def _assert_terms_match_the_per_slit_sum(k, L2, n_slits, period, grid, widths):
     # bound relative to the global peak (s N)^2: an off-axis window's own
     # maximum can sit many orders of magnitude below it

@@ -7,11 +7,22 @@ from nanograting import (
     ATOMIC_MASS_KG,
     CONSTANTS,
     BeamlineGeometry,
+    DetectorGrid,
     DomainError,
     Grating,
+    ImageGrid,
+    Interferogram,
     Molecule,
     SourceModel,
+    VelocityDistribution,
+    adsorption_coverage,
+    coherence,
     de_broglie_wavelength,
+    far_field_orders,
+    fit_velocity,
+    gaussian_kernel,
+    render_image,
+    stripe_velocity_profile,
 )
 
 
@@ -108,3 +119,33 @@ def test_geometry_refuses_a_non_finite_field_by_name(field, value):
 def test_source_model_validation():
     with pytest.raises(DomainError):
         SourceModel(source_width=0.0)
+
+
+_GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586)
+_IMAGE = Interferogram(np.ones((4, 5)), 1e-6, 1e-6, -2e-6, 0.0)
+_NON_FINITE_CALLS = {
+    "source width": lambda x: SourceModel(x),
+    "coherence prefactor": lambda x: coherence(SourceModel(1.5e-6), _GEOMETRY, 3.5e-12, 1e-7, x),
+    "detector psf": lambda x: DetectorGrid(-1e-6, 1e-6, 1e-7, x),
+    "image psf": lambda x: ImageGrid(-1e-6, 1e-6, -1e-6, 1e-6, 1e-7, 1e-7, x),
+    "kernel sigma": lambda x: gaussian_kernel(x, 1e-7),
+    "profile psf": lambda x: stripe_velocity_profile(
+        _IMAGE, _GEOMETRY, 1e-7, Molecule("test", 8.5e-25), n_stripes=2, psf_sigma=x
+    ),
+    "render stretch": lambda x: render_image(_IMAGE, vertical_stretch=x),
+    "band centre": lambda x: VelocityDistribution.uniform_band(x, 10.0, 5),
+    "discrete velocity": lambda x: VelocityDistribution.discrete([200.0, x]),
+    "class weight": lambda x: VelocityDistribution([200.0, 210.0], [1.0, x]),
+    "order wavelength": lambda x: far_field_orders(x, 1e-7, 0.586, 3),
+    "fall height": lambda x: fit_velocity(x, _GEOMETRY),
+    "molecule count": lambda x: adsorption_coverage(x, 1e-8),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_CALLS))
+def test_a_non_finite_library_input_is_refused(name, value):
+    # each positivity test fails for NaN, so NaN never reaches a floor(),
+    # a pixmap height or a returned value
+    with pytest.raises(DomainError):
+        _NON_FINITE_CALLS[name](value)

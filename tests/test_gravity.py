@@ -122,9 +122,9 @@ class TestVelocityDistribution:
 
     def test_uniform_band_validation(self):
         with pytest.raises(DomainError):
-            VelocityDistribution.uniform_band(-220.0, 10.0)
+            VelocityDistribution.uniform_band(-220.0, 10.0, 5)
         with pytest.raises(DomainError):
-            VelocityDistribution.uniform_band(220.0, 220.0)
+            VelocityDistribution.uniform_band(220.0, 220.0, 5)
         with pytest.raises(DomainError):
             VelocityDistribution.uniform_band(220.0, 10.0, 0)
 
@@ -147,11 +147,11 @@ class TestVelocityDistribution:
 
     def test_maxwell_beam_validation(self):
         with pytest.raises(DomainError):
-            VelocityDistribution.maxwell_beam(0.0)
+            VelocityDistribution.maxwell_beam(0.0, n_classes=200)
         with pytest.raises(DomainError):
             VelocityDistribution.maxwell_beam(220.0, n_classes=0)
         with pytest.raises(DomainError):
-            VelocityDistribution.maxwell_beam(220.0, v_min=300.0, v_max=200.0)
+            VelocityDistribution.maxwell_beam(220.0, n_classes=200, v_min=300.0, v_max=200.0)
 
     def test_discrete_defaults_to_equal_weights(self):
         dist = VelocityDistribution.discrete([180.0, 220.0, 260.0])

@@ -22,6 +22,7 @@ from nanograting import (
     fit_effective_slit,
     order_population,
     suppression_ratio,
+    synthesize_image,
 )
 from nanograting.config import load_run_config
 from nanograting.diffraction import coherence, kirchhoff_pattern, wave_number
@@ -367,6 +368,41 @@ class TestFitEffectiveSlit:
         assert result.effective_slit_width == pytest.approx(1.504238059965577e-08, rel=1e-12)
         assert result.residual == pytest.approx(0.003559372293497459, rel=1e-12)
 
+    def test_each_class_is_checked_once_at_its_widest_width(self, monkeypatch):
+        # the pinned fit checked its 5 classes 295 times when every evaluation
+        # checked its width; a check at the widest width decides for the rest
+        cfg = load_run_config(preset="sinx", overrides=[
+            "velocity.kind=uniform-band", "velocity.center_m_s=220",
+            "velocity.half_width_m_s=10", "velocity.n_classes=5",
+            "detector.x_min_um=-140", "detector.x_max_um=140", "detector.pixel_pitch_um=1",
+        ])
+        grating, band, grid = cfg.grating(), cfg.velocity_distribution(), cfg.detector_grid()
+        molecule, source, geometry = cfg.molecule(), cfg.source(), cfg.geometry()
+        checked, built = [], []
+        check, build = diffraction._check_width, diffraction._slit_terms
+
+        def counting_check(*args):
+            checked.append(args[-1])
+            return check(*args)
+
+        def counting_build(*args, **kwargs):
+            built.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(diffraction, "_check_width", counting_check)
+        monkeypatch.setattr(diffraction, "_slit_terms", counting_build)
+        clean = band_averaged_trace(grating, molecule, band, source, geometry, grid)
+        assert (checked, len(built)) == ([grating.effective_slit_width] * 5, 5)
+        checked.clear()
+        built.clear()
+        fit_effective_slit(clean, grating, molecule, band, geometry, source)
+        assert (checked, len(built)) == ([grating.slit_width] * 5, 5)
+        checked.clear()
+        built.clear()
+        result = synthesize_image(band, grating, source, geometry, cfg.image_grid(), molecule)
+        assert result.clipped_weight == 0.0
+        assert (checked, len(built)) == ([grating.effective_slit_width] * 5, 5)
+
     @pytest.mark.parametrize("half_span", [40e-6, 230e-6])
     def test_seeded_noise_free_closures_land_within_a_tenth_of_a_nanometre(self, half_span):
         # 25 closures per preset, s_eff in [1 nm, s) drawn before the band
@@ -445,9 +481,10 @@ class TestFitEffectiveSlit:
         slope = (peaks[1] - peaks[0]) / ((points[1] - points[0]) * grid.n_pixels)
         assert slope <= 40.0
 
-    def test_coarse_scan_refuses_at_its_first_width_over_the_slit_phase(self):
+    def test_fit_refusal_is_the_pattern_refusal_at_the_slit_width(self):
         # at L2 = 5 mm and 220 m/s the slit-phase gate closes at about 34 nm,
-        # inside the default scan over [1 nm, 50 nm]
+        # inside the default scan over [1 nm, 50 nm]; the fit checks each
+        # class once, at the slit width, the scan's widest
         geometry = BeamlineGeometry(L1=1.554, L2=0.005, g=9.81)
         band = VelocityDistribution.discrete([220.0])
         grid = DetectorGrid.symmetric(2e-6, 0.05e-6)
@@ -467,13 +504,15 @@ class TestFitEffectiveSlit:
             except ResolutionError as error:
                 refusals.append(str(error))
         assert 0 < len(refusals) < coarse.size
-        assert "quadratic phase" in refusals[0]
+        assert coarse[-1] == SINX.slit_width
+        assert "quadratic phase" in refusals[-1]
         with pytest.raises(ResolutionError) as raised:
             fit_effective_slit(measured, SINX, PCH2, band, geometry, SOURCE)
-        assert str(raised.value) == refusals[0]
+        assert str(raised.value) == refusals[-1]
 
     def test_wide_slit_raises_the_pattern_resolution_error(self):
-        # k s^2 / (8 L2) at s = 45 nm and L2 = 5 mm is 0.09 rad > MAX_SLIT_PHASE
+        # k s^2 / (8 L2) at L2 = 5 mm is 0.09 rad at s = 45 nm, the lower
+        # bound, and 0.11 rad at the slit width, 50 nm, the one width checked
         geometry = BeamlineGeometry(L1=1.554, L2=0.005, g=9.81)
         band = VelocityDistribution.discrete([220.0])
         grid = DetectorGrid.symmetric(2e-6, 0.05e-6)
@@ -483,7 +522,7 @@ class TestFitEffectiveSlit:
         n_slits = coherence(SOURCE, geometry, wavelength, SINX.period, 1.5).n_coherent_slits
         with pytest.raises(ResolutionError) as expected:
             kirchhoff_pattern(
-                replace(SINX, effective_slit_width=45e-9), wave_number(PCH2, 220.0),
+                replace(SINX, effective_slit_width=SINX.slit_width), wave_number(PCH2, 220.0),
                 geometry.L2, n_slits, grid,
             )
         with pytest.raises(ResolutionError) as raised:
