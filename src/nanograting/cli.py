@@ -339,8 +339,8 @@ def cmd_limits(config: RunConfig, args: argparse.Namespace) -> int:
     )
     report: dict[str, Any] = {
         "grating": grating.label,
-        "slit_width_m": report_obj.slit_width,
-        "position_sigma_m": report_obj.sigma_thermal,
+        "slit_width_m": grating.effective_slit_width,
+        "position_sigma_m": sigma,
         "position_sigma_source": sigma_source,
         "diffraction_momentum_spread_kg_m_s": report_obj.dp_diff,
         "grating_momentum_uncertainty_kg_m_s": report_obj.dp_grating,

@@ -77,13 +77,13 @@ class DetectorGrid:
     """Uniform 1D detector pixel grid.
 
     ``psf_sigma`` is the Gaussian point-spread sigma of the detection system
-    in m (default 3.5 microns).
+    in m.
     """
 
     x_min: float
     x_max: float
     pixel_pitch: float
-    psf_sigma: float = 3.5e-6
+    psf_sigma: float
 
     def __post_init__(self) -> None:
         if not self.x_max > self.x_min:
@@ -92,10 +92,6 @@ class DetectorGrid:
             raise DomainError(f"pixel pitch must be positive and finite, got {self.pixel_pitch!r}")
         if not 0.0 <= self.psf_sigma < math.inf:
             raise DomainError(f"psf sigma must be non-negative and finite, got {self.psf_sigma!r}")
-
-    @classmethod
-    def symmetric(cls, half_span: float, pixel_pitch: float, psf_sigma: float = 3.5e-6) -> "DetectorGrid":
-        return cls(-half_span, half_span, pixel_pitch, psf_sigma)
 
     @property
     def n_pixels(self) -> int:
@@ -165,7 +161,7 @@ def coherence(
     geometry: BeamlineGeometry,
     wavelength: float,
     period: float,
-    prefactor: float = 1.5,
+    prefactor: float,
 ) -> CoherenceResult:
     """Transverse coherence estimate at the grating.
 

@@ -116,9 +116,9 @@ class BeamlineGeometry:
 
     L1: float
     L2: float
-    g: float = 9.81
-    y0: float = 0.0
-    y1: float = 0.0
+    g: float
+    y0: float
+    y1: float
 
     def __post_init__(self) -> None:
         for field in fields(self):

@@ -173,7 +173,7 @@ class ImageGrid:
     y_max: float
     pixel_pitch_x: float
     pixel_pitch_y: float
-    psf_sigma: float = 3.5e-6
+    psf_sigma: float
 
     def __post_init__(self) -> None:
         self.detector_grid()
@@ -308,7 +308,7 @@ def synthesize_image(
     grid: ImageGrid,
     molecule: Molecule,
     *,
-    coherence_prefactor: float = 1.5,
+    coherence_prefactor: float,
 ) -> SynthesisResult:
     """Incoherent sum of per-velocity-class diffraction rows under gravity.
 
@@ -449,8 +449,8 @@ def stripe_velocity_profile(
     period: float,
     molecule: Molecule,
     *,
-    n_stripes: int = 20,
-    psf_sigma: float = 3.5e-6,
+    n_stripes: int,
+    psf_sigma: float,
 ) -> StripeProfile:
     """Velocity vs height from the first-order fringe spacing of horizontal
     stripes, followed by a global fall-curve fit.

@@ -62,7 +62,10 @@ def _hot_rgb(values: np.ndarray) -> np.ndarray:
 
 
 def hot_color(value: float) -> tuple[float, float, float]:
-    """RGB triple for one normalized signal value in [0, 1]."""
+    """RGB triple for one normalized signal value in [0, 1]; a finite value
+    outside it is clamped, and NaN or an infinity raises DomainError."""
+    if not np.isfinite(value):
+        raise DomainError(f"signal must be finite, got {value!r}")
     r, g, b = _hot_rgb(np.float64(value))
     return float(r), float(g), float(b)
 
@@ -109,7 +112,7 @@ def _byte_table() -> tuple[np.ndarray, np.ndarray]:
     return base, thresholds
 
 
-def render_image(image: Interferogram, vertical_stretch: float = 1.0) -> bytes:
+def render_image(image: Interferogram, vertical_stretch: float) -> bytes:
     """Render an interferogram to a binary portable pixmap (P6, maxval 255).
 
     The image is max-normalized (black = 0, white = peak intensity), colored

@@ -27,19 +27,12 @@ CENTRAL_LOBE_FRACTION = 0.89
 # Minimum coherent slit width prefactor.
 MIN_SLIT_PREFACTOR = 4.0 * CENTRAL_LOBE_FRACTION
 
-# Young's modulus of a single-wall carbon nanotube, the default stiffness for
-# thermal-amplitude estimates of rolled-up carbon structures.
-NANOTUBE_YOUNGS_MODULUS = 1.0e12
-
-# Area shaded by one adsorbed phthalocyanine-sized molecule.
-DEFAULT_MOLECULE_FOOTPRINT = 1.7e-18
-
 
 def thermal_scroll_amplitude(
     length: float,
     diameter: float,
     temperature: float,
-    youngs_modulus: float = NANOTUBE_YOUNGS_MODULUS,
+    youngs_modulus: float,
 ) -> float:
     """RMS thermal displacement of a doubly clamped beam of circular
     cross-section: sqrt(k_B T L^3 / (192 Y I)) with I = pi d^4 / 64.
@@ -67,7 +60,7 @@ def thermal_scroll_amplitude(
 def adsorption_coverage(
     molecule_count: float,
     open_area: float,
-    footprint: float = DEFAULT_MOLECULE_FOOTPRINT,
+    footprint: float,
 ) -> tuple[float, float]:
     """Coverage of a grating used as a molecule collector.
 
@@ -88,8 +81,6 @@ class LimitsReport:
     """Coherence bookkeeping for one slit width at one localization sigma,
     with the momentum transfer of the grating period's maximum order."""
 
-    slit_width: float
-    sigma_thermal: float
     dp_diff: float                  # kg m/s
     dp_grating: float               # kg m/s
     s_min: float                    # m
@@ -142,8 +133,6 @@ def limits_report(
         raise DomainError(f"max order {max_order!r} at period {period!r} m gives a "
                           "momentum transfer that is not finite")
     return LimitsReport(
-        slit_width=slit_width,
-        sigma_thermal=position_sigma,
         dp_diff=CENTRAL_LOBE_FRACTION * CONSTANTS.h / slit_width,
         dp_grating=CONSTANTS.hbar / (2.0 * position_sigma),
         s_min=s_min,

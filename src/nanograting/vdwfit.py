@@ -67,7 +67,7 @@ def band_averaged_trace(
     geometry: BeamlineGeometry,
     grid: DetectorGrid,
     *,
-    coherence_prefactor: float = 1.5,
+    coherence_prefactor: float,
 ) -> Trace:
     """Incoherent velocity-band average of convolved diffraction patterns.
 
@@ -170,11 +170,11 @@ def fit_effective_slit(
     geometry: BeamlineGeometry,
     source: SourceModel,
     *,
-    psf_sigma: float = 3.5e-6,
-    coherence_prefactor: float = 1.5,
-    coarse_step: float = 1e-9,
-    tolerance: float = 1e-10,
-    lower_bound: float = 1e-9,
+    psf_sigma: float,
+    coherence_prefactor: float,
+    coarse_step: float,
+    tolerance: float,
+    lower_bound: float,
 ) -> SlitFitResult:
     """Fit the effective slit width that best reproduces ``measured``.
 
@@ -191,8 +191,8 @@ def fit_effective_slit(
     minimum: one rotated-phasor pass per class (``diffraction._envelope_scan``)
     and one blur and one scoring call for the summed rows, each row one
     evaluation within 1e-13 of its peak of ``band_averaged_trace`` (at most
-    5.4e-16 on the presets at 100-540 m/s). Golden-section search then refines it to ``tolerance``
-    (0.1 nm by default) on ``band_averaged_trace``'s own path, bit for bit,
+    5.4e-16 on the presets at 100-540 m/s). Golden-section search then refines it to
+    ``tolerance`` on ``band_averaged_trace``'s own path, bit for bit,
     as is the returned model, which the residual scores. A step that is not
     positive, a tolerance below the float spacing at the slit width, or a
     scan of more than ``MAX_COARSE_POINTS`` points is refused, as is, before any

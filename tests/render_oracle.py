@@ -7,7 +7,7 @@ import numpy as np
 from nanograting.imaging import _hot_rgb
 
 
-def render_oracle(image, vertical_stretch: float = 1.0) -> bytes:
+def render_oracle(image, vertical_stretch: float) -> bytes:
     """P6 pixmap of round(255 x _hot_rgb(signal)) over the stretched rows,
     top (high y) down."""
     values = image.values

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from nanograting import (
-    BeamlineGeometry,
     DetectorGrid,
     Trace,
     Grating,
@@ -32,16 +31,14 @@ from nanograting import (
     stripe_velocity_profile,
     synthesize_image,
 )
-from nanograting.config import load_run_config
 from nanograting.imaging import _hot_rgb
 from nanograting.limits import limits_report, thermal_scroll_amplitude
 from nanograting.presets import grating_preset
 
+from configured import FIT_OPTIONS, GEOMETRY, PCH2, PREFACTOR, PSF_SIGMA
 from far_field_oracle import fraunhofer_multislit
 
-GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81)
 SOURCE = SourceModel(source_width=1.5e-6)
-PCH2 = load_run_config().molecule()
 PRESET_NAMES = ("sinx", "biphenyl", "bilayer", "slg", "scroll")
 
 
@@ -59,7 +56,7 @@ def criterion(index: int, description: str):
 def test_criterion_01_closed_form_equivalence():
     wavelength = 3.5e-12
     period = 100e-9
-    grid = DetectorGrid.symmetric(160e-6, 0.4e-6)
+    grid = DetectorGrid(-160e-6, 160e-6, 0.4e-6, PSF_SIGMA)
     for s_eff in (20e-9, 35e-9, 50e-9):
         grating = Grating(
             period=period,
@@ -84,12 +81,14 @@ def test_criterion_01_closed_form_equivalence():
 @criterion(2, "Located diffraction orders sit on the grating equation (<= half pixel)")
 def test_criterion_02_peak_position_law():
     pitch = 0.5e-6
-    grid = DetectorGrid.symmetric(130e-6, pitch)
+    grid = DetectorGrid(-130e-6, 130e-6, pitch, PSF_SIGMA)
     band = VelocityDistribution.uniform_band(220.0, 0.0, 1)
     wavelength = de_broglie_wavelength(PCH2, 220.0)
     for name in PRESET_NAMES:
         grating = grating_preset(name)
-        trace = band_averaged_trace(grating, PCH2, band, SOURCE, GEOMETRY, grid)
+        trace = band_averaged_trace(
+            grating, PCH2, band, SOURCE, GEOMETRY, grid, coherence_prefactor=PREFACTOR
+        )
         orders = order_population(
             trace, grating.period, wavelength, GEOMETRY.L2, n_max=5
         )
@@ -104,14 +103,16 @@ def test_criterion_02_peak_position_law():
 
 @criterion(3, "Order counts: fine grating rich (>=9), coarse grating sparse (<3 beyond n=2)")
 def test_criterion_03_order_count_regression():
-    grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
+    grid = DetectorGrid(-230e-6, 230e-6, 0.5e-6, PSF_SIGMA)
     band = VelocityDistribution.uniform_band(220.0, 10.0, 21)
     wavelength = de_broglie_wavelength(PCH2, 220.0)
     threshold = 0.005  # of the principal peak, on order-normalized heights
 
     def populated(name):
         grating = grating_preset(name)
-        trace = band_averaged_trace(grating, PCH2, band, SOURCE, GEOMETRY, grid)
+        trace = band_averaged_trace(
+            grating, PCH2, band, SOURCE, GEOMETRY, grid, coherence_prefactor=PREFACTOR
+        )
         orders = order_population(
             trace, grating.period, wavelength, GEOMETRY.L2, n_max=9
         )
@@ -126,7 +127,7 @@ def test_criterion_03_order_count_regression():
 
 @criterion(4, "Effective-width fits recover noisy targets within 1 nm; ratios within 0.1")
 def test_criterion_04_slit_fit_closure():
-    grid = DetectorGrid.symmetric(140e-6, 1e-6)
+    grid = DetectorGrid(-140e-6, 140e-6, 1e-6, PSF_SIGMA)
     band = VelocityDistribution.uniform_band(220.0, 10.0, 5)
     quoted_ratios = {
         "sinx": 3.3,
@@ -138,7 +139,9 @@ def test_criterion_04_slit_fit_closure():
     for name in PRESET_NAMES:
         grating = grating_preset(name)
         target = grating.effective_slit_width
-        clean = band_averaged_trace(grating, PCH2, band, SOURCE, GEOMETRY, grid)
+        clean = band_averaged_trace(
+            grating, PCH2, band, SOURCE, GEOMETRY, grid, coherence_prefactor=PREFACTOR
+        )
         rng = np.random.default_rng(20260816)
         noisy = Trace(
             clean.positions,
@@ -150,7 +153,7 @@ def test_criterion_04_slit_fit_closure():
             ),
         )
         result = fit_effective_slit(
-            noisy, grating, PCH2, band, GEOMETRY, SOURCE
+            noisy, grating, PCH2, band, GEOMETRY, SOURCE, **FIT_OPTIONS
         )
         assert abs(result.effective_slit_width - target) <= 1e-9, (
             name, result.effective_slit_width, target,
@@ -190,10 +193,12 @@ def test_criterion_07_velocity_fit_closure():
 
     slg = grating_preset("slg")
     beam = VelocityDistribution.maxwell_beam(180.0, n_classes=200)
-    grid = ImageGrid(-230e-6, 230e-6, -330e-6, -75e-6, 0.5e-6, 2.5e-6)
-    result = synthesize_image(beam, slg, SOURCE, GEOMETRY, grid, PCH2)
+    grid = ImageGrid(-230e-6, 230e-6, -330e-6, -75e-6, 0.5e-6, 2.5e-6, PSF_SIGMA)
+    result = synthesize_image(
+        beam, slg, SOURCE, GEOMETRY, grid, PCH2, coherence_prefactor=PREFACTOR
+    )
     profile = stripe_velocity_profile(
-        result.image, GEOMETRY, slg.period, PCH2, n_stripes=20
+        result.image, GEOMETRY, slg.period, PCH2, n_stripes=20, psf_sigma=PSF_SIGMA
     )
     assert not profile.underdetermined
     assert len(profile.stripes) >= 10

@@ -30,6 +30,8 @@ from nanograting.io import (
 from nanograting.diffraction import MAX_BLUR_TERMS, MAX_PIXEL_SLITS, DetectorGrid, Trace
 from nanograting.gravity import MAX_IMAGE_PIXELS, MAX_VELOCITY_CLASSES
 
+from configured import PSF_SIGMA
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -399,7 +401,7 @@ class TestFitSeff:
         assert code == 2
 
     def test_flat_trace_is_runtime_error(self, capsys, tmp_path):
-        grid = DetectorGrid.symmetric(40e-6, 0.5e-6)
+        grid = DetectorGrid(-40e-6, 40e-6, 0.5e-6, PSF_SIGMA)
         flat = Trace(grid.positions, np.ones(grid.n_pixels))
         csv = tmp_path / "flat.csv"
         write_trace_csv(csv, flat, {})

@@ -173,3 +173,26 @@ def test_require_raises_on_missing():
         config.require("fit.measured_csv")
     with pytest.raises(ConfigurationError):
         config.get("not.a.key")
+
+
+# Built-in values, in SI units, of the keys whose values the library takes
+# from its caller: the configuration is the one place they are stated.
+SI_DEFAULTS = {
+    "detector.psf_sigma_um": 3.5e-6,
+    "source.coherence_prefactor": 1.5,
+    "fit.coarse_step_nm": 1e-9,
+    "fit.tolerance_nm": 1.0000000000000002e-10,  # 0.1 x 1e-9, one ulp above 1e-10
+    "fit.lower_bound_nm": 1e-9,
+    "profile.n_stripes": 20,
+    "render.vertical_stretch": 1.0,
+    "geometry.g_m_s2": 9.81,
+    "geometry.y0_m": 0.0,
+    "geometry.y1_m": 0.0,
+    "limits.youngs_modulus_GPa": 1e12,  # a single-wall carbon nanotube
+    "limits.footprint_nm2": 1.7e-18,  # one phthalocyanine-sized molecule
+}
+
+
+@pytest.mark.parametrize("key", sorted(SI_DEFAULTS))
+def test_each_default_reads_its_si_value(key):
+    assert load_run_config().require(key) == SI_DEFAULTS[key]

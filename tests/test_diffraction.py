@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nanograting import (
-    BeamlineGeometry,
     DetectorGrid,
     DomainError,
     Grating,
@@ -35,10 +34,11 @@ from nanograting import diffraction
 from nanograting.gravity import VELOCITY_SUPPORT, synthesize_image
 from nanograting.vdwfit import band_averaged_trace, fit_effective_slit
 
+from configured import FIT_OPTIONS, PCH2, PREFACTOR, PSF_SIGMA
+from configured import GEOMETRY as GEO
 from far_field_oracle import fraunhofer_multislit
 
 M85 = Molecule("test", 8.5e-25)
-GEO = BeamlineGeometry(L1=1.554, L2=0.586)
 
 
 def _grating(period=105e-9, slit=50e-9, s_eff=15e-9):
@@ -57,13 +57,13 @@ def test_coherent_slit_count_example():
     # angle C*lam/w = 3 urad exactly; width at grating 3e-6 * 1.554 m;
     # floor against the 101 nm period gives 46 slits
     source = SourceModel(source_width=1.5e-6)
-    result = coherence(source, GEO, wavelength=3e-12, period=101e-9)
+    result = coherence(source, GEO, wavelength=3e-12, period=101e-9, prefactor=PREFACTOR)
     assert result.n_coherent_slits == 46
 
 
 def test_coherent_slit_count_floors_at_one():
     source = SourceModel(source_width=1.5e-6)
-    result = coherence(source, GEO, wavelength=1e-18, period=101e-9)
+    result = coherence(source, GEO, wavelength=1e-18, period=101e-9, prefactor=PREFACTOR)
     assert result.n_coherent_slits == 1
 
 
@@ -96,7 +96,7 @@ def test_trace_uniform_grid_tolerance_is_one_part_in_a_million():
 
 
 def test_detector_grid_symmetric():
-    grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
+    grid = DetectorGrid(-230e-6, 230e-6, 0.5e-6, PSF_SIGMA)
     assert grid.n_pixels == 921
     assert grid.positions[0] == -230e-6
     assert grid.positions[-1] == pytest.approx(230e-6, rel=1e-12)
@@ -114,7 +114,7 @@ def test_trace_validation():
 def test_single_slit_matches_sinc_envelope():
     lam = de_broglie_wavelength(M85, 220.0)
     g = _grating(s_eff=50e-9)
-    grid = DetectorGrid.symmetric(90e-6, 0.5e-6)
+    grid = DetectorGrid(-90e-6, 90e-6, 0.5e-6, PSF_SIGMA)
     trace = kirchhoff_pattern(g, wave_number(M85, 220.0), 0.586, 1, grid)
     reference = fraunhofer_multislit(grid.positions, lam, g.period, 50e-9, 1, 0.586)
     a = trace.intensities / trace.intensities.max()
@@ -130,7 +130,7 @@ def test_single_slit_matches_sinc_envelope():
 
 def test_kirchhoff_symmetry_on_symmetric_grid():
     g = _grating()
-    grid = DetectorGrid.symmetric(40e-6, 0.5e-6)
+    grid = DetectorGrid(-40e-6, 40e-6, 0.5e-6, PSF_SIGMA)
     trace = kirchhoff_pattern(g, wave_number(M85, 220.0), 0.586, 11, grid)
     y = trace.intensities
     assert np.array_equal(y, y[::-1])
@@ -138,7 +138,7 @@ def test_kirchhoff_symmetry_on_symmetric_grid():
 
 def test_kirchhoff_matches_fraunhofer_few_slits():
     lam = de_broglie_wavelength(M85, 220.0)
-    grid = DetectorGrid.symmetric(60e-6, 0.5e-6)
+    grid = DetectorGrid(-60e-6, 60e-6, 0.5e-6, PSF_SIGMA)
     g = _grating(period=100e-9, slit=50e-9, s_eff=35e-9)
     trace = kirchhoff_pattern(g, wave_number(M85, 220.0), 0.586, 5, grid)
     reference = fraunhofer_multislit(grid.positions, lam, 100e-9, 35e-9, 5, 0.586)
@@ -156,14 +156,14 @@ def test_fraunhofer_peak_value_is_n_squared():
 def test_kirchhoff_rejects_unresolvable_grid():
     g = _grating()
     # fringe period lam*L2/d ~ 19.8 um; a 15 um pitch cannot resolve it
-    grid = DetectorGrid(-60e-6, 60e-6, 15e-6)
+    grid = DetectorGrid(-60e-6, 60e-6, 15e-6, PSF_SIGMA)
     with pytest.raises(ResolutionError):
         kirchhoff_pattern(g, wave_number(M85, 220.0), 0.586, 10, grid)
 
 
 def test_kirchhoff_input_validation():
     g = _grating()
-    grid = DetectorGrid.symmetric(20e-6, 0.5e-6)
+    grid = DetectorGrid(-20e-6, 20e-6, 0.5e-6, PSF_SIGMA)
     k = wave_number(M85, 220.0)
     with pytest.raises(DomainError):
         kirchhoff_pattern(g, k, 0.586, 0, grid)
@@ -295,7 +295,7 @@ def test_kirchhoff_runtime_is_bounded():
     import time
 
     g = _grating(period=100e-9, slit=50e-9, s_eff=35e-9)
-    grid = DetectorGrid.symmetric(100e-6, 0.5e-6)
+    grid = DetectorGrid(-100e-6, 100e-6, 0.5e-6, PSF_SIGMA)
     start = time.perf_counter()
     kirchhoff_pattern(g, wave_number(M85, 220.0), 0.586, 10, grid)
     assert time.perf_counter() - start < 10.0
@@ -311,7 +311,6 @@ def test_trace_rejects_non_finite_data():
         Trace(np.array([0.0, 1.0, np.nan]), np.ones(3))
 
 
-PCH2 = load_run_config().molecule()
 SOURCE = SourceModel(source_width=1.5e-6)
 
 
@@ -348,8 +347,8 @@ def test_kirchhoff_matches_midpoint_quadrature(preset, velocity):
     grating = grating_preset(preset)
     wavelength = de_broglie_wavelength(PCH2, velocity)
     k = wave_number(PCH2, velocity)
-    n_slits = coherence(SOURCE, GEO, wavelength, grating.period).n_coherent_slits
-    grid = DetectorGrid.symmetric(100e-6, 0.5e-6)
+    n_slits = coherence(SOURCE, GEO, wavelength, grating.period, PREFACTOR).n_coherent_slits
+    grid = DetectorGrid(-100e-6, 100e-6, 0.5e-6, PSF_SIGMA)
     engine = kirchhoff_pattern(grating, k, GEO.L2, n_slits, grid).intensities
     reference = _midpoint_reference(grating, k, GEO.L2, n_slits, grid)
     rms = float(np.sqrt(np.mean((engine - reference) ** 2))) / reference.max()
@@ -361,7 +360,7 @@ def test_kirchhoff_refuses_wide_slit_phase():
     g = _grating(s_eff=50e-9)
     k = wave_number(M85, 220.0)
     L2 = 0.005
-    grid = DetectorGrid.symmetric(2e-6, 0.05e-6)
+    grid = DetectorGrid(-2e-6, 2e-6, 0.05e-6, PSF_SIGMA)
     with pytest.raises(ResolutionError) as excinfo:
         kirchhoff_pattern(g, k, L2, 5, grid)
     assert f"{k * 50e-9 ** 2 / (8 * L2):.3e}" in str(excinfo.value)
@@ -369,20 +368,20 @@ def test_kirchhoff_refuses_wide_slit_phase():
 
 def test_no_preset_trips_the_slit_phase_gate():
     # the gate is widest open at the geometric width and the fastest class
-    grid = DetectorGrid.symmetric(20e-6, 0.5e-6)
+    grid = DetectorGrid(-20e-6, 20e-6, 0.5e-6, PSF_SIGMA)
     for name in grating_preset_names():
         preset = grating_preset(name)
         grating = replace(preset, effective_slit_width=preset.slit_width)
         for velocity in (50.0, 1000.0):
             wavelength = de_broglie_wavelength(PCH2, velocity)
-            n_slits = coherence(SOURCE, GEO, wavelength, grating.period).n_coherent_slits
+            n_slits = coherence(SOURCE, GEO, wavelength, grating.period, PREFACTOR).n_coherent_slits
             trace = kirchhoff_pattern(grating, wave_number(PCH2, velocity), GEO.L2, n_slits, grid)
             assert trace.intensities.max() > 0.0
 
 
 def test_kirchhoff_is_the_envelope_of_the_slit_terms():
     g = _grating()
-    grid = DetectorGrid.symmetric(40e-6, 0.5e-6)
+    grid = DetectorGrid(-40e-6, 40e-6, 0.5e-6, PSF_SIGMA)
     k = wave_number(M85, 220.0)
     terms = _slit_terms(k, 0.586, 20, g.period, grid, max_width=g.slit_width)
     composed = _slit_envelope(terms, g.effective_slit_width)
@@ -391,7 +390,7 @@ def test_kirchhoff_is_the_envelope_of_the_slit_terms():
 
 
 def test_kirchhoff_refuses_work_over_budget():
-    grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
+    grid = DetectorGrid(-230e-6, 230e-6, 0.5e-6, PSF_SIGMA)
     n_slits = MAX_PIXEL_SLITS // grid.n_pixels + 1
     with pytest.raises(ResolutionError) as excinfo:
         kirchhoff_pattern(_grating(), wave_number(M85, 220.0), 0.586, n_slits, grid)
@@ -443,12 +442,12 @@ def _per_slit_reference(k, L2, n_slits, period, grid, s):
 
 
 def _node_cases():
-    readme_grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
+    readme_grid = DetectorGrid(-230e-6, 230e-6, 0.5e-6, PSF_SIGMA)
     for name in grating_preset_names():
         for velocity in (50.0, 1000.0):
             yield pytest.param(name, velocity, GEO.L2, readme_grid, id=f"{name}-{velocity:g}")
     # short L2: the widest z = h sqrt(2 k MAX_SLIT_PHASE / L2), the most nodes
-    short_grid = DetectorGrid.symmetric(2e-6, 0.01e-6)
+    short_grid = DetectorGrid(-2e-6, 2e-6, 0.01e-6, PSF_SIGMA)
     for velocity in (50.0, 220.0, 1000.0):
         yield pytest.param("sinx", velocity, 0.005, short_grid, id=f"sinx-{velocity:g}-L2-5mm")
 
@@ -459,8 +458,8 @@ def test_node_envelope_matches_the_per_slit_sum(preset, velocity, L2, grid):
     grating = grating_preset(preset)
     k = wave_number(PCH2, velocity)
     wavelength = de_broglie_wavelength(PCH2, velocity)
-    geometry = BeamlineGeometry(L1=GEO.L1, L2=L2)
-    n_slits = coherence(SOURCE, geometry, wavelength, grating.period).n_coherent_slits
+    geometry = replace(GEO, L2=L2)
+    n_slits = coherence(SOURCE, geometry, wavelength, grating.period, PREFACTOR).n_coherent_slits
     # the node bound is tightest at the widest width the slit-phase gate accepts
     s_limit = math.sqrt(8.0 * L2 * MAX_SLIT_PHASE / k) * (1.0 - 1e-9)
     widths = [s for s in (grating.effective_slit_width, grating.slit_width) if s < s_limit]
@@ -475,8 +474,8 @@ def test_node_envelope_matches_the_per_slit_sum(preset, velocity, L2, grid):
 
 
 def _geometric_node_cases():
-    readme_grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
-    short_grid = DetectorGrid.symmetric(2e-6, 0.01e-6)
+    readme_grid = DetectorGrid(-230e-6, 230e-6, 0.5e-6, PSF_SIGMA)
+    short_grid = DetectorGrid(-2e-6, 2e-6, 0.01e-6, PSF_SIGMA)
     for name in grating_preset_names():
         for velocity in (50.0, 220.0, 1000.0):
             yield pytest.param(name, velocity, GEO.L2, readme_grid, id=f"{name}-{velocity:g}")
@@ -490,8 +489,8 @@ def test_nodes_sized_for_the_geometric_width_match_the_per_slit_sum(preset, velo
     grating = grating_preset(preset)
     k = wave_number(PCH2, velocity)
     wavelength = de_broglie_wavelength(PCH2, velocity)
-    geometry = BeamlineGeometry(L1=GEO.L1, L2=L2)
-    n_slits = coherence(SOURCE, geometry, wavelength, grating.period).n_coherent_slits
+    geometry = replace(GEO, L2=L2)
+    n_slits = coherence(SOURCE, geometry, wavelength, grating.period, PREFACTOR).n_coherent_slits
     s_limit = math.sqrt(8.0 * L2 * MAX_SLIT_PHASE / k) * (1.0 - 1e-9)
     widths = {min(s, s_limit) for s in (grating.effective_slit_width, grating.slit_width)}
     terms = _slit_terms(k, L2, n_slits, grating.period, grid, max_width=grating.slit_width)
@@ -509,7 +508,7 @@ def test_nodes_sized_for_the_geometric_width_match_the_per_slit_sum(preset, velo
 def test_pixel_on_a_node_takes_the_on_node_term(n_slits):
     # x = 0 is a pixel of this grid and the centre slit's node: the sine
     # rate is exactly 0 there and the envelope is s W0 instead of V sin(s rho)
-    grid = DetectorGrid(-(2.0**-16), 2.0**-16, 2.0**-24)
+    grid = DetectorGrid(-(2.0**-16), 2.0**-16, 2.0**-24, PSF_SIGMA)
     centre = grid.n_pixels // 2
     assert grid.positions[centre] == 0.0
     grating = grating_preset("sinx")
@@ -540,14 +539,14 @@ def _assert_terms_match_the_per_slit_sum(k, L2, n_slits, period, grid, widths):
 
 
 def _builder_domain_cases():
-    readme_grid = DetectorGrid.symmetric(230e-6, 0.5e-6)
+    readme_grid = DetectorGrid(-230e-6, 230e-6, 0.5e-6, PSF_SIGMA)
     # 0.1 m off the axis at L2 = 2 m the Fresnel remainder needs a node per slit
-    yield pytest.param("sinx", 220.0, 2.0, DetectorGrid(0.1, 0.1001, 0.5e-6), None,
+    yield pytest.param("sinx", 220.0, 2.0, DetectorGrid(0.1, 0.1001, 0.5e-6, PSF_SIGMA), None,
                        id="off-axis")
-    yield pytest.param("sinx", 50.0, GEO.L2, DetectorGrid.symmetric(25e-6, 0.5e-6), None,
+    yield pytest.param("sinx", 50.0, GEO.L2, DetectorGrid(-25e-6, 25e-6, 0.5e-6, PSF_SIGMA), None,
                        id="fewer-pixels-than-slits")
     yield pytest.param("sinx", 220.0, GEO.L2, readme_grid, 1, id="one-slit")
-    yield pytest.param("slg", 540.0, GEO.L2, DetectorGrid(-30e-6, 47e-6, 0.5e-6), None,
+    yield pytest.param("slg", 540.0, GEO.L2, DetectorGrid(-30e-6, 47e-6, 0.5e-6, PSF_SIGMA), None,
                        id="odd-pixel-count")
 
 
@@ -557,7 +556,7 @@ def test_chirp_z_terms_match_the_per_slit_sum(preset, velocity, L2, grid, n_slit
     grating = grating_preset(preset)
     if n_slits is None:
         wavelength = de_broglie_wavelength(PCH2, velocity)
-        n_slits = coherence(SOURCE, GEO, wavelength, grating.period).n_coherent_slits
+        n_slits = coherence(SOURCE, GEO, wavelength, grating.period, PREFACTOR).n_coherent_slits
     widths = [grating.effective_slit_width, grating.slit_width]
     k = wave_number(PCH2, velocity)
     terms = _assert_terms_match_the_per_slit_sum(k, L2, n_slits, grating.period, grid, widths)
@@ -588,7 +587,7 @@ def test_terms_match_the_per_slit_sum_over_the_gated_domain(
     # the pixel check's own arithmetic, so that pitch_share = 1 sits on its limit
     pitch = pitch_share * (2.0 * math.pi / k * L2 / grating.period / 2.0)
     x_min = angle * L2 - 0.5 * n_pixels * pitch
-    grid = DetectorGrid(x_min, x_min + (n_pixels - 1) * pitch, pitch)
+    grid = DetectorGrid(x_min, x_min + (n_pixels - 1) * pitch, pitch, PSF_SIGMA)
     _assert_terms_match_the_per_slit_sum(
         k, L2, n_slits, grating.period, grid, [width_share * s_max, s_max]
     )
@@ -614,8 +613,9 @@ def test_envelope_scan_rows_match_the_envelope_at_each_width(
     grating = grating_preset(preset)
     k = wave_number(PCH2, velocity)
     pitch = pitch_share * (2.0 * math.pi / k * GEO.L2 / grating.period / 2.0)
-    grid = DetectorGrid.symmetric(half_span_px * pitch, pitch)
-    n_slits = coherence(SOURCE, GEO, 2.0 * math.pi / k, grating.period).n_coherent_slits
+    half_span = half_span_px * pitch
+    grid = DetectorGrid(-half_span, half_span, pitch, PSF_SIGMA)
+    n_slits = coherence(SOURCE, GEO, 2.0 * math.pi / k, grating.period, PREFACTOR).n_coherent_slits
     terms = _slit_terms(
         k, GEO.L2, n_slits, grating.period, grid, max_width=grating.slit_width
     )
@@ -642,10 +642,10 @@ def _row_at_a_time_scan(terms, widths):
 
 
 @pytest.mark.parametrize("preset, grid, n_slits", [
-    pytest.param("sinx", DetectorGrid.symmetric(70e-6, 1e-6), None, id="sinx"),
-    pytest.param("slg", DetectorGrid.symmetric(70e-6, 1e-6), None, id="slg"),
+    pytest.param("sinx", DetectorGrid(-70e-6, 70e-6, 1e-6, PSF_SIGMA), None, id="sinx"),
+    pytest.param("slg", DetectorGrid(-70e-6, 70e-6, 1e-6, PSF_SIGMA), None, id="slg"),
     # x = 0 is a pixel and the centre slit's node, so the s W0 term is live
-    pytest.param("sinx", DetectorGrid(-(2.0**-16), 2.0**-16, 2.0**-24), 3, id="on-node"),
+    pytest.param("sinx", DetectorGrid(-(2.0**-16), 2.0**-16, 2.0**-24, PSF_SIGMA), 3, id="on-node"),
 ])
 @pytest.mark.parametrize("n_widths", [2, 15, 16, 17, 63, 64, 65, 130])
 def test_envelope_scan_blocks_equal_the_row_at_a_time_scan(preset, grid, n_slits, n_widths):
@@ -654,7 +654,9 @@ def test_envelope_scan_blocks_equal_the_row_at_a_time_scan(preset, grid, n_slits
     grating = grating_preset(preset)
     k = wave_number(PCH2, 220.0)
     if n_slits is None:
-        n_slits = coherence(SOURCE, GEO, 2.0 * math.pi / k, grating.period).n_coherent_slits
+        n_slits = coherence(
+            SOURCE, GEO, 2.0 * math.pi / k, grating.period, PREFACTOR
+        ).n_coherent_slits
     terms = _slit_terms(
         k, GEO.L2, n_slits, grating.period, grid, max_width=grating.slit_width
     )
@@ -680,9 +682,10 @@ def test_folded_terms_match_the_per_slit_sum_on_both_halves(
     # halves of the envelope and of a scan row match the per-slit sum
     grating = grating_preset(preset)
     k = wave_number(PCH2, velocity)
-    n_slits = coherence(SOURCE, GEO, 2.0 * math.pi / k, grating.period).n_coherent_slits
+    n_slits = coherence(SOURCE, GEO, 2.0 * math.pi / k, grating.period, PREFACTOR).n_coherent_slits
     pitch = pitch_share * (2.0 * math.pi / k * GEO.L2 / grating.period / 2.0)
-    grid = DetectorGrid.symmetric((half_span_px + 0.5 * even) * pitch, pitch)
+    half_span = (half_span_px + 0.5 * even) * pitch
+    grid = DetectorGrid(-half_span, half_span, pitch, PSF_SIGMA)
     assert grid.n_pixels == 2 * half_span_px + 1 + even
     terms = _slit_terms(k, GEO.L2, n_slits, grating.period, grid, max_width=grating.slit_width)
     assert terms.rate.shape[1] == half_span_px + 1
@@ -698,8 +701,8 @@ def test_folded_terms_match_the_per_slit_sum_on_both_halves(
 
 
 @pytest.mark.parametrize("grid", [
-    pytest.param(DetectorGrid(-30e-6, 47e-6, 0.5e-6), id="odd-pixel-count"),
-    pytest.param(DetectorGrid(-39.95e-6, 40.05e-6, 0.5e-6), id="shifted-a-tenth-pixel"),
+    pytest.param(DetectorGrid(-30e-6, 47e-6, 0.5e-6, PSF_SIGMA), id="odd-pixel-count"),
+    pytest.param(DetectorGrid(-39.95e-6, 40.05e-6, 0.5e-6, PSF_SIGMA), id="shifted-a-tenth-pixel"),
 ])
 def test_asymmetric_grids_are_built_in_full(grid):
     grating = grating_preset("slg")
@@ -727,14 +730,16 @@ def test_one_wrapper_sees_every_class_on_every_path(monkeypatch):
     grating, band = config.grating(), config.velocity_distribution()
     per_class = [wave_number(molecule, v) for v in (200.0, 220.0, 240.0)]
 
-    result = synthesize_image(band, grating, source, geometry, config.image_grid(), molecule)
+    result = synthesize_image(band, grating, source, geometry, config.image_grid(), molecule,
+                              coherence_prefactor=PREFACTOR)
     assert result.clipped_velocities == ()
     assert built == per_class
     built.clear()
-    trace = band_averaged_trace(grating, molecule, band, source, geometry, config.detector_grid())
+    trace = band_averaged_trace(grating, molecule, band, source, geometry, config.detector_grid(),
+                                coherence_prefactor=PREFACTOR)
     assert built == per_class
     built.clear()
-    fit_effective_slit(trace, grating, molecule, band, geometry, source)
+    fit_effective_slit(trace, grating, molecule, band, geometry, source, **FIT_OPTIONS)
     assert built == per_class
     built.clear()
     kirchhoff_pattern(grating, per_class[1], geometry.L2, 20, config.detector_grid())
@@ -771,8 +776,8 @@ def test_the_benchmark_classes_fold(monkeypatch):
     ])
     inputs = (config.grating(), config.molecule(), config.velocity_distribution())
     measured = band_averaged_trace(*inputs, config.source(), config.geometry(),
-                                   config.detector_grid())
-    fit_effective_slit(measured, *inputs, config.geometry(), config.source())
+                                   config.detector_grid(), coherence_prefactor=PREFACTOR)
+    fit_effective_slit(measured, *inputs, config.geometry(), config.source(), **FIT_OPTIONS)
     assert len(built) == 12 + 5 + 5
     for grid, terms in built:
         assert terms.rate.shape[1] == (grid.n_pixels + 1) // 2, grid

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,12 @@ from nanograting import (
     far_field_orders,
     fit_velocity,
     gaussian_kernel,
+    hot_color,
     render_image,
     stripe_velocity_profile,
 )
+
+from configured import CONFIG, GEOMETRY
 
 
 def test_constants_values():
@@ -87,24 +91,24 @@ def test_grating_validation():
 
 
 def test_geometry_segments_and_total_length():
-    geo = BeamlineGeometry(L1=1.554, L2=0.586)
+    geo = replace(GEOMETRY, L1=1.554, L2=0.586)
     assert geo.L1 == 1.554
     assert geo.L == pytest.approx(2.14, rel=1e-15)
     assert geo.L2 == 0.586
-    assert geo.g == 9.81
 
 
 def test_geometry_validation():
     with pytest.raises(DomainError):
-        BeamlineGeometry(L1=2.2, L2=-0.06)  # grating beyond detector
+        replace(GEOMETRY, L1=2.2, L2=-0.06)  # grating beyond detector
     with pytest.raises(DomainError):
-        BeamlineGeometry(L1=0.0, L2=2.14)
+        replace(GEOMETRY, L1=0.0, L2=2.14)
     with pytest.raises(DomainError):
-        BeamlineGeometry(L1=1.0, L2=1.0, g=-9.81)
-    with pytest.raises(TypeError):
-        BeamlineGeometry(1.554, 2.14)  # a total length passed by position
-    with pytest.raises(TypeError):
-        BeamlineGeometry(L1=1.554, L=2.14)
+        replace(GEOMETRY, L1=1.0, L2=1.0, g=-9.81)
+    level = {"g": GEOMETRY.g, "y0": GEOMETRY.y0, "y1": GEOMETRY.y1}
+    with pytest.raises(TypeError, match="positional"):
+        BeamlineGeometry(1.554, 2.14, **level)  # a total length passed by position
+    with pytest.raises(TypeError, match="'L'"):
+        BeamlineGeometry(L1=1.554, L=2.14, **level)
 
 
 @pytest.mark.parametrize("field", ["L1", "L2", "g", "y0", "y1"])
@@ -121,24 +125,25 @@ def test_source_model_validation():
         SourceModel(source_width=0.0)
 
 
-_GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586)
+FOOTPRINT = CONFIG.require("limits.footprint_nm2")
 _IMAGE = Interferogram(np.ones((4, 5)), 1e-6, 1e-6, -2e-6, 0.0)
 _NON_FINITE_CALLS = {
     "source width": lambda x: SourceModel(x),
-    "coherence prefactor": lambda x: coherence(SourceModel(1.5e-6), _GEOMETRY, 3.5e-12, 1e-7, x),
+    "coherence prefactor": lambda x: coherence(SourceModel(1.5e-6), GEOMETRY, 3.5e-12, 1e-7, x),
     "detector psf": lambda x: DetectorGrid(-1e-6, 1e-6, 1e-7, x),
     "image psf": lambda x: ImageGrid(-1e-6, 1e-6, -1e-6, 1e-6, 1e-7, 1e-7, x),
     "kernel sigma": lambda x: gaussian_kernel(x, 1e-7),
     "profile psf": lambda x: stripe_velocity_profile(
-        _IMAGE, _GEOMETRY, 1e-7, Molecule("test", 8.5e-25), n_stripes=2, psf_sigma=x
+        _IMAGE, GEOMETRY, 1e-7, Molecule("test", 8.5e-25), n_stripes=2, psf_sigma=x
     ),
     "render stretch": lambda x: render_image(_IMAGE, vertical_stretch=x),
     "band centre": lambda x: VelocityDistribution.uniform_band(x, 10.0, 5),
     "discrete velocity": lambda x: VelocityDistribution.discrete([200.0, x]),
     "class weight": lambda x: VelocityDistribution([200.0, 210.0], [1.0, x]),
     "order wavelength": lambda x: far_field_orders(x, 1e-7, 0.586, 3),
-    "fall height": lambda x: fit_velocity(x, _GEOMETRY),
-    "molecule count": lambda x: adsorption_coverage(x, 1e-8),
+    "fall height": lambda x: fit_velocity(x, GEOMETRY),
+    "molecule count": lambda x: adsorption_coverage(x, 1e-8, FOOTPRINT),
+    "colour signal": lambda x: hot_color(x),
 }
 
 

@@ -28,6 +28,8 @@ from nanograting.domain import CONSTANTS
 from nanograting.config import load_run_config
 from nanograting.presets import grating_preset
 
+from configured import N_STRIPES, PREFACTOR, PSF_SIGMA
+
 GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81, y0=0.0, y1=0.0)
 PCH2 = Molecule(name="pch2", mass=8.5e-25)
 
@@ -176,7 +178,7 @@ class TestVelocityDistribution:
 
 class TestImageGrid:
     def test_pixel_counts(self):
-        grid = ImageGrid(-50e-6, 50e-6, -200e-6, -100e-6, 1e-6, 2.5e-6)
+        grid = ImageGrid(-50e-6, 50e-6, -200e-6, -100e-6, 1e-6, 2.5e-6, PSF_SIGMA)
         assert grid.nx == 101
         assert grid.ny == 41
         x = grid.detector_grid().positions
@@ -193,9 +195,9 @@ class TestImageGrid:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            ImageGrid(1e-6, -1e-6, 0.0, 1e-6, 1e-6, 1e-6)
+            ImageGrid(1e-6, -1e-6, 0.0, 1e-6, 1e-6, 1e-6, PSF_SIGMA)
         with pytest.raises(DomainError):
-            ImageGrid(-1e-6, 1e-6, 0.0, 1e-6, 0.0, 1e-6)
+            ImageGrid(-1e-6, 1e-6, 0.0, 1e-6, 0.0, 1e-6, PSF_SIGMA)
         with pytest.raises(DomainError):
             ImageGrid(-1e-6, 1e-6, 0.0, 1e-6, 1e-6, 1e-6, psf_sigma=-1.0)
 
@@ -231,13 +233,15 @@ class TestInterferogram:
 
 SOURCE = SourceModel(source_width=1.5e-6)
 SINX = grating_preset("sinx")
-IMAGE_GRID = ImageGrid(-30e-6, 30e-6, -160e-6, -80e-6, 1e-6, 2.5e-6)
+IMAGE_GRID = ImageGrid(-30e-6, 30e-6, -160e-6, -80e-6, 1e-6, 2.5e-6, PSF_SIGMA)
 
 
 class TestSynthesizeImage:
     def test_single_class_places_unit_weight_at_fall_height(self):
         dist = VelocityDistribution.discrete([220.0])
-        result = synthesize_image(dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
+        result = synthesize_image(
+            dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2, coherence_prefactor=PREFACTOR
+        )
         assert result.clipped_velocities == ()
         assert result.clipped_weight == 0.0
         # blur is mass-preserving, so the whole unit weight survives
@@ -249,7 +253,9 @@ class TestSynthesizeImage:
 
     def test_class_outside_grid_is_clipped_and_reported(self):
         dist = VelocityDistribution.discrete([180.0, 220.0])
-        result = synthesize_image(dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
+        result = synthesize_image(
+            dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2, coherence_prefactor=PREFACTOR
+        )
         # 180 m/s falls to -190 um, below the grid floor at -160 um
         assert result.clipped_velocities == (180.0,)
         assert result.clipped_weight == pytest.approx(0.5, rel=1e-12)
@@ -257,7 +263,9 @@ class TestSynthesizeImage:
 
     def test_zero_weight_class_is_skipped(self):
         dist = VelocityDistribution([180.0, 220.0], [0.0, 1.0])
-        result = synthesize_image(dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
+        result = synthesize_image(
+            dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2, coherence_prefactor=PREFACTOR
+        )
         assert result.clipped_velocities == ()
         assert result.image.total == pytest.approx(1.0, rel=1e-9)
 
@@ -272,7 +280,9 @@ class TestSynthesizeImage:
         monkeypatch.setattr(diffraction, "_slit_terms", counting)
         # 180 m/s falls below the grid floor; 220 and 260 m/s land on it
         dist = VelocityDistribution.discrete([180.0, 220.0, 260.0])
-        result = synthesize_image(dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
+        result = synthesize_image(
+            dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2, coherence_prefactor=PREFACTOR
+        )
         assert built == [wave_number(PCH2, 220.0), wave_number(PCH2, 260.0)]
         assert result.clipped_velocities == (180.0,)
         assert result.clipped_weight == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -284,10 +294,13 @@ class TestSynthesizeImage:
         # column's sum
         grating = grating_preset(preset)
         dist = VelocityDistribution([200.0, 215.0, 230.0, 260.0], [1.0, 2.0, 3.0, 4.0])
-        result = synthesize_image(dist, grating, SOURCE, GEOMETRY, IMAGE_GRID, PCH2)
+        result = synthesize_image(
+            dist, grating, SOURCE, GEOMETRY, IMAGE_GRID, PCH2, coherence_prefactor=PREFACTOR
+        )
         assert result.clipped_weight == 0.0
         trace = band_averaged_trace(
-            grating, PCH2, dist, SOURCE, GEOMETRY, IMAGE_GRID.detector_grid()
+            grating, PCH2, dist, SOURCE, GEOMETRY, IMAGE_GRID.detector_grid(),
+            coherence_prefactor=PREFACTOR,
         )
         columns = result.image.values.sum(axis=0)
         peak = trace.intensities.max()
@@ -298,7 +311,7 @@ class TestSynthesizeImage:
             with pytest.raises(DomainError):
                 synthesize_image(
                     VelocityDistribution.discrete([v]),
-                    SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2,
+                    SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2, coherence_prefactor=PREFACTOR,
                 )
 
 
@@ -328,7 +341,7 @@ class TestStripeVelocityProfile:
     def test_single_bright_row_is_underdetermined(self):
         image = self._build_image({4: 220.0})
         profile = stripe_velocity_profile(
-            image, GEOMETRY, SINX.period, PCH2, n_stripes=9
+            image, GEOMETRY, SINX.period, PCH2, n_stripes=9, psf_sigma=PSF_SIGMA
         )
         assert profile.underdetermined
         assert math.isnan(profile.intercept)
@@ -349,7 +362,7 @@ class TestStripeVelocityProfile:
         }
         image = self._build_image(row_peaks)
         profile = stripe_velocity_profile(
-            image, GEOMETRY, SINX.period, PCH2, n_stripes=9
+            image, GEOMETRY, SINX.period, PCH2, n_stripes=9, psf_sigma=PSF_SIGMA
         )
         assert not profile.underdetermined
         assert profile.skipped == ()
@@ -365,7 +378,7 @@ class TestStripeVelocityProfile:
     def test_stripe_without_first_order_is_skipped(self):
         image = self._build_image({1: 220.0, 4: None, 7: 200.0})
         profile = stripe_velocity_profile(
-            image, GEOMETRY, SINX.period, PCH2, n_stripes=9
+            image, GEOMETRY, SINX.period, PCH2, n_stripes=9, psf_sigma=PSF_SIGMA
         )
         assert set(profile.skipped) == set(range(9)) - {1, 7}
         assert [s.y for s in profile.stripes] == [-155e-6, -125e-6]
@@ -375,7 +388,7 @@ class TestStripeVelocityProfile:
         # so the upper stripe (y = 0) lies above it
         image = self._build_image({0: 250.0, 8: 250.0}, pitch_y=50e-6, y_min=-400e-6)
         profile = stripe_velocity_profile(
-            image, GEOMETRY, SINX.period, PCH2, n_stripes=9
+            image, GEOMETRY, SINX.period, PCH2, n_stripes=9, psf_sigma=PSF_SIGMA
         )
         low, high = profile.stripes
         assert high.y == 0.0 and math.isnan(high.residual)
@@ -394,10 +407,11 @@ class TestStripeVelocityProfile:
         ])
         image = synthesize_image(
             cfg.velocity_distribution(), cfg.grating(), cfg.source(), cfg.geometry(),
-            cfg.image_grid(), cfg.molecule(),
+            cfg.image_grid(), cfg.molecule(), coherence_prefactor=PREFACTOR,
         ).image
         profile = stripe_velocity_profile(
             image, cfg.geometry(), cfg.grating().period, cfg.molecule(),
+            n_stripes=cfg.require("profile.n_stripes"),
             psf_sigma=cfg.require("detector.psf_sigma_um"),
         )
         assert profile.skipped == () and len(profile.stripes) == 20
@@ -406,11 +420,17 @@ class TestStripeVelocityProfile:
     def test_validation(self):
         image = self._build_image({4: 220.0})
         with pytest.raises(DomainError):
-            stripe_velocity_profile(image, GEOMETRY, -1.0, PCH2)
+            stripe_velocity_profile(
+                image, GEOMETRY, -1.0, PCH2, n_stripes=N_STRIPES, psf_sigma=PSF_SIGMA
+            )
         with pytest.raises(DomainError):
-            stripe_velocity_profile(image, GEOMETRY, SINX.period, PCH2, n_stripes=0)
+            stripe_velocity_profile(
+                image, GEOMETRY, SINX.period, PCH2, n_stripes=0, psf_sigma=PSF_SIGMA
+            )
         with pytest.raises(DomainError):
-            stripe_velocity_profile(image, GEOMETRY, SINX.period, PCH2, n_stripes=50)
+            stripe_velocity_profile(
+                image, GEOMETRY, SINX.period, PCH2, n_stripes=50, psf_sigma=PSF_SIGMA
+            )
 
 
 def test_blur_matches_per_row_convolution_and_conserves_mass():

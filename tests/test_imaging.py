@@ -15,6 +15,10 @@ from nanograting import (
 from nanograting.config import load_run_config
 from nanograting.imaging import _BINS, _HOT_SIGNALS, _HOT_TABLE, _byte_table, _hot_rgb
 
+from configured import CONFIG
+
+STRETCH = CONFIG.require("render.vertical_stretch")
+
 
 def test_colormap_has_100_rows_knot_exact():
     assert _HOT_TABLE.shape == (100, 3)
@@ -59,7 +63,7 @@ def _image(values):
 
 def test_render_header_and_size():
     img = _image(np.linspace(0.0, 1.0, 12).reshape(3, 4))
-    data = render_image(img)
+    data = render_image(img, STRETCH)
     assert data.startswith(b"P6\n4 3\n255\n")
     assert len(data) == len(b"P6\n4 3\n255\n") + 3 * 4 * 3
 
@@ -67,7 +71,7 @@ def test_render_header_and_size():
 def test_render_rows_run_top_down():
     values = np.zeros((2, 1))
     values[1, 0] = 1.0  # bright pixel at HIGH y
-    data = render_image(_image(values))
+    data = render_image(_image(values), STRETCH)
     body = data[len(b"P6\n1 2\n255\n"):]
     top, bottom = body[0:3], body[3:6]
     assert top == bytes(int(round(255 * c)) for c in hot_color(1.0))
@@ -84,7 +88,7 @@ def test_render_vertical_stretch_row_count():
 
 def test_render_quantization_is_round_255():
     img = _image(np.array([[1.0]]))
-    data = render_image(img)
+    data = render_image(img, STRETCH)
     assert data[-3:] == bytes(int(np.rint(255 * c)) for c in hot_color(1.0))
 
 
@@ -127,12 +131,12 @@ def test_render_matches_oracle_near_every_bin_edge_threshold_and_knot():
     near = (points.view(np.int64)[:, None] + np.arange(-40, 41)).view(np.float64).ravel()
     near = near[(near >= 0.0) & (near <= 1.0)]
     image = _probe_row(np.concatenate([near, [0.0, np.nextafter(1.0, 0.0)]]))
-    assert render_image(image) == render_oracle(image)
+    assert render_image(image, STRETCH) == render_oracle(image, STRETCH)
 
 
 def test_render_matches_oracle_on_uniform_draws():
     image = _probe_row(np.random.default_rng(406).uniform(0.0, 1.0, 1_000_000))
-    assert render_image(image) == render_oracle(image)
+    assert render_image(image, STRETCH) == render_oracle(image, STRETCH)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -155,7 +159,7 @@ def test_render_peak_memory_on_the_readme_grid_at_stretch_3():
     grid = load_run_config(preset="slg").image_grid()
     ny, nx = grid.ny, grid.nx
     image = _image(np.outer(np.hanning(ny) + 0.1, np.hanning(nx) + 0.1))
-    render_image(_image([[1.0]]))  # builds the byte table outside the measurement
+    render_image(_image([[1.0]]), STRETCH)  # builds the byte table outside the measurement
     tracemalloc.start()
     try:
         data = render_image(image, vertical_stretch=3.0)

@@ -2,6 +2,7 @@
 each of them is read somewhere."""
 
 import ast
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -127,3 +128,43 @@ def test_every_grating_preset_key_is_read():
         for key in entry if key not in read
     }
     assert unread == set()
+
+
+def _public_defaults():
+    """(callable, parameter) of every defaulted parameter of the public
+    functions, class signatures and class or static methods."""
+    found = set()
+    for name in nanograting.__all__:
+        obj = getattr(nanograting, name)
+        if inspect.isclass(obj):
+            methods = [
+                (f"{name}.{attr}", getattr(obj, attr)) for attr, raw in vars(obj).items()
+                if isinstance(raw, (classmethod, staticmethod))
+            ]
+            # an error class keeps the built-in exception signature
+            callables = [(name, obj.__init__)] if inspect.isfunction(obj.__init__) else []
+            callables += methods
+        elif inspect.isfunction(obj):
+            callables = [(name, obj)]
+        else:
+            continue
+        for label, fn in callables:
+            found |= {
+                (label, p.name) for p in inspect.signature(fn).parameters.values()
+                if p.default is not inspect.Parameter.empty
+            }
+    return found
+
+
+def test_no_public_default_restates_the_configuration():
+    # config.KNOWN_KEYS states every default the CLI uses, once; the library
+    # takes those values from its caller. What remains has no configuration key.
+    assert _public_defaults() == {
+        ("Grating", "label"),
+        ("PhysicalConstants", "h"),
+        ("PhysicalConstants", "k_B"),
+        ("PhysicalConstants", "lambda_ref"),
+        ("VelocityDistribution.maxwell_beam", "v_min"),
+        ("VelocityDistribution.maxwell_beam", "v_max"),
+        ("order_population", "n_max"),
+    }

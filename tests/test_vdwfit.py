@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from nanograting import (
-    BeamlineGeometry,
     DetectorGrid,
     DomainError,
     FitError,
@@ -31,7 +30,8 @@ from nanograting.errors import WorkBudgetError
 from nanograting.presets import grating_preset, grating_preset_names
 from nanograting import diffraction, vdwfit
 
-GEOMETRY = BeamlineGeometry(L1=1.554, L2=0.586, g=9.81)
+from configured import FIT_OPTIONS, GEOMETRY, PREFACTOR, PSF_SIGMA
+
 PCH2 = Molecule(name="pch2", mass=8.5e-25)
 SOURCE = SourceModel(source_width=1.5e-6)
 SINX = grating_preset("sinx")
@@ -55,31 +55,31 @@ class TestSuppressionRatio:
 
 
 class TestBandAveragedTrace:
-    GRID = DetectorGrid.symmetric(50e-6, 1e-6)
+    GRID = DetectorGrid(-50e-6, 50e-6, 1e-6, PSF_SIGMA)
     RAW_GRID = replace(GRID, psf_sigma=0.0)  # identity kernel: the unconvolved sum
 
     def test_raw_trace_has_unit_pixel_sum(self):
         band = VelocityDistribution.uniform_band(220.0, 10.0, 3)
         trace = band_averaged_trace(
-            SINX, PCH2, band, SOURCE, GEOMETRY, self.RAW_GRID
+            SINX, PCH2, band, SOURCE, GEOMETRY, self.RAW_GRID, coherence_prefactor=PREFACTOR
         )
         assert trace.intensities.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_convolution_preserves_pixel_sum(self):
         band = VelocityDistribution.uniform_band(220.0, 10.0, 3)
         trace = band_averaged_trace(
-            SINX, PCH2, band, SOURCE, GEOMETRY, self.GRID
+            SINX, PCH2, band, SOURCE, GEOMETRY, self.GRID, coherence_prefactor=PREFACTOR
         )
         assert trace.intensities.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_single_class_band_matches_direct_pattern(self):
         band = VelocityDistribution.uniform_band(220.0, 0.0, 1)
         trace = band_averaged_trace(
-            SINX, PCH2, band, SOURCE, GEOMETRY, self.RAW_GRID
+            SINX, PCH2, band, SOURCE, GEOMETRY, self.RAW_GRID, coherence_prefactor=PREFACTOR
         )
         wavelength = de_broglie_wavelength(PCH2, 220.0)
         k = wave_number(PCH2, 220.0)
-        coh = coherence(SOURCE, GEOMETRY, wavelength, SINX.period, 1.5)
+        coh = coherence(SOURCE, GEOMETRY, wavelength, SINX.period, PREFACTOR)
         direct = kirchhoff_pattern(SINX, k, GEOMETRY.L2, coh.n_coherent_slits, self.GRID)
         expected = direct.intensities / direct.intensities.sum()
         np.testing.assert_allclose(trace.intensities, expected, rtol=1e-12)
@@ -87,15 +87,20 @@ class TestBandAveragedTrace:
     def test_zero_weight_classes_are_skipped(self):
         one = VelocityDistribution([220.0], [1.0])
         padded = VelocityDistribution([180.0, 220.0], [0.0, 1.0])
-        a = band_averaged_trace(SINX, PCH2, one, SOURCE, GEOMETRY, self.RAW_GRID)
-        b = band_averaged_trace(SINX, PCH2, padded, SOURCE, GEOMETRY, self.RAW_GRID)
+        a, b = (
+            band_averaged_trace(SINX, PCH2, band, SOURCE, GEOMETRY, self.RAW_GRID,
+                                coherence_prefactor=PREFACTOR)
+            for band in (one, padded)
+        )
         np.testing.assert_allclose(a.intensities, b.intensities, rtol=1e-15)
 
 
 def _single_velocity_trace(grating, half_span=70e-6, pitch=0.5e-6):
-    grid = DetectorGrid.symmetric(half_span, pitch)
+    grid = DetectorGrid(-half_span, half_span, pitch, PSF_SIGMA)
     band = VelocityDistribution.uniform_band(220.0, 0.0, 1)
-    return band_averaged_trace(grating, PCH2, band, SOURCE, GEOMETRY, grid)
+    return band_averaged_trace(
+        grating, PCH2, band, SOURCE, GEOMETRY, grid, coherence_prefactor=PREFACTOR
+    )
 
 
 class TestOrderPopulation:
@@ -131,7 +136,8 @@ class TestOrderPopulation:
         molecule = config.molecule()
         trace = band_averaged_trace(
             SINX, molecule, VelocityDistribution.uniform_band(400.0, 20.0, 21), SOURCE,
-            GEOMETRY, DetectorGrid.symmetric(230e-6, 0.5e-6),
+            GEOMETRY, DetectorGrid(-230e-6, 230e-6, 0.5e-6, PSF_SIGMA),
+            coherence_prefactor=PREFACTOR,
         )
         wavelength = de_broglie_wavelength(molecule, 400.0)
         orders = order_population(trace, SINX.period, wavelength, GEOMETRY.L2, n_max=5)
@@ -142,7 +148,7 @@ class TestOrderPopulation:
             assert json.loads(json.dumps(record)) == record
 
     def test_evanescent_orders_reported_with_nan_positions(self):
-        grid = DetectorGrid.symmetric(50e-6, 1e-6)
+        grid = DetectorGrid(-50e-6, 50e-6, 1e-6, PSF_SIGMA)
         x = grid.positions
         trace = Trace(x, np.exp(-0.5 * (x / 2e-6) ** 2))
         orders = order_population(trace, 100e-9, 30e-9, GEOMETRY.L2, n_max=5)
@@ -157,14 +163,14 @@ class TestOrderPopulation:
 
     def test_zeroth_order_on_the_first_pixel_is_not_found(self):
         # the window's peak is the trace's edge pixel: no interior maximum
-        x = DetectorGrid(0.0, 50e-6, 0.5e-6).positions
+        x = DetectorGrid(0.0, 50e-6, 0.5e-6, PSF_SIGMA).positions
         trace = Trace(x, np.exp(-0.5 * (x / 2e-6) ** 2))
         orders = order_population(trace, SINX.period, self.WAVELENGTH, GEOMETRY.L2, n_max=1)
         assert orders[0].peak_position == 0.0 and orders[0].height == 1.0
         assert not orders[0].found
 
     def test_no_signal_at_zeroth_order_raises(self):
-        grid = DetectorGrid.symmetric(50e-6, 0.5e-6)
+        grid = DetectorGrid(-50e-6, 50e-6, 0.5e-6, PSF_SIGMA)
         x = grid.positions
         values = np.exp(-0.5 * ((x - 15e-6) / 1e-6) ** 2)
         values[np.abs(x) < 5e-6] = 0.0
@@ -211,17 +217,17 @@ def test_stacked_scoring_equals_the_row_at_a_time_score():
 
 
 class TestFitEffectiveSlit:
-    GRID = DetectorGrid.symmetric(40e-6, 0.5e-6)
+    GRID = DetectorGrid(-40e-6, 40e-6, 0.5e-6, PSF_SIGMA)
     BAND = VelocityDistribution.uniform_band(220.0, 10.0, 3)
 
     def test_noise_free_closure(self):
         target = replace(SINX, effective_slit_width=20e-9)
         measured = band_averaged_trace(
-            target, PCH2, self.BAND, SOURCE, GEOMETRY, self.GRID
+            target, PCH2, self.BAND, SOURCE, GEOMETRY, self.GRID, coherence_prefactor=PREFACTOR
         )
         result = fit_effective_slit(
             measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE,
-            coarse_step=2e-9, tolerance=1e-10,
+            **(FIT_OPTIONS | {"coarse_step": 2e-9, "tolerance": 1e-10}),
         )
         assert result.effective_slit_width == pytest.approx(20e-9, abs=2e-10)
         assert result.suppression_ratio == pytest.approx(SINX.slit_width / 20e-9, rel=0.01)
@@ -233,10 +239,11 @@ class TestFitEffectiveSlit:
     def test_tolerance_below_a_tenth_of_a_picometre_refines(self, target):
         band = VelocityDistribution.uniform_band(220.0, 10.0, 5)
         measured = band_averaged_trace(
-            replace(SINX, effective_slit_width=target), PCH2, band, SOURCE, GEOMETRY, self.GRID
+            replace(SINX, effective_slit_width=target), PCH2, band, SOURCE, GEOMETRY, self.GRID,
+            coherence_prefactor=PREFACTOR,
         )
         result = fit_effective_slit(
-            measured, SINX, PCH2, band, GEOMETRY, SOURCE, tolerance=1e-14,
+            measured, SINX, PCH2, band, GEOMETRY, SOURCE, **(FIT_OPTIONS | {"tolerance": 1e-14}),
         )
         # the final bracket is narrower than the tolerance and holds the target
         assert abs(result.effective_slit_width - target) <= 0.5e-14
@@ -245,7 +252,7 @@ class TestFitEffectiveSlit:
         x = self.GRID.positions
         with pytest.raises(FitError):
             fit_effective_slit(
-                Trace(x, np.ones_like(x)), SINX, PCH2, self.BAND, GEOMETRY, SOURCE
+                Trace(x, np.ones_like(x)), SINX, PCH2, self.BAND, GEOMETRY, SOURCE, **FIT_OPTIONS
             )
 
     def test_peakless_trace_rejected(self):
@@ -257,18 +264,18 @@ class TestFitEffectiveSlit:
         for values in (ramp, off_axis):
             with pytest.raises(FitError, match="half a fringe of x = 0"):
                 fit_effective_slit(
-                    Trace(x, values), SINX, PCH2, self.BAND, GEOMETRY, SOURCE
+                    Trace(x, values), SINX, PCH2, self.BAND, GEOMETRY, SOURCE, **FIT_OPTIONS
                 )
 
     def test_empty_search_interval_rejected(self):
         target = replace(SINX, effective_slit_width=20e-9)
         measured = band_averaged_trace(
-            target, PCH2, self.BAND, SOURCE, GEOMETRY, self.GRID
+            target, PCH2, self.BAND, SOURCE, GEOMETRY, self.GRID, coherence_prefactor=PREFACTOR
         )
         with pytest.raises(DomainError):
             fit_effective_slit(
                 measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE,
-                lower_bound=SINX.slit_width * 2.0,
+                **(FIT_OPTIONS | {"lower_bound": SINX.slit_width * 2.0}),
             )
 
     @pytest.mark.parametrize("tolerance, coarse_step", [
@@ -277,23 +284,28 @@ class TestFitEffectiveSlit:
     def test_unreachable_tolerance_or_bad_step_rejected_before_any_terms(
         self, monkeypatch, tolerance, coarse_step
     ):
-        measured = band_averaged_trace(SINX, PCH2, self.BAND, SOURCE, GEOMETRY, self.GRID)
+        measured = band_averaged_trace(
+            SINX, PCH2, self.BAND, SOURCE, GEOMETRY, self.GRID, coherence_prefactor=PREFACTOR
+        )
         monkeypatch.setattr(vdwfit, "_class_terms", _no_terms)
         # 1e-25 m is below the float spacing of a 50 nm width: the bracket never shrinks to it
         with pytest.raises(DomainError, match="need tolerance >="):
             fit_effective_slit(
                 measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE,
-                coarse_step=coarse_step, tolerance=tolerance,
+                **(FIT_OPTIONS | {"coarse_step": coarse_step, "tolerance": tolerance}),
             )
 
     def test_coarse_scan_over_the_budget_refused_before_any_terms(self, monkeypatch):
-        measured = band_averaged_trace(SINX, PCH2, self.BAND, SOURCE, GEOMETRY, self.GRID)
+        measured = band_averaged_trace(
+            SINX, PCH2, self.BAND, SOURCE, GEOMETRY, self.GRID, coherence_prefactor=PREFACTOR
+        )
         monkeypatch.setattr(vdwfit, "_class_terms", _no_terms)
         points = math.floor((SINX.slit_width - 1e-9) / 1e-13) + 1
         assert points > vdwfit.MAX_COARSE_POINTS
         with pytest.raises(WorkBudgetError, match=f"takes {points} points"):
             fit_effective_slit(
-                measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE, coarse_step=1e-13,
+                measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE,
+                **(FIT_OPTIONS | {"coarse_step": 1e-13}),
             )
 
     def test_each_evaluation_equals_the_band_averaged_trace(self, monkeypatch):
@@ -316,12 +328,13 @@ class TestFitEffectiveSlit:
 
         measured = band_averaged_trace(
             replace(SINX, effective_slit_width=20e-9), PCH2, self.BAND, SOURCE, GEOMETRY,
-            self.GRID,
+            self.GRID, coherence_prefactor=PREFACTOR,
         )
         monkeypatch.setattr(vdwfit, "_band_sum", recording_sum)
         monkeypatch.setattr(vdwfit, "_registered_rms", recording_rms)
         result = fit_effective_slit(
-            measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE, coarse_step=2e-9,
+            measured, SINX, PCH2, self.BAND, GEOMETRY, SOURCE,
+            **(FIT_OPTIONS | {"coarse_step": 2e-9}),
         )
         monkeypatch.undo()
 
@@ -330,17 +343,19 @@ class TestFitEffectiveSlit:
         assert shifts == {0}
         # the grid the fit rebuilds from the measured trace
         grid = DetectorGrid(
-            float(measured.positions[0]), float(measured.positions[-1]), measured.pixel_pitch
+            float(measured.positions[0]), float(measured.positions[-1]), measured.pixel_pitch,
+            PSF_SIGMA,
         )
         for s, candidate in zip(calls, scored[n_coarse:]):
             expected = band_averaged_trace(
-                replace(SINX, effective_slit_width=s), PCH2, self.BAND, SOURCE, GEOMETRY, grid
+                replace(SINX, effective_slit_width=s), PCH2, self.BAND, SOURCE, GEOMETRY, grid,
+                coherence_prefactor=PREFACTOR,
             )
             assert np.array_equal(candidate, expected.intensities)
         for row, s in zip(scored[:n_coarse], np.linspace(1e-9, SINX.slit_width, n_coarse)):
             expected = band_averaged_trace(
                 replace(SINX, effective_slit_width=float(s)), PCH2, self.BAND, SOURCE,
-                GEOMETRY, grid,
+                GEOMETRY, grid, coherence_prefactor=PREFACTOR,
             ).intensities
             assert np.abs(row - expected).max() <= 1e-13 * expected.max(), s
 
@@ -356,12 +371,13 @@ class TestFitEffectiveSlit:
         grating, band, grid = cfg.grating(), cfg.velocity_distribution(), cfg.detector_grid()
         assert grid.n_pixels == 281
         clean = band_averaged_trace(
-            grating, cfg.molecule(), band, cfg.source(), cfg.geometry(), grid
+            grating, cfg.molecule(), band, cfg.source(), cfg.geometry(), grid,
+            coherence_prefactor=PREFACTOR,
         )
         noise = 0.01 * np.random.default_rng(41).standard_normal(len(clean))
         measured = Trace(clean.positions, np.clip(clean.intensities * (1.0 + noise), 0.0, None))
         result = fit_effective_slit(
-            measured, grating, cfg.molecule(), band, cfg.geometry(), cfg.source()
+            measured, grating, cfg.molecule(), band, cfg.geometry(), cfg.source(), **FIT_OPTIONS
         )
         assert result.evaluations == 59
         assert result.bracket == (1.4270833333333331e-08, 1.6312499999999998e-08)
@@ -391,15 +407,20 @@ class TestFitEffectiveSlit:
 
         monkeypatch.setattr(diffraction, "_check_width", counting_check)
         monkeypatch.setattr(diffraction, "_slit_terms", counting_build)
-        clean = band_averaged_trace(grating, molecule, band, source, geometry, grid)
+        clean = band_averaged_trace(
+            grating, molecule, band, source, geometry, grid, coherence_prefactor=PREFACTOR
+        )
         assert (checked, len(built)) == ([grating.effective_slit_width] * 5, 5)
         checked.clear()
         built.clear()
-        fit_effective_slit(clean, grating, molecule, band, geometry, source)
+        fit_effective_slit(clean, grating, molecule, band, geometry, source, **FIT_OPTIONS)
         assert (checked, len(built)) == ([grating.slit_width] * 5, 5)
         checked.clear()
         built.clear()
-        result = synthesize_image(band, grating, source, geometry, cfg.image_grid(), molecule)
+        result = synthesize_image(
+            band, grating, source, geometry, cfg.image_grid(), molecule,
+            coherence_prefactor=PREFACTOR,
+        )
         assert result.clipped_weight == 0.0
         assert (checked, len(built)) == ([grating.effective_slit_width] * 5, 5)
 
@@ -412,7 +433,7 @@ class TestFitEffectiveSlit:
         # lift an outer order above the zeroth
         cfg = load_run_config()
         molecule, source, geometry = cfg.molecule(), cfg.source(), cfg.geometry()
-        grid = DetectorGrid.symmetric(half_span, 0.5e-6)
+        grid = DetectorGrid(-half_span, half_span, 0.5e-6, PSF_SIGMA)
         rng = np.random.default_rng(11)
         misses = []
         for name in grating_preset_names():
@@ -423,10 +444,10 @@ class TestFitEffectiveSlit:
                 band = VelocityDistribution.uniform_band(centre, 0.05 * centre, 3)
                 measured = band_averaged_trace(
                     replace(grating, effective_slit_width=s_eff), molecule, band, source,
-                    geometry, grid,
+                    geometry, grid, coherence_prefactor=PREFACTOR,
                 )
                 fitted = fit_effective_slit(
-                    measured, grating, molecule, band, geometry, source
+                    measured, grating, molecule, band, geometry, source, **FIT_OPTIONS
                 ).effective_slit_width
                 if abs(fitted - s_eff) > 0.1e-9:
                     misses.append((name, s_eff, centre, fitted))
@@ -446,11 +467,11 @@ class TestFitEffectiveSlit:
         fit_args = (grating, molecule, band, cfg.geometry(), cfg.source())
         measured = band_averaged_trace(
             replace(grating, effective_slit_width=20e-9), molecule, band, cfg.source(),
-            cfg.geometry(), cfg.detector_grid(),
+            cfg.geometry(), cfg.detector_grid(), coherence_prefactor=PREFACTOR,
         )
         shifted = Trace(measured.positions, np.roll(measured.intensities, pixels))
-        unshifted_fit = fit_effective_slit(measured, *fit_args)
-        shifted_fit = fit_effective_slit(shifted, *fit_args)
+        unshifted_fit = fit_effective_slit(measured, *fit_args, **FIT_OPTIONS)
+        shifted_fit = fit_effective_slit(shifted, *fit_args, **FIT_OPTIONS)
         assert shifted_fit.effective_slit_width == unshifted_fit.effective_slit_width
 
     def test_coarse_scan_holds_at_most_40_bytes_per_pixel_and_point(self):
@@ -463,7 +484,8 @@ class TestFitEffectiveSlit:
         ])
         grating, band, grid = cfg.grating(), cfg.velocity_distribution(), cfg.detector_grid()
         measured = band_averaged_trace(
-            grating, cfg.molecule(), band, cfg.source(), cfg.geometry(), grid
+            grating, cfg.molecule(), band, cfg.source(), cfg.geometry(), grid,
+            coherence_prefactor=PREFACTOR,
         )
         peaks, points = [], []
         for step in (1e-10, 1e-11):
@@ -471,7 +493,7 @@ class TestFitEffectiveSlit:
             try:
                 fit_effective_slit(
                     measured, grating, cfg.molecule(), band, cfg.geometry(), cfg.source(),
-                    coarse_step=step,
+                    **(FIT_OPTIONS | {"coarse_step": step}),
                 )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -483,15 +505,15 @@ class TestFitEffectiveSlit:
 
     def test_fit_refusal_is_the_pattern_refusal_at_the_slit_width(self):
         # at L2 = 5 mm and 220 m/s the slit-phase gate closes at about 34 nm,
-        # inside the default scan over [1 nm, 50 nm]; the fit checks each
+        # inside the configured scan over [1 nm, 50 nm]; the fit checks each
         # class once, at the slit width, the scan's widest
-        geometry = BeamlineGeometry(L1=1.554, L2=0.005, g=9.81)
+        geometry = replace(GEOMETRY, L2=0.005)
         band = VelocityDistribution.discrete([220.0])
-        grid = DetectorGrid.symmetric(2e-6, 0.05e-6)
+        grid = DetectorGrid(-2e-6, 2e-6, 0.05e-6, PSF_SIGMA)
         x = grid.positions
         measured = Trace(x, np.exp(-0.5 * (x / 0.5e-6) ** 2))
         wavelength = de_broglie_wavelength(PCH2, 220.0)
-        n_slits = coherence(SOURCE, geometry, wavelength, SINX.period, 1.5).n_coherent_slits
+        n_slits = coherence(SOURCE, geometry, wavelength, SINX.period, PREFACTOR).n_coherent_slits
         n_coarse = math.floor((SINX.slit_width - 1e-9) / 1e-9) + 1
         coarse = np.linspace(1e-9, SINX.slit_width, n_coarse)
         refusals = []
@@ -507,19 +529,19 @@ class TestFitEffectiveSlit:
         assert coarse[-1] == SINX.slit_width
         assert "quadratic phase" in refusals[-1]
         with pytest.raises(ResolutionError) as raised:
-            fit_effective_slit(measured, SINX, PCH2, band, geometry, SOURCE)
+            fit_effective_slit(measured, SINX, PCH2, band, geometry, SOURCE, **FIT_OPTIONS)
         assert str(raised.value) == refusals[-1]
 
     def test_wide_slit_raises_the_pattern_resolution_error(self):
         # k s^2 / (8 L2) at L2 = 5 mm is 0.09 rad at s = 45 nm, the lower
         # bound, and 0.11 rad at the slit width, 50 nm, the one width checked
-        geometry = BeamlineGeometry(L1=1.554, L2=0.005, g=9.81)
+        geometry = replace(GEOMETRY, L2=0.005)
         band = VelocityDistribution.discrete([220.0])
-        grid = DetectorGrid.symmetric(2e-6, 0.05e-6)
+        grid = DetectorGrid(-2e-6, 2e-6, 0.05e-6, PSF_SIGMA)
         x = grid.positions
         measured = Trace(x, np.exp(-0.5 * (x / 0.5e-6) ** 2))
         wavelength = de_broglie_wavelength(PCH2, 220.0)
-        n_slits = coherence(SOURCE, geometry, wavelength, SINX.period, 1.5).n_coherent_slits
+        n_slits = coherence(SOURCE, geometry, wavelength, SINX.period, PREFACTOR).n_coherent_slits
         with pytest.raises(ResolutionError) as expected:
             kirchhoff_pattern(
                 replace(SINX, effective_slit_width=SINX.slit_width), wave_number(PCH2, 220.0),
@@ -527,7 +549,8 @@ class TestFitEffectiveSlit:
             )
         with pytest.raises(ResolutionError) as raised:
             fit_effective_slit(
-                measured, SINX, PCH2, band, geometry, SOURCE, lower_bound=45e-9,
+                measured, SINX, PCH2, band, geometry, SOURCE,
+                **(FIT_OPTIONS | {"lower_bound": 45e-9}),
             )
         assert str(raised.value) == str(expected.value)
 
