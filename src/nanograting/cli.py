@@ -13,6 +13,8 @@ All commands share ``--config``, ``--preset``, ``--set KEY=VALUE``,
 ``--out``, and ``--seed``. Exit codes: 0 success, 2 configuration or
 input-file error, 3 any other domain/fit/geometry error. Outputs carry no
 timestamps and are byte-identical across reruns of the same configuration.
+Each command imports the engine modules and numpy itself, so ``limits`` and
+the fall-height ``fit-velocity`` run without them.
 """
 
 from __future__ import annotations
@@ -22,24 +24,11 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .config import RunConfig, load_run_config
-from .diffraction import (
-    Trace,
-    coherence,
-    far_field_orders,
-    gaussian_kernel,
-    kirchhoff_pattern,
-    symmetric_convolve,
-    wave_number,
-)
-from .domain import BeamlineGeometry, Grating, Molecule, de_broglie_wavelength
+from .domain import BeamlineGeometry, Grating, Molecule, de_broglie_wavelength, fit_velocity
 from .errors import ConfigurationError, NanogratingError
-from .gravity import fit_velocity, stripe_velocity_profile, synthesize_image
-from .imaging import render_image
 from .io import (
     format_report,
     format_value,
@@ -52,7 +41,9 @@ from .io import (
 )
 from .limits import adsorption_coverage, limits_report, thermal_scroll_amplitude
 from .presets import GRATING_PRESETS
-from .vdwfit import band_averaged_trace, fit_effective_slit
+
+if TYPE_CHECKING:
+    from .diffraction import Trace
 
 __all__ = ["main"]
 
@@ -83,6 +74,8 @@ def _simulation_header(
 
 
 def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
+    from .diffraction import Trace, coherence, far_field_orders, gaussian_kernel
+    from .diffraction import kirchhoff_pattern, symmetric_convolve, wave_number
     grating = config.grating()
     molecule = config.molecule()
     geometry = config.geometry()
@@ -91,6 +84,8 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     prefactor = config.require("source.coherence_prefactor")
 
     if config.require("simulate.band"):
+        import numpy as np
+        from .vdwfit import band_averaged_trace
         band = config.velocity_distribution()
         center = float(np.average(band.velocities, weights=band.weights))
         raw = band_averaged_trace(
@@ -130,6 +125,8 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_synth_image(config: RunConfig, args: argparse.Namespace) -> int:
+    from .gravity import synthesize_image
+    from .imaging import render_image
     grating = config.grating()
     molecule = config.molecule()
     geometry = config.geometry()
@@ -170,6 +167,9 @@ def cmd_synth_image(config: RunConfig, args: argparse.Namespace) -> int:
 def _measured_trace(config: RunConfig, seed: int) -> tuple[Trace, dict[str, Any]]:
     """The trace to fit: an on-disk CSV, or a self-generated target at a known
     effective slit width (optionally with multiplicative noise)."""
+    import numpy as np
+    from .diffraction import Trace
+    from .vdwfit import band_averaged_trace
     csv_path = config.get("fit.measured_csv")
     target = config.get("fit.target_s_eff_nm")
     if csv_path is not None and target is not None:
@@ -202,6 +202,7 @@ def _measured_trace(config: RunConfig, seed: int) -> tuple[Trace, dict[str, Any]
 
 
 def cmd_fit_seff(config: RunConfig, args: argparse.Namespace) -> int:
+    from .vdwfit import fit_effective_slit
     grating = config.grating()
     measured, provenance = _measured_trace(config, args.seed)
     result = fit_effective_slit(
@@ -242,6 +243,7 @@ def cmd_fit_velocity(config: RunConfig, args: argparse.Namespace) -> int:
     geometry = config.geometry()
     image_path = config.get("profile.image_path")
     if image_path is not None:
+        from .gravity import stripe_velocity_profile
         image = read_interferogram(image_path)
         profile = stripe_velocity_profile(
             image,
@@ -373,6 +375,7 @@ def cmd_limits(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_render(config: RunConfig, args: argparse.Namespace) -> int:
+    from .imaging import render_image
     image_path = config.get("render.image_path")
     if image_path is None:
         raise ConfigurationError("render needs render.image_path")

@@ -12,20 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from .diffraction import DetectorGrid
-from .domain import (
-    ATOMIC_MASS_KG,
-    BeamlineGeometry,
-    Grating,
-    Molecule,
-    SourceModel,
-)
+from .domain import ATOMIC_MASS_KG, BeamlineGeometry, Grating, Molecule, SourceModel
 from .errors import ConfigurationError
-from .gravity import ImageGrid, VelocityDistribution
 from .io import _read_file
 from .presets import grating_preset
+
+if TYPE_CHECKING:
+    from .diffraction import DetectorGrid
+    from .gravity import ImageGrid, VelocityDistribution
 
 __all__ = [
     "DEFAULTS",
@@ -216,6 +212,7 @@ class RunConfig:
         return SourceModel(source_width=self.require("source.width_um"))
 
     def detector_grid(self) -> DetectorGrid:
+        from .diffraction import DetectorGrid
         return DetectorGrid(
             x_min=self.require("detector.x_min_um"),
             x_max=self.require("detector.x_max_um"),
@@ -224,6 +221,7 @@ class RunConfig:
         )
 
     def image_grid(self) -> ImageGrid:
+        from .gravity import ImageGrid
         return ImageGrid(
             x_min=self.require("detector.x_min_um"),
             x_max=self.require("detector.x_max_um"),
@@ -235,6 +233,7 @@ class RunConfig:
         )
 
     def velocity_distribution(self) -> VelocityDistribution:
+        from .gravity import VelocityDistribution
         kind = self.require("velocity.kind")
         n_classes = self.get("velocity.n_classes")
         if kind == "uniform-band":

@@ -2,6 +2,15 @@
 
 Everything is SI internally (m, kg, s, K, J). Unit conversion happens only at
 I/O boundaries (CLI config keys, CSV headers).
+
+Vertical coordinates are heights in a common frame, positive up. A molecule
+of forward speed v passing through the source (height y0, distance 0) and the
+grating (height y1, distance L1) lands on the detector (distance L) at
+
+    y2 = y0 + (y1 - y0) * (L / L1) + A / v^2,   A = g (L L1 - L^2) / 2 < 0,
+
+i.e. on the extrapolated source-grating line, lowered by the free-fall term.
+``fall_position`` is this relation and ``fit_velocity`` its inverse for v.
 """
 
 from __future__ import annotations
@@ -9,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DomainError
+from .errors import DomainError, GeometryError
 
 __all__ = [
     "ATOMIC_MASS_KG",
@@ -20,6 +29,8 @@ __all__ = [
     "PhysicalConstants",
     "SourceModel",
     "de_broglie_wavelength",
+    "fall_position",
+    "fit_velocity",
 ]
 
 ATOMIC_MASS_KG = 1.66053906660e-27
@@ -159,3 +170,57 @@ def de_broglie_wavelength(molecule: Molecule, velocity: float) -> float:
             "must be positive and finite"
         )
     return CONSTANTS.h / momentum
+
+
+def _ballistic_coefficient(geometry: BeamlineGeometry) -> float:
+    try:
+        coefficient = geometry.g * (geometry.L * geometry.L1 - geometry.L**2) / 2.0
+    except OverflowError:  # from L**2, where L * L would round to inf
+        coefficient = math.inf
+    if not math.isfinite(coefficient):
+        raise DomainError(
+            f"free-fall coefficient g (L L1 - L^2) / 2 overflows at L = {geometry.L!r} m"
+        )
+    return coefficient
+
+
+def fall_position(velocity: float, geometry: BeamlineGeometry) -> float:
+    """Detector height of a molecule that passed through source and grating.
+
+    Strictly increasing in velocity; approaches the extrapolated
+    source-grating line as v -> infinity (equal to y0 for a level beamline).
+    Every fall term A / v^2 is computed here: a v * v that rounds to inf
+    lands on the line, and a term that is not finite is refused.
+    """
+    if not (velocity > 0.0 and math.isfinite(velocity)):
+        raise DomainError(f"velocity must be positive and finite, got {velocity!r}")
+    line = geometry.y0 + (geometry.y1 - geometry.y0) * (geometry.L / geometry.L1)
+    square = velocity * velocity
+    drop = _ballistic_coefficient(geometry) / square if square else -math.inf
+    if not math.isfinite(drop):
+        raise DomainError(f"fall term A / v^2 overflows at a velocity of {velocity!r} m/s")
+    return line + drop
+
+
+def fit_velocity(y2: float, geometry: BeamlineGeometry) -> float:
+    """Forward speed from the measured fall height y2, the inverse of
+    ``fall_position`` on the geometry's source and grating heights y0, y1.
+
+        v = sqrt[ g (L L1 - L^2) / 2 / (y2 - y0 - (y1 - y0) L / L1) ]
+
+    The denominator must be strictly negative (the molecule lands *below* the
+    extrapolated source-grating line); anything else is a degenerate geometry.
+    Invariant under a common offset of y0, y1, y2.
+    """
+    if not math.isfinite(y2):
+        raise DomainError(f"fall height must be finite, got {y2!r}")
+    coefficient = _ballistic_coefficient(geometry)
+    y0, y1 = geometry.y0, geometry.y1
+    denominator = y2 - y0 - (y1 - y0) * (geometry.L / geometry.L1)
+    if denominator >= 0.0:
+        raise GeometryError(
+            "fall-height denominator must be strictly negative "
+            f"(got {denominator!r}); the detection point must lie below the "
+            "extrapolated source-grating line"
+        )
+    return math.sqrt(coefficient / denominator)

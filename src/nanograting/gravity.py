@@ -1,15 +1,6 @@
-"""Gravitational velocity dispersion: free-fall row placement, velocity
-inversion from fall height, 2D interferogram synthesis, and the stripe-wise
-velocity profile of a synthesized or measured image.
-
-Vertical coordinates are heights in a common frame, positive up. A molecule
-of forward speed v passing through the source (height y0, distance 0) and the
-grating (height y1, distance L1) lands on the detector (distance L) at
-
-    y2 = y0 + (y1 - y0) * (L / L1) + A / v^2,   A = g (L L1 - L^2) / 2 < 0,
-
-i.e. on the extrapolated source-grating line, lowered by the free-fall term.
-Inverting this relation for v is exactly the velocity fit used throughout.
+"""Gravitational velocity dispersion: 2D interferogram synthesis, each velocity
+class on the rows of its fall height (``domain.fall_position``), and the
+stripe-wise velocity profile of a synthesized or measured image.
 """
 
 from __future__ import annotations
@@ -29,6 +20,7 @@ from .diffraction import (
     symmetric_convolve,
 )
 from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, SourceModel
+from .domain import _ballistic_coefficient, fall_position, fit_velocity
 from .errors import DomainError, GeometryError, WorkBudgetError
 
 __all__ = [
@@ -38,16 +30,12 @@ __all__ = [
     "StripeVelocity",
     "SynthesisResult",
     "VelocityDistribution",
-    "fall_position",
-    "fit_velocity",
     "stripe_velocity_profile",
     "synthesize_image",
 ]
 
 # velocity range over which image synthesis is validated
 VELOCITY_SUPPORT = (50.0, 1000.0)
-
-ORIENTATION = "up-positive"  # the one row order of an interferogram: index rises with height
 
 MIN_STRIPE_SIGNAL = 1e-3  # least stripe peak, relative to the image peak
 MIN_PEAK_FRACTION = 0.02  # least first-order peak, relative to its stripe's zeroth order
@@ -63,18 +51,6 @@ MAX_VELOCITY_CLASSES = 2_000
 # render peaks at about 29 B per output pixel at a stretch of 1 or less and
 # 12 B at a stretch of 3 (at most 0.15 GB), a synthesis at 19 B
 MAX_IMAGE_PIXELS = 5_000_000
-
-
-def _ballistic_coefficient(geometry: BeamlineGeometry) -> float:
-    try:
-        coefficient = geometry.g * (geometry.L * geometry.L1 - geometry.L**2) / 2.0
-    except OverflowError:  # from L**2, where L * L would round to inf
-        coefficient = math.inf
-    if not math.isfinite(coefficient):
-        raise DomainError(
-            f"free-fall coefficient g (L L1 - L^2) / 2 overflows at L = {geometry.L!r} m"
-        )
-    return coefficient
 
 
 def _check_class_count(n_classes: int) -> None:
@@ -194,7 +170,7 @@ class ImageGrid:
 
 @dataclass(frozen=True)
 class Interferogram:
-    """A 2D intensity image. Row index increases with height (``ORIENTATION``):
+    """A 2D intensity image. Row index increases with height (``io.ORIENTATION``):
     values[iy, ix] sits at (x_min + ix * pitch_x, y_min + iy * pitch_y)."""
 
     values: np.ndarray
@@ -234,48 +210,6 @@ class Interferogram:
     @property
     def total(self) -> float:
         return float(self.values.sum())
-
-
-def fall_position(velocity: float, geometry: BeamlineGeometry) -> float:
-    """Detector height of a molecule that passed through source and grating.
-
-    Strictly increasing in velocity; approaches the extrapolated
-    source-grating line as v -> infinity (equal to y0 for a level beamline).
-    Every fall term A / v^2 is computed here: a v * v that rounds to inf
-    lands on the line, and a term that is not finite is refused.
-    """
-    if not (velocity > 0.0 and math.isfinite(velocity)):
-        raise DomainError(f"velocity must be positive and finite, got {velocity!r}")
-    line = geometry.y0 + (geometry.y1 - geometry.y0) * (geometry.L / geometry.L1)
-    square = velocity * velocity
-    drop = _ballistic_coefficient(geometry) / square if square else -math.inf
-    if not math.isfinite(drop):
-        raise DomainError(f"fall term A / v^2 overflows at a velocity of {velocity!r} m/s")
-    return line + drop
-
-
-def fit_velocity(y2: float, geometry: BeamlineGeometry) -> float:
-    """Forward speed from the measured fall height y2, the inverse of
-    ``fall_position`` on the geometry's source and grating heights y0, y1.
-
-        v = sqrt[ g (L L1 - L^2) / 2 / (y2 - y0 - (y1 - y0) L / L1) ]
-
-    The denominator must be strictly negative (the molecule lands *below* the
-    extrapolated source-grating line); anything else is a degenerate geometry.
-    Invariant under a common offset of y0, y1, y2.
-    """
-    if not math.isfinite(y2):
-        raise DomainError(f"fall height must be finite, got {y2!r}")
-    coefficient = _ballistic_coefficient(geometry)
-    y0, y1 = geometry.y0, geometry.y1
-    denominator = y2 - y0 - (y1 - y0) * (geometry.L / geometry.L1)
-    if denominator >= 0.0:
-        raise GeometryError(
-            "fall-height denominator must be strictly negative "
-            f"(got {denominator!r}); the detection point must lie below the "
-            "extrapolated source-grating line"
-        )
-    return math.sqrt(coefficient / denominator)
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-import numpy as np
-
-from .diffraction import Trace
 from .errors import ConfigurationError, DomainError
-from .gravity import ORIENTATION, Interferogram
+
+if TYPE_CHECKING:
+    from .diffraction import Trace
+    from .gravity import Interferogram
 
 __all__ = [
     "format_report",
@@ -34,6 +35,7 @@ __all__ = [
 _TRACE_MAGIC = "nanograting trace v1"
 _IMAGE_MAGIC = "nanograting interferogram v1"
 _IMAGE_DTYPE = "<f8"
+ORIENTATION = "up-positive"  # the one row order of an interferogram: index rises with height
 
 
 def _is_count(value: Any) -> bool:
@@ -68,12 +70,15 @@ def _read_file(path: Path, encoding: str | None = None) -> Any:
 
 
 def format_value(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    # a numpy scalar exists only once numpy is imported, so a report of
+    # Python values is formatted without importing it
+    np = sys.modules.get("numpy")
+    if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
         return "true" if value else "false"
     # np.float64 subclasses float, so coerce before repr to keep plain digits
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float) or np is not None and isinstance(value, np.floating):
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int) or np is not None and isinstance(value, np.integer):
         return str(int(value))
     return str(value)
 
@@ -94,6 +99,7 @@ def read_trace_csv(path: str | Path) -> tuple[Trace, dict[str, str]]:
     """Read a trace CSV written by :func:`write_trace_csv` (or any CSV of
     position_m,intensity rows with optional '#'-comment key = value header
     lines). Returns the trace and the raw header mapping."""
+    from .diffraction import Trace
     header: dict[str, str] = {}
     xs: list[float] = []
     ys: list[float] = []
@@ -119,7 +125,7 @@ def read_trace_csv(path: str | Path) -> tuple[Trace, dict[str, str]]:
     if not xs:
         raise ConfigurationError(f"no trace rows found in {path}")
     try:
-        return Trace(np.array(xs), np.array(ys)), header
+        return Trace(xs, ys), header
     except DomainError as exc:
         raise ConfigurationError(f"trace file {source}: {exc}") from exc
 
@@ -129,7 +135,7 @@ def write_interferogram(path: str | Path, image: Interferogram) -> None:
     and a JSON sidecar ``path + '.json'`` holding dimensions, pitches,
     origin, and orientation."""
     target = Path(path)
-    target.write_bytes(np.ascontiguousarray(image.values, dtype=_IMAGE_DTYPE).tobytes())
+    target.write_bytes(image.values.astype(_IMAGE_DTYPE, copy=False).tobytes())
     sidecar = {
         "format": _IMAGE_MAGIC,
         "nx": image.nx,
@@ -163,6 +169,8 @@ def _check_sidecar(meta: Any, sidecar_path: Path) -> None:
 
 def read_interferogram(path: str | Path) -> Interferogram:
     """Read an interferogram written by :func:`write_interferogram`."""
+    import numpy as np
+    from .gravity import Interferogram
     target = Path(path)
     sidecar_path = target.with_name(target.name + ".json")
     try:

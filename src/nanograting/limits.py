@@ -40,10 +40,10 @@ def thermal_scroll_amplitude(
     finite raises DomainError."""
     if length <= 0.0 or diameter <= 0.0:
         raise DomainError("beam length and diameter must be positive")
-    if youngs_modulus <= 0.0:
-        raise DomainError(f"Young's modulus must be positive, got {youngs_modulus!r}")
-    if temperature < 0.0:
-        raise DomainError(f"temperature must be non-negative, got {temperature!r}")
+    if not 0.0 < youngs_modulus < math.inf:
+        raise DomainError(f"Young's modulus must be positive and finite, got {youngs_modulus!r}")
+    if not 0.0 <= temperature < math.inf:
+        raise DomainError(f"temperature must be non-negative and finite, got {temperature!r}")
     try:
         moment = math.pi * diameter**4 / 64.0
         amplitude = math.sqrt(
@@ -110,16 +110,16 @@ def limits_report(
       between the +n_max and -n_max arms in photon recoils h / lambda_ref of
       the 780.241 nm reference line (``CONSTANTS.lambda_ref``).
 
-    Refusals, each a DomainError: s <= 0; sigma not finite and positive, or
-    so small that the margin overflows; d <= 0; n_max < 0, or so large that
-    the momentum transfer is not finite.
+    Refusals, each a DomainError: s or d not finite and positive; sigma not
+    finite and positive, or so small that the margin overflows; n_max < 0,
+    or so large that the momentum transfer is not finite.
     """
-    if not slit_width > 0.0:
-        raise DomainError(f"slit width must be positive, got {slit_width!r}")
+    if not 0.0 < slit_width < math.inf:
+        raise DomainError(f"slit width must be positive and finite, got {slit_width!r}")
     if not (math.isfinite(position_sigma) and position_sigma > 0.0):
         raise DomainError(f"position sigma must be positive and finite, got {position_sigma!r}")
-    if not period > 0.0:
-        raise DomainError(f"period must be positive, got {period!r}")
+    if not 0.0 < period < math.inf:
+        raise DomainError(f"period must be positive and finite, got {period!r}")
     if max_order < 0:
         raise DomainError(f"max order must be non-negative, got {max_order!r}")
     s_min = MIN_SLIT_PREFACTOR * math.pi * position_sigma

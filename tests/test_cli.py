@@ -518,6 +518,30 @@ def test_fresh_processes_write_identical_bytes(tmp_path, args, outputs):
     assert blobs[0] == blobs[1]
 
 
+ENGINE_MODULES = ("numpy", "nanograting.diffraction", "nanograting.gravity",
+                  "nanograting.imaging", "nanograting.vdwfit")
+
+
+def test_limits_and_the_fall_height_fit_load_neither_numpy_nor_the_engine():
+    # each command imports what it runs: these two need only math, so a
+    # fresh process runs them without paying numpy's start-up
+    script = f"""
+import json, sys
+engine = {ENGINE_MODULES!r}
+import nanograting.cli
+bare = [name for name in engine if name in sys.modules]
+codes = [nanograting.cli.main(["limits", "--preset", "slg"]),
+         nanograting.cli.main(["fit-velocity", "--set", "fit.y2_um=-127.1"])]
+print(json.dumps([bare, codes, [name for name in engine if name in sys.modules]]))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nanograting.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert "velocity_m_s" in proc.stdout and "min_coherent_slit_m" in proc.stdout
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], [0, 0], []]
+
+
 class TestFitVelocity:
     def test_fall_height_inversion(self, capsys):
         code, stdout, _ = run_cli(

@@ -23,8 +23,10 @@ from nanograting import (
     fit_velocity,
     gaussian_kernel,
     hot_color,
+    limits_report,
     render_image,
     stripe_velocity_profile,
+    thermal_scroll_amplitude,
 )
 
 from configured import CONFIG, GEOMETRY
@@ -126,6 +128,7 @@ def test_source_model_validation():
 
 
 FOOTPRINT = CONFIG.require("limits.footprint_nm2")
+MODULUS = CONFIG.require("limits.youngs_modulus_GPa")
 _IMAGE = Interferogram(np.ones((4, 5)), 1e-6, 1e-6, -2e-6, 0.0)
 _NON_FINITE_CALLS = {
     "source width": lambda x: SourceModel(x),
@@ -143,6 +146,10 @@ _NON_FINITE_CALLS = {
     "order wavelength": lambda x: far_field_orders(x, 1e-7, 0.586, 3),
     "fall height": lambda x: fit_velocity(x, GEOMETRY),
     "molecule count": lambda x: adsorption_coverage(x, 1e-8, FOOTPRINT),
+    "young's modulus": lambda x: thermal_scroll_amplitude(1.34e-6, 8e-9, 300.0, x),
+    "beam temperature": lambda x: thermal_scroll_amplitude(1.34e-6, 8e-9, x, MODULUS),
+    "limits slit width": lambda x: limits_report(x, 1e-10, period=1e-7, max_order=9),
+    "limits period": lambda x: limits_report(5e-8, 1e-10, period=x, max_order=9),
     "colour signal": lambda x: hot_color(x),
 }
 

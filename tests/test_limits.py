@@ -36,8 +36,9 @@ def test_diffraction_momentum_spread_scaling():
     assert _report(slit_width=25e-9).dp_diff == pytest.approx(
         2.0 * _report(slit_width=50e-9).dp_diff, rel=1e-15
     )
-    with pytest.raises(DomainError, match="slit width must be positive"):
-        _report(slit_width=0.0)
+    for bad in (0.0, math.inf):
+        with pytest.raises(DomainError, match="slit width must be positive"):
+            _report(slit_width=bad)
 
 
 def test_grating_momentum_uncertainty_values():
@@ -57,8 +58,16 @@ def test_thermal_amplitude_published_example():
 def test_thermal_amplitude_zero_temperature():
     # the formula itself gives 0 at T = 0; limits_report refuses that sigma
     assert thermal_scroll_amplitude(1.34e-6, 8e-9, 0.0, MODULUS) == 0.0
-    with pytest.raises(DomainError):
-        thermal_scroll_amplitude(1.34e-6, 8e-9, -1.0, MODULUS)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^temperature must be"):
+            thermal_scroll_amplitude(1.34e-6, 8e-9, bad, MODULUS)
+
+
+def test_thermal_amplitude_refuses_a_modulus_that_is_not_positive_and_finite():
+    # an infinite modulus would give 0, and a NaN one a NaN blamed on the beam size
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^Young's modulus must be"):
+            thermal_scroll_amplitude(1.34e-6, 8e-9, 300.0, bad)
 
 
 @pytest.mark.parametrize("length, diameter", [
@@ -125,8 +134,9 @@ def test_momentum_transfer_values():
         499.35424, abs=1e-5
     )
     assert _report(period=100e-9, max_order=0).momentum_transfer_hk == 0.0
-    with pytest.raises(DomainError, match="period must be positive"):
-        _report(period=0.0)
+    for bad in (0.0, math.inf):
+        with pytest.raises(DomainError, match="period must be positive"):
+            _report(period=bad)
     with pytest.raises(DomainError, match="max order must be non-negative"):
         _report(max_order=-1)
     # a transfer that overflows, and an int past the float range

@@ -3,7 +3,11 @@ each of them is read somewhere."""
 
 import ast
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -36,6 +40,22 @@ def test_all_is_the_sorted_union_of_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(nanograting, name) is getattr(module, name)
+
+
+def test_a_star_import_in_a_fresh_interpreter_binds_every_public_name():
+    # the namespace is built on first access, here by the star import itself
+    script = """
+import json
+from nanograting import *
+import nanograting
+names = nanograting.__all__
+print(json.dumps([len(names), [n for n in names if globals().get(n) is not getattr(nanograting, n)]]))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nanograting.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [len(nanograting.__all__), []]
 
 
 def _loaded_names(source):
