@@ -246,16 +246,6 @@ def _node_basis(centers: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarr
     return nodes, basis
 
 
-def _chirp(beta: float, n: np.ndarray) -> np.ndarray:
-    """exp(i beta n^2 / 2) at the integers n (largest last), reduced mod 2 pi exactly."""
-    n2 = np.square(n, dtype=float)
-    turns = beta / (4.0 * math.pi)
-    q = 53 - math.frexp(turns * float(n2[-1]))[1]
-    high = math.ldexp(math.floor(math.ldexp(turns, q)), -q)
-    t = high * n2
-    return np.exp(2j * math.pi * (t - np.floor(t) + (turns - high) * n2))
-
-
 def _slit_terms(
     k: float,
     L2: float,
@@ -298,9 +288,9 @@ def _slit_terms(
     - i beta j^2 / 2), and F_m(p) = sum_j q[m, j] exp(i beta (p - j)^2 / 2)
     for all M rows is one FFT convolution over a power of two >= P + N - 1
     points: the chirp-z transform (Rabiner, Schafer and Rader, 1969) on
-    numpy's single-threaded FFT. ``_chirp`` reduces the chirp phases (up to
-    about 5e4 rad) mod 2 pi exactly. R and delta' are evaluated at the M x P
-    (node, pixel) points only, so the work scales with pixels x nodes.
+    numpy's single-threaded FFT, with the chirp phases (up to about 8e4 rad)
+    unreduced in float64. R and delta' are evaluated at the M x P (node,
+    pixel) points only, so the work scales with pixels x nodes.
 
     Mirror fold. Slit terms are even in u and c_{N-1-j} = -c_j, so the
     intensity is even in x'. If max_p |x_p + x_{P-1-p}| <= 8 eps max|x|
@@ -321,12 +311,13 @@ def _slit_terms(
     Node-major rows keep each node's pixels contiguous, so the contraction
     over nodes runs on unit-stride rows.
 
-    Error, against the per-slit sum with its phase in long double: at most
-    3.7e-13 of the in-window peak on the README presets at 50 and 1000 m/s
-    and at L2 = 5 mm (1.3e-12 for a float64 pixels x slits phase), and 4e-14
-    of the global peak (s N)^2 over 400 random cases the gates
-    accept, off axis included; the tests bound it at 1e-12. Without the
-    exact reduction the chirp reads 2.6e-12 at L2 = 5 mm.
+    Error, against the per-slit sum with its phase in long double, over the
+    presets at 50-1000 m/s at the effective, geometric and slit-phase-limit
+    widths: at most 1.7e-13 of the in-window peak on the README grid, 3.9e-13
+    on +-2 um at L2 = 5 mm and 5.7e-13 on +-20 um at L2 = 50 mm (slg, 50 m/s;
+    1.8e-13 and 5.5e-13 with the chirp phases reduced mod 2 pi exactly), and
+    1.9e-14 of the global peak (s N)^2 over 400 random cases the gates accept,
+    off axis included; the tests bound it at 1e-12.
 
     Refuses with a ResolutionError, before allocating, a pattern of more than
     ``MAX_PIXEL_SLITS`` pixel x slit terms, counted on the full grid.
@@ -353,7 +344,8 @@ def _slit_terms(
     half_span = float(centers[-1])
     reach = widest + half_span
     nodes, basis = _node_basis(centers, _node_count(k, L2, half_span, n_slits, max_width, reach))
-    chirp = _chirp(k * period * grid.pixel_pitch / L2, np.arange(max(n_pixels, n_slits)))
+    chirp = np.exp((0.5j * k * period * grid.pixel_pitch / L2)
+                   * np.arange(max(n_pixels, n_slits), dtype=float) ** 2)
     slits = np.exp((1j * k / L2) * centers * (centers / 2.0 - positions[0]))
     slits *= chirp[:n_slits].conj()
     size = 1 << (n_pixels + n_slits - 2).bit_length()

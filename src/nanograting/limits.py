@@ -36,8 +36,8 @@ def thermal_scroll_amplitude(
 ) -> float:
     """RMS thermal displacement of a doubly clamped beam of circular
     cross-section: sqrt(k_B T L^3 / (192 Y I)) with I = pi d^4 / 64.
-    A length or diameter so far out of range that the amplitude is not
-    finite raises DomainError."""
+    An amplitude that is not finite raises DomainError, which names the
+    modulus and diameter when 192 Y I underflows, else the length and diameter."""
     if length <= 0.0 or diameter <= 0.0:
         raise DomainError("beam length and diameter must be positive")
     if not 0.0 < youngs_modulus < math.inf:
@@ -49,8 +49,11 @@ def thermal_scroll_amplitude(
         amplitude = math.sqrt(
             CONSTANTS.k_B * temperature * length**3 / (192.0 * youngs_modulus * moment)
         )
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         amplitude = math.inf
+    except ZeroDivisionError:  # 192 Y I underflows to 0
+        raise DomainError(f"Young's modulus {youngs_modulus!r} Pa and diameter {diameter!r} m "
+                          "give a thermal amplitude that is not finite") from None
     if not math.isfinite(amplitude):
         raise DomainError(f"beam length {length!r} m and diameter {diameter!r} m "
                           "give a thermal amplitude that is not finite")

@@ -750,6 +750,16 @@ class TestLimits:
         assert parse_report(stdout)["position_sigma_source"] == "thermal"
         assert out.read_text() == stdout
 
+    def test_a_modulus_whose_stiffness_underflows_is_named(self, capsys):
+        # 1e-320 GPa is a subnormal modulus: 192 Y I of the scroll's 8 nm
+        # beam underflows to 0, which is the modulus's fault, not the length's
+        code, _, stderr = run_cli(
+            capsys, "limits", "--preset", "scroll", "--set", "limits.youngs_modulus_GPa=1e-320"
+        )
+        assert code == 3
+        assert stderr.startswith("error: Young's modulus 9.999888671827e-312 Pa")
+        assert "beam length" not in stderr and "Traceback" not in stderr
+
 
 class TestErrorHandling:
     def test_unknown_key_exits_2(self, capsys):

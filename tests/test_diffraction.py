@@ -450,6 +450,10 @@ def _node_cases():
     short_grid = DetectorGrid(-2e-6, 2e-6, 0.01e-6, PSF_SIGMA)
     for velocity in (50.0, 220.0, 1000.0):
         yield pytest.param("sinx", velocity, 0.005, short_grid, id=f"sinx-{velocity:g}-L2-5mm")
+    # where the error peaks over the presets at 50-1000 m/s on the README,
+    # L2 = 5 mm and this L2 = 50 mm grid: 5.7e-13 of the in-window peak
+    mid_grid = DetectorGrid(-20e-6, 20e-6, 0.05e-6, PSF_SIGMA)
+    yield pytest.param("slg", 50.0, 0.05, mid_grid, id="slg-50-L2-50mm")
 
 
 @needs_long_double
@@ -703,6 +707,9 @@ def test_folded_terms_match_the_per_slit_sum_on_both_halves(
 @pytest.mark.parametrize("grid", [
     pytest.param(DetectorGrid(-30e-6, 47e-6, 0.5e-6, PSF_SIGMA), id="odd-pixel-count"),
     pytest.param(DetectorGrid(-39.95e-6, 40.05e-6, 0.5e-6, PSF_SIGMA), id="shifted-a-tenth-pixel"),
+    # x_p + x_{P-1-p} = 4e-17 m = 1e-12 max|x|, far past the fold's 8 eps max|x|
+    pytest.param(DetectorGrid(-40e-6 + 2e-17, 40e-6 + 2e-17, 0.5e-6, PSF_SIGMA),
+                 id="asymmetric-by-1e-12-of-the-span"),
 ])
 def test_asymmetric_grids_are_built_in_full(grid):
     grating = grating_preset("slg")

@@ -238,18 +238,34 @@ IMAGE_GRID = ImageGrid(-30e-6, 30e-6, -160e-6, -80e-6, 1e-6, 2.5e-6, PSF_SIGMA)
 
 class TestSynthesizeImage:
     def test_single_class_places_unit_weight_at_fall_height(self):
-        dist = VelocityDistribution.discrete([220.0])
-        result = synthesize_image(
-            dist, SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2, coherence_prefactor=PREFACTOR
-        )
-        assert result.clipped_velocities == ()
-        assert result.clipped_weight == 0.0
-        # blur is mass-preserving, so the whole unit weight survives
-        assert result.image.total == pytest.approx(1.0, rel=1e-9)
-        marginal = result.image.values.sum(axis=1)
-        y_peak = result.image.y_positions[int(np.argmax(marginal))]
-        y_fall = fall_position(220.0, GEOMETRY)
-        assert abs(y_peak - y_fall) <= 2 * IMAGE_GRID.psf_sigma + IMAGE_GRID.pixel_pitch_y
+        # 220 and 215 m/s fall to the fractional rows 13.165 and 10.773: far
+        # from a half row, so swapped shares or a half-row offset move the
+        # centroid by 0.3 rows or more
+        for psf_sigma, velocity in ((PSF_SIGMA, 220.0), (0.0, 220.0), (0.0, 215.0)):
+            grid = replace(IMAGE_GRID, psf_sigma=psf_sigma)
+            dist = VelocityDistribution.discrete([velocity])
+            result = synthesize_image(
+                dist, SINX, SOURCE, GEOMETRY, grid, PCH2, coherence_prefactor=PREFACTOR
+            )
+            assert result.clipped_velocities == ()
+            assert result.clipped_weight == 0.0
+            # blur is mass-preserving, so the whole unit weight survives
+            assert result.image.total == pytest.approx(1.0, rel=1e-9)
+            marginal = result.image.values.sum(axis=1)
+            y_peak = result.image.y_positions[int(np.argmax(marginal))]
+            y_fall = fall_position(velocity, GEOMETRY)
+            assert abs(y_peak - y_fall) <= 2 * grid.psf_sigma + grid.pixel_pitch_y
+            # the row centroid is the fractional row f of the fall height; the
+            # y blur keeps it, its kernel ending 7 rows short of either edge
+            f = (y_fall - grid.y_min) / grid.pixel_pitch_y
+            centroid = float(np.arange(grid.ny) @ marginal) / float(marginal.sum())
+            assert abs(centroid - f) <= 1e-9, (psf_sigma, velocity, centroid, f)
+            if psf_sigma == 0.0:
+                # unblurred: rows floor(f) and floor(f) + 1 hold 1 - frac and frac
+                i0 = math.floor(f)
+                expected = np.zeros(grid.ny)
+                expected[i0], expected[i0 + 1] = 1.0 - (f - i0), f - i0
+                assert np.abs(marginal - expected).max() <= 1e-12, velocity
 
     def test_class_outside_grid_is_clipped_and_reported(self):
         dist = VelocityDistribution.discrete([180.0, 220.0])
@@ -325,10 +341,10 @@ def _first_order_offset(velocity: float, period: float) -> float:
 
 
 class TestStripeVelocityProfile:
-    def _build_image(self, row_peaks, pitch_y=5e-6, y_min=-160e-6):
+    def _build_image(self, row_peaks, pitch_y=5e-6, y_min=-160e-6, ny=9):
         """One synthetic row per entry of {row_index: velocity}: a zeroth
         order, plus a first order unless the velocity is None."""
-        nx, ny = 101, 9
+        nx = 101
         pitch_x = 1e-6
         x = -50e-6 + pitch_x * np.arange(nx)
         values = np.zeros((ny, nx))
@@ -382,6 +398,48 @@ class TestStripeVelocityProfile:
         )
         assert set(profile.skipped) == set(range(9)) - {1, 7}
         assert [s.y for s in profile.stripes] == [-155e-6, -125e-6]
+
+    def test_each_stripe_sits_at_the_mean_height_of_its_rows(self):
+        # 23 rows cut into 5 stripes at rows int(linspace(0, 23, 6)); the lit
+        # rows, and so the signal, differ from stripe to stripe, and a
+        # stripe's height is the plain mean of its rows' heights
+        lit = {1: 220.0, 4: 230.0, 5: 230.0, 8: 230.0, 12: 240.0, 13: 250.0, 14: 250.0, 22: 260.0}
+        image = self._build_image(lit, ny=23)
+        profile = stripe_velocity_profile(
+            image, GEOMETRY, SINX.period, PCH2, n_stripes=5, psf_sigma=PSF_SIGMA
+        )
+        assert profile.skipped == ()
+        bounds = (0, 4, 9, 13, 18, 23)
+        expected = [-160e-6 + 5e-6 * (lo + hi - 1) / 2.0 for lo, hi in zip(bounds, bounds[1:])]
+        assert [s.y for s in profile.stripes] == pytest.approx(expected, rel=0.0, abs=5e-15)
+
+    @staticmethod
+    def _two_stripes(x, orders):
+        """One row per (zeroth-order position, first-order height): 1 um
+        wide Gaussian orders, the first 20 um right of the zeroth."""
+        values = [_gaussian(x, x0, 1e-6) + h * _gaussian(x, x0 + 20e-6, 1e-6) for x0, h in orders]
+        return Interferogram(np.array(values), x[1] - x[0], 5e-6, x[0], -160e-6)
+
+    def test_first_order_needs_two_percent_of_the_zeroth(self):
+        # both orders sit on pixels: 2.1% of the zeroth order is used, 1.9% is not
+        x = -50e-6 + 1e-6 * np.arange(101)
+        image = self._two_stripes(x, [(0.0, 0.021), (0.0, 0.019)])
+        profile = stripe_velocity_profile(
+            image, GEOMETRY, SINX.period, PCH2, n_stripes=2, psf_sigma=PSF_SIGMA
+        )
+        assert profile.skipped == (1,) and len(profile.stripes) == 1
+
+    def test_zeroth_order_must_peak_within_two_and_a_half_sigma_of_x_0(self):
+        # 2.5 sigma = 10 um is wider than 3 pixels (0.3 um), so the sigma rule
+        # sets the zone: a zeroth order 2.4 sigma from x = 0 is used, and one
+        # 2.6 sigma from it peaks on the zone's edge and is skipped
+        sigma = 4e-6
+        x = -50e-6 + 0.1e-6 * np.arange(1001)
+        image = self._two_stripes(x, [(2.4 * sigma, 0.3), (2.6 * sigma, 0.3)])
+        profile = stripe_velocity_profile(
+            image, GEOMETRY, SINX.period, PCH2, n_stripes=2, psf_sigma=sigma
+        )
+        assert profile.skipped == (1,) and len(profile.stripes) == 1
 
     def test_stripe_above_fitted_line_has_nan_residual(self):
         # equal velocities 400 um apart: the fitted line runs between them,

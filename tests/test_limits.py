@@ -80,6 +80,12 @@ def test_thermal_amplitude_refuses_a_result_that_is_not_finite(length, diameter)
         thermal_scroll_amplitude(length, diameter, 300.0, MODULUS)
 
 
+def test_thermal_amplitude_names_the_modulus_when_192_y_i_underflows():
+    # a subnormal modulus times the moment of an 8 nm beam (2e-34 m^4) is 0
+    with pytest.raises(DomainError, match="^Young's modulus 1e-311 Pa and diameter 8e-09 m "):
+        thermal_scroll_amplitude(1.336e-6, 8e-9, 300.0, 1e-311)
+
+
 def test_thermal_amplitude_default_modulus():
     # the configured modulus gives the published example
     assert thermal_scroll_amplitude(1.34e-6, 8e-9, 300.0, MODULUS) == thermal_scroll_amplitude(
