@@ -16,8 +16,7 @@ missing (or found more than once) and the entry is not retired, or when the
 unmutated copy fails. Run it from anywhere, with numpy, pytest and
 hypothesis installed:
 
-    python3 mutation/run.py              # every entry
-    python3 mutation/run.py fold-at-1e-9  # the named entries only
+    python3 mutation/run.py
 """
 
 from __future__ import annotations
@@ -97,15 +96,8 @@ def _run(mutant: dict) -> tuple[str, str]:
     return status, detail if status != "error" else f"{result} ({detail})"
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     mutants = json.loads(MUTANTS.read_text(encoding="utf-8"))
-    unknown = set(argv) - {m["id"] for m in mutants}
-    if unknown:
-        print(f"unknown mutant ids: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    if argv:
-        mutants = [m for m in mutants if m["id"] in argv]
-
     files = sorted({f for m in mutants for f in m["tests"]})
     with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
         _copy(Path(tmp))
@@ -124,4 +116,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -246,6 +246,16 @@ def _node_basis(centers: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarr
     return nodes, basis
 
 
+def _chirp(beta: float, n: np.ndarray) -> np.ndarray:
+    """exp(i beta n^2 / 2) at the integers n (largest last), reduced mod 2 pi exactly."""
+    n2 = np.square(n, dtype=float)
+    turns = beta / (4.0 * math.pi)
+    q = 53 - math.frexp(turns * float(n2[-1]))[1]
+    high = math.ldexp(math.floor(math.ldexp(turns, q)), -q)
+    t = high * n2
+    return np.exp(2j * math.pi * (t - np.floor(t) + (turns - high) * n2))
+
+
 def _slit_terms(
     k: float,
     L2: float,
@@ -288,8 +298,9 @@ def _slit_terms(
     - i beta j^2 / 2), and F_m(p) = sum_j q[m, j] exp(i beta (p - j)^2 / 2)
     for all M rows is one FFT convolution over a power of two >= P + N - 1
     points: the chirp-z transform (Rabiner, Schafer and Rader, 1969) on
-    numpy's single-threaded FFT, with the chirp phases (up to about 8e4 rad)
-    unreduced in float64. R and delta' are evaluated at the M x P (node,
+    numpy's single-threaded FFT. ``_chirp`` reduces the chirp phases mod
+    2 pi exactly: they grow as n^2, to 8e4 rad on the README grid and 3.5e5
+    rad on a 0.05 nm pitch. R and delta' are evaluated at the M x P (node,
     pixel) points only, so the work scales with pixels x nodes.
 
     Mirror fold. Slit terms are even in u and c_{N-1-j} = -c_j, so the
@@ -313,11 +324,12 @@ def _slit_terms(
 
     Error, against the per-slit sum with its phase in long double, over the
     presets at 50-1000 m/s at the effective, geometric and slit-phase-limit
-    widths: at most 1.7e-13 of the in-window peak on the README grid, 3.9e-13
-    on +-2 um at L2 = 5 mm and 5.7e-13 on +-20 um at L2 = 50 mm (slg, 50 m/s;
-    1.8e-13 and 5.5e-13 with the chirp phases reduced mod 2 pi exactly), and
+    widths: at most 1.7e-13 of the in-window peak on the README grid, 1.8e-13
+    on +-2 um at L2 = 5 mm (1.3e-12 for a float64 pixels x slits phase),
+    5.5e-13 on +-20 um at L2 = 50 mm and 6.7e-15 on +-5 um at 0.05 nm pitch
+    (slg, 1000 m/s), where an unreduced float64 chirp reads 1.4e-11; and
     1.9e-14 of the global peak (s N)^2 over 400 random cases the gates accept,
-    off axis included; the tests bound it at 1e-12.
+    off axis included. The tests bound it at 1e-12.
 
     Refuses with a ResolutionError, before allocating, a pattern of more than
     ``MAX_PIXEL_SLITS`` pixel x slit terms, counted on the full grid.
@@ -344,8 +356,7 @@ def _slit_terms(
     half_span = float(centers[-1])
     reach = widest + half_span
     nodes, basis = _node_basis(centers, _node_count(k, L2, half_span, n_slits, max_width, reach))
-    chirp = np.exp((0.5j * k * period * grid.pixel_pitch / L2)
-                   * np.arange(max(n_pixels, n_slits), dtype=float) ** 2)
+    chirp = _chirp(k * period * grid.pixel_pitch / L2, np.arange(max(n_pixels, n_slits)))
     slits = np.exp((1j * k / L2) * centers * (centers / 2.0 - positions[0]))
     slits *= chirp[:n_slits].conj()
     size = 1 << (n_pixels + n_slits - 2).bit_length()

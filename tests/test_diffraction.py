@@ -451,9 +451,14 @@ def _node_cases():
     for velocity in (50.0, 220.0, 1000.0):
         yield pytest.param("sinx", velocity, 0.005, short_grid, id=f"sinx-{velocity:g}-L2-5mm")
     # where the error peaks over the presets at 50-1000 m/s on the README,
-    # L2 = 5 mm and this L2 = 50 mm grid: 5.7e-13 of the in-window peak
+    # L2 = 5 mm and this L2 = 50 mm grid: 5.5e-13 of the in-window peak
     mid_grid = DetectorGrid(-20e-6, 20e-6, 0.05e-6, PSF_SIGMA)
     yield pytest.param("slg", 50.0, 0.05, mid_grid, id="slg-50-L2-50mm")
+    # 200,001 pixels over the bright centre, 2.2e6 of the 4e6 pixel x slit
+    # terms: chirp phases to 3.5e5 rad where the pattern is bright. Reduced
+    # mod 2 pi the error is 6.7e-15; an unreduced float64 chirp reads 1.4e-11
+    fine_grid = DetectorGrid(-5e-6, 5e-6, 0.05e-9, PSF_SIGMA)
+    yield pytest.param("slg", 1000.0, GEO.L2, fine_grid, id="slg-1000-fine-pitch")
 
 
 @needs_long_double
