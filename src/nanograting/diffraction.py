@@ -382,14 +382,21 @@ def _slit_terms(
     return _SlitTerms(planes, rate, on_node, mirror)
 
 
-def _check_width(k: float, L2: float, n_slits: int, d: float, pitch: float, s: float) -> None:
-    """The resolution checks of slits of width s. Each fails at every wider s
-    too: the finest fringe is lambda L2 / d (several slits) or lambda L2 / s
-    (one slit), and k s^2 / (8 L2) grows with s."""
+def _grating_terms(
+    grating: Grating, k: float, L2: float, n_slits: int, grid: DetectorGrid
+) -> _SlitTerms:
+    """``_slit_terms`` of the grating's slits, the nodes sized for its
+    geometric width (the widest s_eff), checked after the build (a work-budget
+    refusal wins) at its effective width, the widest its caller evaluates.
+    Each check fails at every wider width too: the finest fringe is
+    lambda L2 / d (several slits) or lambda L2 / s (one slit), and
+    k s^2 / (8 L2) grows with s."""
+    terms = _slit_terms(k, L2, n_slits, grating.period, grid, max_width=grating.slit_width)
+    s, pitch = grating.effective_slit_width, grid.pixel_pitch
     wavelength = 2.0 * math.pi / k
 
     # the finest transverse feature the pattern can contain
-    feature = wavelength * L2 / d if n_slits > 1 else wavelength * L2 / s
+    feature = wavelength * L2 / grating.period if n_slits > 1 else wavelength * L2 / s
     if pitch > feature / 2.0:
         raise ResolutionError(
             f"pixel pitch {pitch:.3e} m cannot resolve the "
@@ -401,6 +408,7 @@ def _check_width(k: float, L2: float, n_slits: int, d: float, pitch: float, s: f
             f"quadratic phase across one slit k*s^2/(8*L2) = {slit_phase:.3e} rad "
             f"exceeds {MAX_SLIT_PHASE} rad; the per-slit far-field form does not hold"
         )
+    return terms
 
 
 def _contract(terms: _SlitTerms, sines: np.ndarray, s: float | np.ndarray) -> np.ndarray:
@@ -424,7 +432,7 @@ def _slit_envelope(terms: _SlitTerms, s: float) -> np.ndarray:
 def _envelope_scan(terms: _SlitTerms, widths: np.ndarray) -> np.ndarray:
     """``_slit_envelope`` at each of the ascending, uniformly spaced
     ``widths``, one row per width. The caller checked the widest width, which
-    clears every narrower one (``_check_width``). Row i reads its sines as
+    clears every narrower one (``_grating_terms``). Row i reads its sines as
     Im(z step^i), z = exp(i s_0 rho) and step = exp(i Delta rho): one complex
     multiply per pixel and node, no sine (Press et al., Numerical Recipes,
     3rd ed., 5.4). The rounding grows linearly with i, so z is recomputed by
@@ -460,18 +468,14 @@ def _class_terms(
 ) -> Iterator[tuple[float, _SlitTerms]]:
     """(weight, slit-width-independent terms) per positive-weight (velocity,
     weight) class, one class at a time, with its own wave number and coherent
-    slit count and the nodes sized for the geometric width, the widest s_eff.
-    Each is checked after its build (a work-budget refusal wins) and only at
-    the effective width, the widest its caller evaluates (``_check_width``)."""
+    slit count, built and checked by ``_grating_terms``."""
     for v, w in classes:
         if w == 0.0:
             continue
         wavelength = de_broglie_wavelength(molecule, float(v))
         coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
-        pattern = (2.0 * math.pi / wavelength, geometry.L2, coh.n_coherent_slits, grating.period)
-        terms = _slit_terms(*pattern, grid, max_width=grating.slit_width)
-        _check_width(*pattern, grid.pixel_pitch, grating.effective_slit_width)
-        yield float(w), terms
+        k = 2.0 * math.pi / wavelength
+        yield float(w), _grating_terms(grating, k, geometry.L2, coh.n_coherent_slits, grid)
 
 
 def _class_row(terms: _SlitTerms, s: float | np.ndarray) -> np.ndarray:
@@ -533,14 +537,13 @@ def kirchhoff_pattern(
 
     Refusals, each a ResolutionError: more than ``MAX_PIXEL_SLITS`` pixel x
     slit terms (checked before any array is built); then, in
-    ``_check_width``, a pixel pitch that cannot resolve the finest fringe,
+    ``_grating_terms``, a pixel pitch that cannot resolve the finest fringe,
     and a dropped quadratic phase k s^2 / (8 L2) at the slit edges above
     ``MAX_SLIT_PHASE`` radians. Every sum runs in one fixed order
     (element-wise reductions, einsum and numpy's single-threaded FFT, no
     threaded BLAS product), so results repeat bit for bit.
     """
-    terms = _slit_terms(k, L2, n_slits, grating.period, grid, max_width=grating.slit_width)
-    _check_width(k, L2, n_slits, grating.period, grid.pixel_pitch, grating.effective_slit_width)
+    terms = _grating_terms(grating, k, L2, n_slits, grid)
     return Trace(grid.positions, _slit_envelope(terms, grating.effective_slit_width))
 
 

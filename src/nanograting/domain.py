@@ -22,11 +22,10 @@ from .errors import DomainError, GeometryError
 
 __all__ = [
     "ATOMIC_MASS_KG",
-    "CONSTANTS",
     "BeamlineGeometry",
     "Grating",
     "Molecule",
-    "PhysicalConstants",
+    "PLANCK_H",
     "SourceModel",
     "de_broglie_wavelength",
     "fall_position",
@@ -34,26 +33,7 @@ __all__ = [
 ]
 
 ATOMIC_MASS_KG = 1.66053906660e-27
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """SI defining constants plus the reference photon wavelength used to
-    express grating momentum transfer in photon-recoil units.
-
-    ``hbar`` is derived from ``h`` on access and is therefore h/2pi exactly.
-    """
-
-    h: float = 6.62607015e-34        # J s
-    k_B: float = 1.380649e-23        # J / K
-    lambda_ref: float = 780.241e-9   # m, rubidium D2 reference line
-
-    @property
-    def hbar(self) -> float:
-        return self.h / (2.0 * math.pi)
-
-
-CONSTANTS = PhysicalConstants()
+PLANCK_H = 6.62607015e-34  # J s, SI defining constant
 
 
 @dataclass(frozen=True)
@@ -169,7 +149,7 @@ def de_broglie_wavelength(molecule: Molecule, velocity: float) -> float:
             f"momentum m v = {momentum!r} kg m/s at velocity {velocity!r} m/s "
             "must be positive and finite"
         )
-    return CONSTANTS.h / momentum
+    return PLANCK_H / momentum
 
 
 def _ballistic_coefficient(geometry: BeamlineGeometry) -> float:

@@ -19,7 +19,7 @@ from .diffraction import (
     gaussian_kernel,
     symmetric_convolve,
 )
-from .domain import CONSTANTS, BeamlineGeometry, Grating, Molecule, SourceModel
+from .domain import PLANCK_H, BeamlineGeometry, Grating, Molecule, SourceModel
 from .domain import _ballistic_coefficient, fall_position, fit_velocity
 from .errors import DomainError, GeometryError, WorkBudgetError
 
@@ -442,7 +442,7 @@ def stripe_velocity_profile(
         momentum = molecule.mass * wavelength  # h / v
         if not 0.0 < momentum < math.inf:
             raise DomainError(f"stripe momentum m lambda = {momentum!r} kg m is not positive and finite")
-        velocity = CONSTANTS.h / momentum
+        velocity = PLANCK_H / momentum
         y_center = float(y_rows[lo : hi].mean())
         raw.append((y_center, velocity))
 

@@ -1,8 +1,8 @@
 """Coherence-limit calculator: recoil and uncertainty budget of diffraction
 at a nanomechanical grating, thermal vibration amplitude of a doubly clamped
 beam, the minimum slit width compatible with coherent diffraction, photon
-momentum-transfer capacity, and adsorption coverage of a grating used as a
-molecule collector.
+momentum-transfer capacity in recoils of the 780.241 nm line ``LAMBDA_REF``,
+and adsorption coverage of a grating used as a molecule collector.
 
 The interference contrast survives while the grating's own momentum
 uncertainty exceeds the transverse momentum spread the diffraction itself
@@ -16,10 +16,13 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .domain import CONSTANTS
+from .domain import PLANCK_H
 from .errors import DomainError
 
 __all__ = ["LimitsReport", "adsorption_coverage", "limits_report", "thermal_scroll_amplitude"]
+
+BOLTZMANN_K = 1.380649e-23  # J / K, SI defining constant
+LAMBDA_REF = 780.241e-9  # m, rubidium D2 line: the photon recoils of momentum_transfer_hk
 
 # Fraction prefactor of the single-slit FWHM momentum spread, dp = 0.89 h / s.
 CENTRAL_LOBE_FRACTION = 0.89
@@ -47,7 +50,7 @@ def thermal_scroll_amplitude(
     try:
         moment = math.pi * diameter**4 / 64.0
         amplitude = math.sqrt(
-            CONSTANTS.k_B * temperature * length**3 / (192.0 * youngs_modulus * moment)
+            BOLTZMANN_K * temperature * length**3 / (192.0 * youngs_modulus * moment)
         )
     except OverflowError:
         amplitude = math.inf
@@ -111,7 +114,7 @@ def limits_report(
       itself is not coherent);
     - momentum_transfer_hk = 2 n_max lambda_ref / d, the momentum splitting
       between the +n_max and -n_max arms in photon recoils h / lambda_ref of
-      the 780.241 nm reference line (``CONSTANTS.lambda_ref``).
+      the 780.241 nm reference line (``LAMBDA_REF``).
 
     Refusals, each a DomainError: s or d not finite and positive; sigma not
     finite and positive, or so small that the margin overflows; n_max < 0,
@@ -130,14 +133,14 @@ def limits_report(
     if not math.isfinite(margin):
         raise DomainError(f"position sigma {position_sigma!r} m is too small: the margin overflows")
     # an int past the float range would raise OverflowError in the product
-    transfer = (2.0 * max_order * CONSTANTS.lambda_ref / period
+    transfer = (2.0 * max_order * LAMBDA_REF / period
                 if max_order <= sys.float_info.max else math.inf)
     if not math.isfinite(transfer):
         raise DomainError(f"max order {max_order!r} at period {period!r} m gives a "
                           "momentum transfer that is not finite")
     return LimitsReport(
-        dp_diff=CENTRAL_LOBE_FRACTION * CONSTANTS.h / slit_width,
-        dp_grating=CONSTANTS.hbar / (2.0 * position_sigma),
+        dp_diff=CENTRAL_LOBE_FRACTION * PLANCK_H / slit_width,
+        dp_grating=PLANCK_H / (2.0 * math.pi) / (2.0 * position_sigma),
         s_min=s_min,
         coherent=slit_width > s_min,
         margin=margin,

@@ -35,7 +35,6 @@ __all__ = [
     "band_averaged_trace",
     "fit_effective_slit",
     "order_population",
-    "suppression_ratio",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -47,16 +46,6 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # README 921-pixel grid), plus the scan's constant 16 x M x P' x 8 B block
 # buffer on the computed pixels (0.16 MB there)
 MAX_COARSE_POINTS = 10_000
-
-
-def suppression_ratio(slit_width: float, effective_slit_width: float) -> float:
-    """Geometric-to-effective slit width ratio, >= 1 for attractive walls."""
-    if not 0.0 < effective_slit_width <= slit_width:
-        raise DomainError(
-            f"need 0 < effective width <= slit width, got "
-            f"{effective_slit_width!r} vs {slit_width!r}"
-        )
-    return slit_width / effective_slit_width
 
 
 def band_averaged_trace(
@@ -284,7 +273,7 @@ def fit_effective_slit(
     return SlitFitResult(
         effective_slit_width=s_fit,
         residual=float(_registered_rms(y, fitted, shift)),
-        suppression_ratio=suppression_ratio(grating.slit_width, s_fit),
+        suppression_ratio=grating.slit_width / s_fit,
         evaluations=evaluations,
         bracket=bracket,
         model=Trace(measured.positions, fitted),

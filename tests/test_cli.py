@@ -414,6 +414,19 @@ class TestFitSeff:
         assert "error:" in stderr
 
 
+    @pytest.mark.parametrize("rows, fragment", [
+        ("0.0,1.0\n", "a trace needs at least two samples"),
+        ("0.0,1.0\n2e-06,2.0\n1e-06,1.0\n", "positions must be strictly increasing"),
+    ], ids=["one-sample", "decreasing"])
+    def test_a_trace_file_that_is_no_trace_exits_2(self, capsys, tmp_path, rows, fragment):
+        csv = tmp_path / "m.csv"
+        csv.write_text("position_m,intensity\n" + rows)
+        code, _, stderr = run_cli(
+            capsys, "fit-seff", "--preset", "sinx", "--set", f"fit.measured_csv={csv}"
+        )
+        assert code == 2
+        assert stderr.startswith("error:") and fragment in stderr and str(csv) in stderr
+
     @pytest.mark.parametrize("setting, expected", [
         ("fit.tolerance_nm=0", 3),
         ("fit.tolerance_nm=-0.1", 3),
@@ -1005,6 +1018,25 @@ class TestErrorHandling:
         )
         assert proc.returncode == 2
         assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("setting, message", [
+        ("velocity.list_m_s=,", "error: 'velocity.list_m_s' expects at least one number"),
+        ("velocity.kind", "error: --set expects KEY=VALUE, got 'velocity.kind'"),
+    ], ids=["empty-list", "no-equals-sign"])
+    def test_a_malformed_set_exits_2(self, capsys, setting, message):
+        code, stdout, stderr = run_cli(capsys, "limits", "--preset", "sinx", "--set", setting)
+        assert (code, stdout, stderr.strip()) == (2, "", message)
+
+    def test_an_image_whose_y_range_is_empty_exits_3(self, capsys, tmp_path):
+        code, _, stderr = run_cli(
+            capsys, "synth-image", "--preset", "slg", "--set", "image.y_max_um=-400",
+            "--out", str(tmp_path / "img.f64"),
+        )
+        assert code == 3
+        assert stderr.strip() == (
+            "error: image grid needs y_max > y_min and a positive, finite y pitch"
+        )
+        assert not (tmp_path / "img.f64").exists()
 
     def test_missing_grating_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "simulate")

@@ -1,4 +1,3 @@
-import functools
 import math
 from dataclasses import replace
 
@@ -67,6 +66,18 @@ def test_coherent_slit_count_floors_at_one():
     assert result.n_coherent_slits == 1
 
 
+@pytest.mark.parametrize("wavelength, period, fragment", [
+    (0.0, 101e-9, "wavelength"),
+    (math.nan, 101e-9, "wavelength"),
+    (3e-12, -101e-9, "period"),
+    (3e-12, math.inf, "period"),
+])
+def test_coherence_refuses_a_length_that_is_not_positive_and_finite(wavelength, period, fragment):
+    source = SourceModel(source_width=1.5e-6)
+    with pytest.raises(DomainError, match=f"{fragment} must be positive and finite"):
+        coherence(source, GEO, wavelength=wavelength, period=period, prefactor=PREFACTOR)
+
+
 def test_far_field_orders_positions():
     lam = de_broglie_wavelength(M85, 220.0)
     positions = far_field_orders(lam, 105e-9, 0.586, 5)
@@ -109,6 +120,15 @@ def test_trace_validation():
         Trace(np.array([0.0, 1.0]), np.array([1.0, -0.5]))  # negative data
     tiny = Trace(np.array([0.0, 1.0]), np.array([1.0, -1e-15]))  # float fuzz
     assert tiny.intensities[1] == 0.0
+
+
+@pytest.mark.parametrize("positions, intensities", [
+    (np.zeros((2, 2)), np.ones((2, 2))),
+    (np.arange(3.0), np.ones(2)),
+], ids=["2-d", "unequal-lengths"])
+def test_trace_refuses_arrays_that_are_not_1d_of_equal_length(positions, intensities):
+    with pytest.raises(DomainError, match="1D arrays of equal length"):
+        Trace(positions, intensities)
 
 
 def test_single_slit_matches_sinc_envelope():
@@ -178,6 +198,12 @@ def test_gaussian_kernel_unit_sum_and_extent():
     assert kernel.sum() == pytest.approx(1.0, rel=1e-12)
     assert kernel.size == 2 * 35 + 1  # +-5 sigma at 7 px/sigma
     assert gaussian_kernel(0.0, 0.5e-6).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("pitch", [0.0, -0.5e-6, math.inf, math.nan])
+def test_gaussian_kernel_refuses_a_pitch_that_is_not_positive_and_finite(pitch):
+    with pytest.raises(DomainError, match="pitch must be positive and finite"):
+        gaussian_kernel(3.5e-6, pitch)
 
 
 def test_gaussian_kernel_far_below_a_pixel_is_the_identity_without_warning():
@@ -366,6 +392,22 @@ def test_kirchhoff_refuses_wide_slit_phase():
     assert f"{k * 50e-9 ** 2 / (8 * L2):.3e}" in str(excinfo.value)
 
 
+def test_slit_phase_gate_sits_at_five_hundredths_of_a_radian():
+    # stated as literals, not as MAX_SLIT_PHASE, so that moving the gate fails:
+    # k s^2 / (8 L2) = 0.049 rad is accepted and 0.051 rad is refused
+    k = wave_number(M85, 220.0)
+    L2 = 0.005
+    grid = DetectorGrid(-2e-6, 2e-6, 0.05e-6, PSF_SIGMA)
+
+    def width(phase):
+        return math.sqrt(8.0 * L2 * phase / k)  # 33.2 and 33.9 nm
+
+    accepted = kirchhoff_pattern(_grating(s_eff=width(0.049)), k, L2, 5, grid)
+    assert accepted.intensities.max() > 0.0
+    with pytest.raises(ResolutionError, match=r"= 5\.100e-02 rad exceeds"):
+        kirchhoff_pattern(_grating(s_eff=width(0.051)), k, L2, 5, grid)
+
+
 def test_no_preset_trips_the_slit_phase_gate():
     # the gate is widest open at the geometric width and the fastest class
     grid = DetectorGrid(-20e-6, 20e-6, 0.5e-6, PSF_SIGMA)
@@ -420,25 +462,27 @@ needs_long_double = pytest.mark.skipif(
 )
 
 
-@functools.lru_cache(maxsize=1)
-def _per_slit_phasors(k, L2, n_slits, period, grid):
-    """exp(i k delta_j) and delta'_j per pixel and slit. u = c_j - x',
-    delta and k delta are formed in long double and k delta is reduced mod
-    2 pi there, so the float64 rounding of u never reaches the phase."""
+def _per_slit_reference(k, L2, n_slits, period, grid, widths):
+    """Exact per-slit sum of the closed-form kernel, one row per slit width s
+    of ``widths``: s * sum_j exp(i k delta_j) sinc(k s delta'_j / 2 pi).
+    u = c_j - x', delta and k delta are formed in long double and k delta is
+    reduced mod 2 pi there, so the float64 rounding of u never reaches the
+    phase. The pixels go in blocks of at most 2^18 pixel x slit terms, so the
+    oracle's memory does not grow with the grid."""
     ld = np.longdouble
     centers = (np.arange(n_slits) - (n_slits - 1) / 2.0) * period
-    u = centers.astype(ld)[None, :] - grid.positions.astype(ld)[:, None]
-    r = np.sqrt(ld(L2) * ld(L2) + u * u)
-    phase = np.fmod(ld(k) * (u * u / (ld(L2) + r)), 2 * np.arccos(ld(-1)))
-    return np.exp(1j * phase.astype(float)), (u / r).astype(float)
-
-
-def _per_slit_reference(k, L2, n_slits, period, grid, s):
-    """Exact per-slit sum of the closed-form kernel: the sinc envelope of
-    every slit, s * sum_j exp(i k delta_j) sinc(k s delta'_j / 2 pi)."""
-    phasor, slope = _per_slit_phasors(k, L2, n_slits, period, grid)
-    envelope = np.sinc((k * s / (2.0 * math.pi)) * slope)
-    return np.abs(s * (phasor * envelope).sum(axis=1)) ** 2
+    positions = grid.positions
+    rows = np.empty((len(widths), positions.size))
+    block = max(1, 2**18 // n_slits)
+    for start in range(0, positions.size, block):
+        u = centers.astype(ld)[None, :] - positions[start : start + block].astype(ld)[:, None]
+        r = np.sqrt(ld(L2) * ld(L2) + u * u)
+        phase = np.fmod(ld(k) * (u * u / (ld(L2) + r)), 2 * np.arccos(ld(-1)))
+        phasor, slope = np.exp(1j * phase.astype(float)), (u / r).astype(float)
+        for row, s in zip(rows, widths):
+            envelope = np.sinc((k * s / (2.0 * math.pi)) * slope)
+            row[start : start + block] = np.abs(s * (phasor * envelope).sum(axis=1)) ** 2
+    return rows
 
 
 def _node_cases():
@@ -475,9 +519,10 @@ def test_node_envelope_matches_the_per_slit_sum(preset, velocity, L2, grid):
     terms = _slit_terms(k, L2, n_slits, grating.period, grid, max_width=s_limit)
     if velocity == 50.0:
         assert terms.weights.shape[1] < n_slits
-    for s in widths + [s_limit]:
+    widths.append(s_limit)
+    references = _per_slit_reference(k, L2, n_slits, grating.period, grid, widths)
+    for s, reference in zip(widths, references):
         engine = _slit_envelope(terms, s)
-        reference = _per_slit_reference(k, L2, n_slits, grating.period, grid, s)
         error = np.abs(engine - reference).max() / reference.max()
         assert error <= 1e-12, (s, error)
 
@@ -505,9 +550,10 @@ def test_nodes_sized_for_the_geometric_width_match_the_per_slit_sum(preset, velo
     terms = _slit_terms(k, L2, n_slits, grating.period, grid, max_width=grating.slit_width)
     if L2 == GEO.L2:
         assert terms.weights.shape[1] <= 10
-    for s in sorted(widths):
+    widths = sorted(widths)
+    references = _per_slit_reference(k, L2, n_slits, grating.period, grid, widths)
+    for s, reference in zip(widths, references):
         engine = _slit_envelope(terms, s)
-        reference = _per_slit_reference(k, L2, n_slits, grating.period, grid, s)
         error = np.abs(engine - reference).max() / reference.max()
         assert error <= 1e-12, (s, error)
 
@@ -528,9 +574,10 @@ def test_pixel_on_a_node_takes_the_on_node_term(n_slits):
     assert terms.weights.shape[1] == n_slits  # the nodes are the centres
     assert terms.rate[n_slits // 2, terms.mirror[centre]] == 0.0
     assert terms.on_node[terms.mirror[centre]] != 0.0
-    for s in (grating.effective_slit_width, grating.slit_width):
+    widths = (grating.effective_slit_width, grating.slit_width)
+    references = _per_slit_reference(k, GEO.L2, n_slits, grating.period, grid, widths)
+    for s, reference in zip(widths, references):
         engine = _slit_envelope(terms, s)
-        reference = _per_slit_reference(k, GEO.L2, n_slits, grating.period, grid, s)
         assert np.isfinite(engine).all()
         assert np.abs(engine - reference).max() <= 1e-12 * reference.max()
 
@@ -539,9 +586,9 @@ def _assert_terms_match_the_per_slit_sum(k, L2, n_slits, period, grid, widths):
     # bound relative to the global peak (s N)^2: an off-axis window's own
     # maximum can sit many orders of magnitude below it
     terms = _slit_terms(k, L2, n_slits, period, grid, max_width=max(widths))
-    for s in widths:
+    references = _per_slit_reference(k, L2, n_slits, period, grid, widths)
+    for s, reference in zip(widths, references):
         engine = _slit_envelope(terms, s)
-        reference = _per_slit_reference(k, L2, n_slits, period, grid, s)
         peak = (s * n_slits) ** 2
         assert np.abs(engine - reference).max() <= 1e-12 * peak, (s, n_slits)
     return terms
@@ -702,7 +749,7 @@ def test_folded_terms_match_the_per_slit_sum_on_both_halves(
     engine = _slit_envelope(terms, s)
     assert np.array_equal(engine, engine[::-1])
     row = _envelope_scan(terms, np.linspace(s / 3.0, s, 3))[-1]
-    reference = _per_slit_reference(k, GEO.L2, n_slits, grating.period, grid, s)
+    (reference,) = _per_slit_reference(k, GEO.L2, n_slits, grating.period, grid, [s])
     peak = (s * n_slits) ** 2
     for half in (slice(None, grid.n_pixels // 2), slice(grid.n_pixels // 2, None)):
         for values in (engine, row):

@@ -6,7 +6,6 @@ import pytest
 
 from nanograting import (
     ATOMIC_MASS_KG,
-    CONSTANTS,
     BeamlineGeometry,
     DetectorGrid,
     DomainError,
@@ -14,6 +13,7 @@ from nanograting import (
     ImageGrid,
     Interferogram,
     Molecule,
+    PLANCK_H,
     SourceModel,
     VelocityDistribution,
     adsorption_coverage,
@@ -28,15 +28,15 @@ from nanograting import (
     stripe_velocity_profile,
     thermal_scroll_amplitude,
 )
+from nanograting.limits import BOLTZMANN_K, LAMBDA_REF
 
 from configured import CONFIG, GEOMETRY
 
 
 def test_constants_values():
-    assert CONSTANTS.h == 6.62607015e-34
-    assert CONSTANTS.k_B == 1.380649e-23
-    assert CONSTANTS.lambda_ref == 780.241e-9
-    assert CONSTANTS.hbar == CONSTANTS.h / (2.0 * math.pi)
+    assert PLANCK_H == 6.62607015e-34
+    assert BOLTZMANN_K == 1.380649e-23
+    assert LAMBDA_REF == 780.241e-9
     assert ATOMIC_MASS_KG == 1.66053906660e-27
 
 

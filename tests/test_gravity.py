@@ -24,7 +24,7 @@ from nanograting import (
 )
 from nanograting import diffraction, gravity
 from nanograting.diffraction import gaussian_kernel, symmetric_convolve, wave_number
-from nanograting.domain import CONSTANTS
+from nanograting.domain import PLANCK_H
 from nanograting.config import load_run_config
 from nanograting.presets import grating_preset
 
@@ -336,7 +336,7 @@ def _gaussian(x: np.ndarray, center: float, sigma: float) -> np.ndarray:
 
 
 def _first_order_offset(velocity: float, period: float) -> float:
-    wavelength = CONSTANTS.h / (PCH2.mass * velocity)
+    wavelength = PLANCK_H / (PCH2.mass * velocity)
     return GEOMETRY.L2 * math.tan(math.asin(wavelength / period))
 
 
@@ -428,6 +428,18 @@ class TestStripeVelocityProfile:
             image, GEOMETRY, SINX.period, PCH2, n_stripes=2, psf_sigma=PSF_SIGMA
         )
         assert profile.skipped == (1,) and len(profile.stripes) == 1
+
+    def test_a_stripe_needs_a_thousandth_of_the_image_peak(self):
+        # stated as a literal, not as MIN_STRIPE_SIGNAL: a stripe that peaks
+        # at 1.1e-3 of the image peak is used, one at 0.9e-3 is skipped
+        x = -50e-6 + 1e-6 * np.arange(101)
+        row = self._two_stripes(x, [(0.0, 0.3)]).values[0]
+        values = np.array([1.0, 1.1e-3, 0.9e-3])[:, None] * row
+        image = Interferogram(values, 1e-6, 5e-6, x[0], -160e-6)
+        profile = stripe_velocity_profile(
+            image, GEOMETRY, SINX.period, PCH2, n_stripes=3, psf_sigma=PSF_SIGMA
+        )
+        assert profile.skipped == (2,) and len(profile.stripes) == 2
 
     def test_zeroth_order_must_peak_within_two_and_a_half_sigma_of_x_0(self):
         # 2.5 sigma = 10 um is wider than 3 pixels (0.3 um), so the sigma rule

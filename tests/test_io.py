@@ -48,6 +48,18 @@ def test_trace_with_a_normalization_line_still_reads(tmp_path):
     assert header == {"normalization": "raw", "n_slits": "52"}
 
 
+def test_blank_lines_in_a_trace_csv_are_skipped(tmp_path):
+    trace = _trace()
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, trace, {"n_slits": 52})
+    lines = path.read_text().splitlines()
+    path.write_text("\n\n".join(lines[:3] + ["   "] + lines[3:]) + "\n\n")
+    back, header = read_trace_csv(path)
+    assert np.array_equal(back.positions, trace.positions)
+    assert np.array_equal(back.intensities, trace.intensities)
+    assert header == {"n_slits": "52"}
+
+
 def test_trace_write_is_deterministic(tmp_path):
     trace = _trace()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

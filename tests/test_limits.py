@@ -3,14 +3,14 @@ import math
 import pytest
 
 from nanograting import (
-    CONSTANTS,
     DomainError,
     LimitsReport,
     adsorption_coverage,
     limits_report,
     thermal_scroll_amplitude,
 )
-from nanograting.limits import CENTRAL_LOBE_FRACTION, MIN_SLIT_PREFACTOR
+from nanograting.domain import PLANCK_H
+from nanograting.limits import CENTRAL_LOBE_FRACTION, LAMBDA_REF, MIN_SLIT_PREFACTOR
 
 from configured import CONFIG
 
@@ -154,7 +154,7 @@ def test_momentum_transfer_values():
 def test_momentum_transfer_reference_wavelength_default():
     assert (
         _report(period=100e-9, max_order=9).momentum_transfer_hk
-        == 2 * 9 * CONSTANTS.lambda_ref / 100e-9
+        == 2 * 9 * LAMBDA_REF / 100e-9
     )
 
 
@@ -176,14 +176,15 @@ def test_adsorption_coverage_validation():
 def test_limits_report_combines_everything():
     report = limits_report(59e-9, 0.1e-9, period=101e-9, max_order=9)
     assert isinstance(report, LimitsReport)
-    assert report.dp_diff == CENTRAL_LOBE_FRACTION * CONSTANTS.h / 59e-9
-    assert report.dp_grating == CONSTANTS.hbar / (2.0 * 0.1e-9)
+    assert report.dp_diff == CENTRAL_LOBE_FRACTION * PLANCK_H / 59e-9
+    # hbar = h / (2 pi), computed first
+    assert report.dp_grating == PLANCK_H / (2.0 * math.pi) / (2.0 * 0.1e-9)
     assert report.s_min == MIN_SLIT_PREFACTOR * math.pi * 0.1e-9
     assert report.coherent
     assert report.margin == (59e-9 / 0.1e-9) / (MIN_SLIT_PREFACTOR * math.pi)
     # margin = dp_grating / dp_diff
     assert report.margin == pytest.approx(report.dp_grating / report.dp_diff, rel=1e-14)
-    assert report.momentum_transfer_hk == 2.0 * 9 * CONSTANTS.lambda_ref / 101e-9
+    assert report.momentum_transfer_hk == 2.0 * 9 * LAMBDA_REF / 101e-9
 
 
 @pytest.mark.parametrize("sigma", [0.0, -0.0, math.inf, math.nan])

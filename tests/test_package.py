@@ -125,7 +125,7 @@ def test_the_cli_imports_no_private_name():
 def test_only_diffraction_reaches_the_slit_terms():
     # the term format stays behind the one module that builds and reads it;
     # every other module goes through the class path
-    terms = {"_SlitTerms", "_slit_terms", "_slit_envelope", "_envelope_scan", "_check_width",
+    terms = {"_SlitTerms", "_slit_terms", "_grating_terms", "_slit_envelope", "_envelope_scan",
              "_contract"}
     package = Path(nanograting.__file__).parent
     reached = {
@@ -181,9 +181,6 @@ def test_no_public_default_restates_the_configuration():
     # takes those values from its caller. What remains has no configuration key.
     assert _public_defaults() == {
         ("Grating", "label"),
-        ("PhysicalConstants", "h"),
-        ("PhysicalConstants", "k_B"),
-        ("PhysicalConstants", "lambda_ref"),
         ("VelocityDistribution.maxwell_beam", "v_min"),
         ("VelocityDistribution.maxwell_beam", "v_max"),
         ("order_population", "n_max"),

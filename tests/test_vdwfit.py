@@ -20,7 +20,6 @@ from nanograting import (
     band_averaged_trace,
     fit_effective_slit,
     order_population,
-    suppression_ratio,
     synthesize_image,
 )
 from nanograting.config import load_run_config
@@ -39,19 +38,6 @@ SINX = grating_preset("sinx")
 
 def _no_terms(*args, **kwargs):
     raise AssertionError("class terms built")
-
-
-class TestSuppressionRatio:
-    def test_trivial_value(self):
-        assert suppression_ratio(100e-9, 50e-9) == 2.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            suppression_ratio(100e-9, 0.0)
-        with pytest.raises(DomainError):
-            suppression_ratio(100e-9, -5e-9)
-        with pytest.raises(DomainError):
-            suppression_ratio(100e-9, 101e-9)
 
 
 class TestBandAveragedTrace:
@@ -395,17 +381,17 @@ class TestFitEffectiveSlit:
         grating, band, grid = cfg.grating(), cfg.velocity_distribution(), cfg.detector_grid()
         molecule, source, geometry = cfg.molecule(), cfg.source(), cfg.geometry()
         checked, built = [], []
-        check, build = diffraction._check_width, diffraction._slit_terms
+        check, build = diffraction._grating_terms, diffraction._slit_terms
 
-        def counting_check(*args):
-            checked.append(args[-1])
-            return check(*args)
+        def counting_check(grating, *args):
+            checked.append(grating.effective_slit_width)
+            return check(grating, *args)
 
         def counting_build(*args, **kwargs):
             built.append(args[0])
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(diffraction, "_check_width", counting_check)
+        monkeypatch.setattr(diffraction, "_grating_terms", counting_check)
         monkeypatch.setattr(diffraction, "_slit_terms", counting_build)
         clean = band_averaged_trace(
             grating, molecule, band, source, geometry, grid, coherence_prefactor=PREFACTOR
