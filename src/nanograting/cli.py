@@ -333,12 +333,7 @@ def _position_sigma(config: RunConfig, grating: Grating) -> tuple[float, str]:
 def cmd_limits(config: RunConfig, args: argparse.Namespace) -> int:
     grating = config.grating()
     sigma, sigma_source = _position_sigma(config, grating)
-    report_obj = limits_report(
-        grating.effective_slit_width,
-        sigma,
-        period=grating.period,
-        max_order=config.require("limits.max_order"),
-    )
+    report_obj = limits_report(grating.effective_slit_width, sigma, period=grating.period)
     report: dict[str, Any] = {
         "grating": grating.label,
         "slit_width_m": grating.effective_slit_width,

@@ -76,7 +76,6 @@ KNOWN_KEYS: dict[str, tuple[str, float, str | None]] = {
     "limits.beam_length_nm": ("float", 1e-9, None),
     "limits.beam_diameter_nm": ("float", 1e-9, None),
     "limits.youngs_modulus_GPa": ("float", 1e9, "1000"),
-    "limits.max_order": ("int", 1.0, "9"),
     "limits.molecule_count": ("float", 1.0, None),
     "limits.open_area_um2": ("float", 1e-12, None),
     "limits.footprint_nm2": ("float", 1e-18, "1.7"),

@@ -34,6 +34,10 @@ __all__ = [
     "wave_number",
 ]
 
+# forward velocities, in m/s and bounds included, over which the engine is
+# validated: the one range rule, stated by wave_number
+VELOCITY_SUPPORT = (50.0, 1000.0)
+
 # largest quadratic phase k*s^2/(8*L2), in rad, dropped across one slit by
 # the per-slit linearization of kirchhoff_pattern
 MAX_SLIT_PHASE = 0.05
@@ -152,7 +156,16 @@ class CoherenceResult:
 
 
 def wave_number(molecule: Molecule, velocity: float) -> float:
-    """Matter-wave number 2*pi/lambda in rad/m."""
+    """Matter-wave number 2*pi/lambda in rad/m at a forward velocity within
+    ``VELOCITY_SUPPORT``, bounds included; any other velocity raises a
+    DomainError that names it. Every engine path takes its k here
+    (single-velocity patterns, and through ``_class_terms`` band traces, fits
+    and images), so each refuses at the class it would build. An image class
+    that falls off the window builds no pattern: it is clipped, not refused."""
+    if not VELOCITY_SUPPORT[0] <= velocity <= VELOCITY_SUPPORT[1]:
+        raise DomainError(
+            f"velocity {velocity!r} m/s outside the validated range {VELOCITY_SUPPORT} m/s"
+        )
     return 2.0 * math.pi / de_broglie_wavelength(molecule, velocity)
 
 
@@ -468,13 +481,14 @@ def _class_terms(
 ) -> Iterator[tuple[float, _SlitTerms]]:
     """(weight, slit-width-independent terms) per positive-weight (velocity,
     weight) class, one class at a time, with its own wave number and coherent
-    slit count, built and checked by ``_grating_terms``."""
+    slit count, built and checked by ``_grating_terms``; ``wave_number``
+    refuses a class outside ``VELOCITY_SUPPORT``."""
     for v, w in classes:
         if w == 0.0:
             continue
+        k = wave_number(molecule, float(v))
         wavelength = de_broglie_wavelength(molecule, float(v))
         coh = coherence(source, geometry, wavelength, grating.period, coherence_prefactor)
-        k = 2.0 * math.pi / wavelength
         yield float(w), _grating_terms(grating, k, geometry.L2, coh.n_coherent_slits, grid)
 
 

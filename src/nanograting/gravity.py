@@ -34,9 +34,6 @@ __all__ = [
     "synthesize_image",
 ]
 
-# velocity range over which image synthesis is validated
-VELOCITY_SUPPORT = (50.0, 1000.0)
-
 MIN_STRIPE_SIGNAL = 1e-3  # least stripe peak, relative to the image peak
 MIN_PEAK_FRACTION = 0.02  # least first-order peak, relative to its stripe's zeroth order
 
@@ -250,9 +247,12 @@ def synthesize_image(
     sum, then scaled by the class weight) at the fall height of its velocity,
     split linearly between the two adjacent pixel rows. Classes whose rows
     fall outside the grid are clipped and reported; the pattern of a class
-    with no row on the grid is never computed. The image is blurred with the
-    detection Gaussian along both axes; the blur is applied to each class's
-    row and two-row placement before they are summed into the image.
+    with no row on the grid is never computed, so such a class is clipped
+    whatever its velocity, while a class with a row on the grid is refused
+    outside ``diffraction.VELOCITY_SUPPORT`` by ``wave_number``. The image
+    is blurred with the detection Gaussian along both axes; the blur is
+    applied to each class's row and two-row placement before they are
+    summed into the image.
     An image whose pixels, class rows and placements exceed
     ``MAX_IMAGE_PIXELS`` is refused before any array is built.
     """
@@ -264,13 +264,6 @@ def synthesize_image(
             f"{ny:.3e} x {nx:.3e} image pixels plus {n_classes:.3e} classes x ({ny:.3e} + "
             f"{nx:.3e}) rows and placements = {size:.3e} values exceeds the budget of "
             f"{MAX_IMAGE_PIXELS:.0e}"
-        )
-    v_lo = float(distribution.velocities.min())
-    v_hi = float(distribution.velocities.max())
-    if v_lo < VELOCITY_SUPPORT[0] or v_hi > VELOCITY_SUPPORT[1]:
-        raise DomainError(
-            f"velocity support [{v_lo!r}, {v_hi!r}] m/s outside the validated "
-            f"synthesis range {VELOCITY_SUPPORT}"
         )
 
     placements: list[np.ndarray] = []

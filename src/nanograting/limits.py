@@ -13,7 +13,6 @@ information and destroys the pattern.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .domain import PLANCK_H
@@ -23,6 +22,7 @@ __all__ = ["LimitsReport", "adsorption_coverage", "limits_report", "thermal_scro
 
 BOLTZMANN_K = 1.380649e-23  # J / K, SI defining constant
 LAMBDA_REF = 780.241e-9  # m, rubidium D2 line: the photon recoils of momentum_transfer_hk
+MAX_ORDER = 9  # the diffraction order whose momentum transfer momentum_transfer_hk reports
 
 # Fraction prefactor of the single-slit FWHM momentum spread, dp = 0.89 h / s.
 CENTRAL_LOBE_FRACTION = 0.89
@@ -85,7 +85,7 @@ def adsorption_coverage(
 @dataclass(frozen=True)
 class LimitsReport:
     """Coherence bookkeeping for one slit width at one localization sigma,
-    with the momentum transfer of the grating period's maximum order."""
+    with the momentum transfer of order ``MAX_ORDER`` at the grating period."""
 
     dp_diff: float                  # kg m/s
     dp_grating: float               # kg m/s
@@ -95,13 +95,11 @@ class LimitsReport:
     momentum_transfer_hk: float
 
 
-def limits_report(
-    slit_width: float, position_sigma: float, *, period: float, max_order: int
-) -> LimitsReport:
+def limits_report(slit_width: float, position_sigma: float, *, period: float) -> LimitsReport:
     """The coherence budget of slits of width s on a grating whose bars are
     localized to sigma = ``position_sigma`` (measured, or from
     ``thermal_scroll_amplitude``), with the momentum transfer of diffraction
-    order n_max = ``max_order`` at the grating ``period`` d:
+    order n = ``MAX_ORDER`` at the grating ``period`` d:
 
     - dp_diff = 0.89 h / s, the FWHM transverse momentum spread that the
       slit imprints (``CENTRAL_LOBE_FRACTION`` of the single-slit lobe);
@@ -112,13 +110,13 @@ def limits_report(
     - margin = dp_grating / dp_diff = (s / sigma) / (4 x 0.89 pi), and
       ``coherent`` is s > s_min, the exactly equivalent form (the boundary
       itself is not coherent);
-    - momentum_transfer_hk = 2 n_max lambda_ref / d, the momentum splitting
-      between the +n_max and -n_max arms in photon recoils h / lambda_ref of
-      the 780.241 nm reference line (``LAMBDA_REF``).
+    - momentum_transfer_hk = 2 n lambda_ref / d, the momentum splitting
+      between the +n and -n arms in photon recoils h / lambda_ref of the
+      780.241 nm reference line (``LAMBDA_REF``).
 
     Refusals, each a DomainError: s or d not finite and positive; sigma not
-    finite and positive, or so small that the margin overflows; n_max < 0,
-    or so large that the momentum transfer is not finite.
+    finite and positive, or so small that the margin overflows; d so small
+    (subnormal) that the momentum transfer is not finite.
     """
     if not 0.0 < slit_width < math.inf:
         raise DomainError(f"slit width must be positive and finite, got {slit_width!r}")
@@ -126,17 +124,13 @@ def limits_report(
         raise DomainError(f"position sigma must be positive and finite, got {position_sigma!r}")
     if not 0.0 < period < math.inf:
         raise DomainError(f"period must be positive and finite, got {period!r}")
-    if max_order < 0:
-        raise DomainError(f"max order must be non-negative, got {max_order!r}")
     s_min = MIN_SLIT_PREFACTOR * math.pi * position_sigma
     margin = (slit_width / position_sigma) / (MIN_SLIT_PREFACTOR * math.pi)
     if not math.isfinite(margin):
         raise DomainError(f"position sigma {position_sigma!r} m is too small: the margin overflows")
-    # an int past the float range would raise OverflowError in the product
-    transfer = (2.0 * max_order * LAMBDA_REF / period
-                if max_order <= sys.float_info.max else math.inf)
+    transfer = 2.0 * MAX_ORDER * LAMBDA_REF / period
     if not math.isfinite(transfer):
-        raise DomainError(f"max order {max_order!r} at period {period!r} m gives a "
+        raise DomainError(f"order {MAX_ORDER} at period {period!r} m gives a "
                           "momentum transfer that is not finite")
     return LimitsReport(
         dp_diff=CENTRAL_LOBE_FRACTION * PLANCK_H / slit_width,

@@ -172,14 +172,14 @@ def test_criterion_05_vibration_limits():
     assert round(sigma * 1e9, 1) == 0.5
 
     # the quoted minimal width follows from the half-nanometer amplitude
-    s_min = limits_report(50e-9, 0.5e-9, period=105e-9, max_order=9).s_min
+    s_min = limits_report(50e-9, 0.5e-9, period=105e-9).s_min
     assert abs(s_min - 5.59e-9) <= 0.05e-9, s_min
     assert round(s_min * 1e9, 1) == 5.6
 
 
 @criterion(6, "Ninth-order momentum transfer 140.4 photon recoils (+-1 of 141)")
 def test_criterion_06_momentum_transfer():
-    value = limits_report(50e-9, 0.5e-9, period=100e-9, max_order=9).momentum_transfer_hk
+    value = limits_report(50e-9, 0.5e-9, period=100e-9).momentum_transfer_hk
     assert value == 2 * 9 * 780.241e-9 / 100e-9
     assert abs(value - 141.0) <= 1.0, value
 

@@ -247,6 +247,19 @@ class TestSynthImageAndRender:
         assert image.total == pytest.approx(0.5, rel=1e-9)
         assert pixmap.read_bytes().startswith(b"P6\n")
 
+    def test_a_beam_past_the_validated_range_is_clipped_off_the_window(self, capsys, tmp_path):
+        # v_p = 400 m/s spans 133-1200 m/s; every class above 1000 m/s falls
+        # above the README window, builds no pattern and is clipped
+        code, stdout, stderr = run_cli(
+            capsys, "synth-image", "--preset", "slg",
+            "--set", "velocity.kind=maxwell-boltzmann-beam",
+            "--set", "velocity.most_probable_m_s=400", "--out", str(tmp_path / "img.f64"),
+        )
+        assert (code, stderr) == (0, "")
+        report = parse_report(stdout)
+        assert report["clipped_classes"] == "172"
+        assert report["clipped_weight"] == "0.9088510199239489"
+
     def test_render_from_file(self, capsys, tmp_path):
         _, _, image_path = self._synthesize(capsys, tmp_path)
         out = tmp_path / "render.ppm"
@@ -795,6 +808,7 @@ class TestErrorHandling:
         "grating.bar_width_nm",
         "simulate.window",
         "molecule.preset",
+        "limits.max_order",
     ])
     def test_removed_key_exits_2(self, capsys, key):
         # aliases of another key, or keys that reached no output
@@ -814,18 +828,20 @@ class TestErrorHandling:
         # m v underflows to 0: h / (m v) once raised ZeroDivisionError
         (("simulate", "--set", "simulate.band=false", "--set", "simulate.velocity_m_s=1e-300"),
          "momentum"),
-        # k = 2 pi / lambda overflows to inf: the chirp once raised OverflowError
+        # a velocity past the validated range is refused before its k is
+        # formed; at 1e300 m/s it once overflowed the chirp (OverflowError)
         (("simulate", "--set", "simulate.band=false", "--set", "simulate.velocity_m_s=1e300"),
-         "wave number"),
+         "outside the validated range"),
+        # k = 2 pi / lambda overflows to inf: the chirp once raised OverflowError
         (("simulate", "--set", "molecule.mass_u=1e300"), "wave number"),
         (("simulate", "--set", "simulate.band=false", "--set", "molecule.mass_u=1e300"),
          "wave number"),
         (("synth-image", "--set", "molecule.mass_u=1e300"), "wave number"),
         (("fit-seff", "--set", "fit.target_s_eff_nm=12", "--set", "molecule.mass_u=1e300"),
          "wave number"),
-        (("simulate", "--set", "velocity.center_m_s=1e300"), "wave number"),
+        (("simulate", "--set", "velocity.center_m_s=1e300"), "outside the validated range"),
         (("fit-seff", "--set", "fit.target_s_eff_nm=12", "--set", "velocity.center_m_s=1e300"),
-         "wave number"),
+         "outside the validated range"),
         # grid-sized arrays once came before the pixel x slit budget check
         (("simulate", "--set", "detector.x_max_um=1e300"), "2.000e+300 pixels x"),
         (("simulate", "--set", "detector.pixel_pitch_um=1e-300"), "pixel x slit terms exceeds"),
@@ -833,9 +849,6 @@ class TestErrorHandling:
          "pixel x slit terms exceeds"),
         (("fit-seff", "--set", "fit.target_s_eff_nm=12",
           "--set", "detector.pixel_pitch_um=1e-300"), "pixel x slit terms exceeds"),
-        # 2 n lambda_ref / d overflows to inf, or n is past the float range
-        (("limits", "--set", "limits.max_order=1" + "0" * 308), "momentum transfer"),
-        (("limits", "--set", "limits.max_order=1" + "0" * 400), "momentum transfer"),
         # span / pitch overflows: the pixel count once raised OverflowError
         (("simulate", "--set", "detector.x_max_um=1e300", "--set", "detector.pixel_pitch_um=1e-300"),
          "a span of 1e+294 m at a pitch of 1e-306 m"),
@@ -862,7 +875,7 @@ class TestErrorHandling:
     ], ids=[
         "velocity-1e-300", "velocity-1e300", "mass-band", "mass-single", "mass-synth-image",
         "mass-fit-seff", "center-band", "center-fit-seff", "x-max-band", "pitch-band",
-        "x-max-fit-seff", "pitch-fit-seff", "max-order-1e308", "max-order-1e400",
+        "x-max-fit-seff", "pitch-fit-seff",
         "pixel-count-simulate", "pixel-count-synth-image", "row-count-synth-image",
         "x-max-synth-image", "slit-product-overflow", "image-product-overflow", "L2-fall-height",
         "L2-synth-image", "psf-simulate", "psf-fit-seff", "psf-synth-image",
@@ -876,6 +889,30 @@ class TestErrorHandling:
         assert stderr.startswith("error:") and fragment in stderr
         assert "Traceback" not in stderr
         assert "inf" not in stdout
+
+    @pytest.mark.parametrize("velocity", [49.9, 1000.1])
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--set", "simulate.band=false", "--set", "simulate.velocity_m_s={v}"),
+        ("simulate", "--set", "velocity.kind=discrete", "--set", "velocity.list_m_s={v}"),
+        ("fit-seff", "--set", "fit.target_s_eff_nm=12",
+         "--set", "velocity.kind=discrete", "--set", "velocity.list_m_s={v}"),
+        # the window holds both fall heights (2.47 mm and 6.1 um), so the
+        # class builds a pattern and is refused, not clipped
+        ("synth-image", "--set", "image.y_min_um=-2600", "--set", "image.y_max_um=-1",
+         "--set", "velocity.kind=discrete", "--set", "velocity.list_m_s={v}"),
+    ], ids=["simulate-single", "simulate-band", "fit-seff", "synth-image"])
+    def test_every_path_refuses_a_velocity_outside_the_validated_range(
+        self, capsys, tmp_path, args, velocity
+    ):
+        command, *overrides = (arg.format(v=velocity) for arg in args)
+        code, stdout, stderr = run_cli(
+            capsys, command, "--preset", "sinx", *overrides, "--out", str(tmp_path / "out")
+        )
+        assert (code, stdout) == (3, "")
+        assert stderr == (
+            f"error: velocity {velocity} m/s outside the validated range (50.0, 1000.0) m/s\n"
+        )
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args", [
         # once asked for 7.30 GiB (target-mode fit-seff) and 3.13 GiB (synth-image)

@@ -27,10 +27,10 @@ from nanograting import (
 )
 from nanograting.config import load_run_config
 from nanograting.diffraction import MAX_BLUR_TERMS, MAX_BLUR_VALUES
-from nanograting.diffraction import MAX_PIXEL_SLITS, MAX_SLIT_PHASE, _slit_terms
+from nanograting.diffraction import MAX_PIXEL_SLITS, MAX_SLIT_PHASE, VELOCITY_SUPPORT, _slit_terms
 from nanograting.diffraction import _contract, _envelope_scan, _slit_envelope
 from nanograting import diffraction
-from nanograting.gravity import VELOCITY_SUPPORT, synthesize_image
+from nanograting.gravity import synthesize_image
 from nanograting.vdwfit import band_averaged_trace, fit_effective_slit
 
 from configured import FIT_OPTIONS, PCH2, PREFACTOR, PSF_SIGMA
@@ -50,6 +50,15 @@ def test_wave_number_value_and_identities():
     lam = de_broglie_wavelength(M85, 220.0)
     assert k * lam == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert wave_number(M85, 440.0) == pytest.approx(2.0 * k, rel=1e-12)
+
+
+def test_wave_number_accepts_exactly_the_validated_range():
+    assert wave_number(M85, 50.0) == 2.0 * math.pi / de_broglie_wavelength(M85, 50.0)
+    assert wave_number(M85, 1000.0) == 2.0 * math.pi / de_broglie_wavelength(M85, 1000.0)
+    message = r"outside the validated range \(50\.0, 1000\.0\) m/s"
+    for velocity in (math.nextafter(50.0, 0.0), math.nextafter(1000.0, math.inf), math.nan):
+        with pytest.raises(DomainError, match=message):
+            wave_number(M85, velocity)
 
 
 def test_coherent_slit_count_example():
@@ -268,6 +277,16 @@ def test_blur_over_budget_is_refused_before_any_padding():
     with pytest.raises(WorkBudgetError) as excinfo:
         gaussian_kernel(MAX_BLUR_VALUES / 10.0, 1.0)
     assert f"more than the budget of {MAX_BLUR_VALUES:.0e}" in str(excinfo.value)
+
+
+def test_blur_budget_is_a_billion_multiply_adds():
+    # 10,000 values x 100,001 taps = 1,000,010,000 multiply-adds on 110,000 padded values
+    row = np.broadcast_to(0.0, (10_000,))
+    with pytest.raises(WorkBudgetError, match=(
+        r"takes 1\.000e\+09 multiply-adds, over the budgets of 2e\+07 values and "
+        r"1e\+09 multiply-adds$"
+    )):
+        symmetric_convolve(row, gaussian_kernel(10_000.0, 1.0))
 
 
 def _detector_convolve(trace, sigma):

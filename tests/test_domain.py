@@ -148,8 +148,8 @@ _NON_FINITE_CALLS = {
     "molecule count": lambda x: adsorption_coverage(x, 1e-8, FOOTPRINT),
     "young's modulus": lambda x: thermal_scroll_amplitude(1.34e-6, 8e-9, 300.0, x),
     "beam temperature": lambda x: thermal_scroll_amplitude(1.34e-6, 8e-9, x, MODULUS),
-    "limits slit width": lambda x: limits_report(x, 1e-10, period=1e-7, max_order=9),
-    "limits period": lambda x: limits_report(5e-8, 1e-10, period=x, max_order=9),
+    "limits slit width": lambda x: limits_report(x, 1e-10, period=1e-7),
+    "limits period": lambda x: limits_report(5e-8, 1e-10, period=x),
     "colour signal": lambda x: hot_color(x),
 }
 

@@ -165,6 +165,10 @@ class TestVelocityDistribution:
         with pytest.raises(WorkBudgetError, match=f"{budget + 1} velocity classes"):
             VelocityDistribution.discrete([220.0] * (budget + 1))
 
+    def test_the_class_budget_is_two_thousand(self):
+        with pytest.raises(WorkBudgetError, match="^2001 velocity classes .* budget of 2000$"):
+            VelocityDistribution.discrete([220.0] * 2001)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             VelocityDistribution([220.0, -3.0], [1.0, 1.0])
@@ -322,13 +326,31 @@ class TestSynthesizeImage:
         peak = trace.intensities.max()
         assert np.max(np.abs(columns - trace.intensities)) <= 1e-12 * peak
 
-    def test_velocity_support_enforced(self):
-        for v in (40.0, 1100.0):
-            with pytest.raises(DomainError):
-                synthesize_image(
-                    VelocityDistribution.discrete([v]),
-                    SINX, SOURCE, GEOMETRY, IMAGE_GRID, PCH2, coherence_prefactor=PREFACTOR,
-                )
+    def test_the_image_budget_is_five_million_values(self):
+        # 4,995 x 1,000 pixels plus one class's row and placement: 5,000,995 values
+        grid = ImageGrid(0.0, 999e-6, 0.0, 4994 * 2.5e-6, 1e-6, 2.5e-6, PSF_SIGMA)
+        assert (grid.ny, grid.nx) == (4995, 1000)
+        with pytest.raises(WorkBudgetError, match=(
+            r"= 5\.001e\+06 values exceeds the budget of 5e\+06$"
+        )):
+            synthesize_image(
+                VelocityDistribution.discrete([220.0]),
+                SINX, SOURCE, GEOMETRY, grid, PCH2, coherence_prefactor=PREFACTOR,
+            )
+
+    @pytest.mark.parametrize("velocity", [40.0, 1100.0])
+    def test_velocity_support_enforced(self, velocity):
+        # on a window that holds its fall height (40 m/s falls 3.84 mm, 1100
+        # m/s 5.1 um) the class builds a pattern, and wave_number refuses it
+        y_fall = fall_position(velocity, GEOMETRY)
+        grid = replace(IMAGE_GRID, y_min=y_fall - 10e-6, y_max=y_fall + 10e-6)
+        with pytest.raises(DomainError, match=(
+            rf"^velocity {velocity} m/s outside the validated range \(50\.0, 1000\.0\) m/s$"
+        )):
+            synthesize_image(
+                VelocityDistribution.discrete([velocity]),
+                SINX, SOURCE, GEOMETRY, grid, PCH2, coherence_prefactor=PREFACTOR,
+            )
 
 
 def _gaussian(x: np.ndarray, center: float, sigma: float) -> np.ndarray:

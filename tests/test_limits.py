@@ -18,8 +18,8 @@ MODULUS = CONFIG.require("limits.youngs_modulus_GPa")
 FOOTPRINT = CONFIG.require("limits.footprint_nm2")
 
 
-def _report(slit_width=59e-9, sigma=0.1e-9, period=101e-9, max_order=9):
-    return limits_report(slit_width, sigma, period=period, max_order=max_order)
+def _report(slit_width=59e-9, sigma=0.1e-9, period=101e-9):
+    return limits_report(slit_width, sigma, period=period)
 
 
 def test_prefactor_is_four_times_lobe_fraction():
@@ -133,29 +133,18 @@ def test_coherence_check_margin_value():
 
 
 def test_momentum_transfer_values():
-    assert _report(period=100e-9, max_order=9).momentum_transfer_hk == pytest.approx(
-        140.44338, abs=1e-5
-    )
-    assert _report(period=50e-9, max_order=16).momentum_transfer_hk == pytest.approx(
-        499.35424, abs=1e-5
-    )
-    assert _report(period=100e-9, max_order=0).momentum_transfer_hk == 0.0
+    assert _report(period=100e-9).momentum_transfer_hk == pytest.approx(140.44338, abs=1e-5)
+    assert _report(period=50e-9).momentum_transfer_hk == pytest.approx(280.88676, abs=1e-5)
     for bad in (0.0, math.inf):
         with pytest.raises(DomainError, match="period must be positive"):
             _report(period=bad)
-    with pytest.raises(DomainError, match="max order must be non-negative"):
-        _report(max_order=-1)
-    # a transfer that overflows, and an int past the float range
-    for max_order in (10**308, 10**400):
-        with pytest.raises(DomainError, match="momentum transfer that is not finite"):
-            _report(max_order=max_order)
+    # a subnormal period: 2 * 9 * lambda_ref / 1e-323 m overflows to inf
+    with pytest.raises(DomainError, match="momentum transfer that is not finite"):
+        _report(period=1e-323)
 
 
 def test_momentum_transfer_reference_wavelength_default():
-    assert (
-        _report(period=100e-9, max_order=9).momentum_transfer_hk
-        == 2 * 9 * LAMBDA_REF / 100e-9
-    )
+    assert _report(period=100e-9).momentum_transfer_hk == 2 * 9 * LAMBDA_REF / 100e-9
 
 
 def test_adsorption_coverage_values():
@@ -174,7 +163,7 @@ def test_adsorption_coverage_validation():
 
 
 def test_limits_report_combines_everything():
-    report = limits_report(59e-9, 0.1e-9, period=101e-9, max_order=9)
+    report = limits_report(59e-9, 0.1e-9, period=101e-9)
     assert isinstance(report, LimitsReport)
     assert report.dp_diff == CENTRAL_LOBE_FRACTION * PLANCK_H / 59e-9
     # hbar = h / (2 pi), computed first
@@ -190,16 +179,16 @@ def test_limits_report_combines_everything():
 @pytest.mark.parametrize("sigma", [0.0, -0.0, math.inf, math.nan])
 def test_limits_report_refuses_a_sigma_that_is_not_finite_and_positive(sigma):
     with pytest.raises(DomainError, match="position sigma must be positive and finite"):
-        limits_report(59e-9, sigma, period=101e-9, max_order=0)
+        limits_report(59e-9, sigma, period=101e-9)
 
 
 def test_limits_report_refuses_a_sigma_whose_margin_overflows():
     # a subnormal sigma: hbar / (2 sigma) is finite, s / sigma is not
     with pytest.raises(DomainError, match="margin overflows"):
-        limits_report(15e-9, 1e-323, period=105e-9, max_order=9)
+        limits_report(15e-9, 1e-323, period=105e-9)
 
 
 def test_limits_report_incoherent_when_sigma_large():
-    report = limits_report(5e-9, 1e-9, period=101e-9, max_order=9)
+    report = limits_report(5e-9, 1e-9, period=101e-9)
     assert not report.coherent
     assert report.margin < 1.0
